@@ -8,9 +8,7 @@ transfer results, and builds and certifies the swiss-cheese uniform-algebra
 counterexample numerically.
 
 All values are immutable after construction and all operations are pure
-functions of their inputs, so concurrent use needs no synchronisation; the
-only mutable state is bookkeeping (probe ranges, an idempotent norm cache)
-whose fills are deterministic.
+functions of their inputs, so concurrent use needs no synchronisation.
 """
 
 from .convolution import (
@@ -62,7 +60,7 @@ from .bimodules import (
     derivation_defect,
     derivative_map,
     dual_homomorphism,
-    dual_module,
+    find_anchor,
     find_transfer_functional,
     is_inner,
     matrix_rank,

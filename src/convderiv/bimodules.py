@@ -59,7 +59,8 @@ class FiniteAlgebra:
     """Commutative associative algebra from structure constants.
 
     Commutativity must hold exactly; associativity is checked to ``atol``
-    across all basis triples.
+    across all basis triples, and the largest defect found is kept as
+    ``associativity_defect``.
     """
 
     def __init__(self, structure, atol: float = 1e-12):
@@ -74,6 +75,7 @@ class FiniteAlgebra:
         if defect > atol:
             raise ValueError(f"associativity defect {defect:.3e} exceeds "
                              f"{atol:.1e}")
+        self.associativity_defect = defect
         self.structure = c
         self.structure.setflags(write=False)
 
@@ -156,10 +158,6 @@ class FiniteBimodule:
                 f"symmetric={self.symmetric})")
 
 
-def dual_module(E: FiniteBimodule) -> FiniteBimodule:
-    return E.dual()
-
-
 def matrix_rank(M: np.ndarray, rel_threshold: float = 1e-9) -> int:
     """Numerical rank: singular values above rel_threshold of the largest."""
     M = np.asarray(M, dtype=complex)
@@ -203,6 +201,17 @@ def _project_onto_rows(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
     if basis.shape[0] == 0:
         return np.zeros_like(v)
     return basis.T @ (basis.conj() @ v)
+
+
+def find_anchor(A: FiniteAlgebra) -> np.ndarray:
+    """First basis vector off the product span: a rank-one anchor."""
+    span = square_span(A)
+    for candidate in np.eye(A.dim, dtype=complex):
+        residual = candidate - _project_onto_rows(span, candidate)
+        if np.linalg.norm(residual) > 1e-9:
+            return candidate
+    raise NotOutsideSquareError("every basis vector lies in the product span; "
+                                "no rank-one non-inner derivation exists here")
 
 
 def derivation_defect(A: FiniteAlgebra, E: FiniteBimodule,

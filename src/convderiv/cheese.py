@@ -128,31 +128,22 @@ class CheeseSet:
         extension of the disc family at points outside the extensions'
         landing intervals.
         """
-        value = 0.0
-        s0 = 1.0 - abs(z)
-        if s0 <= 0.0:
-            raise OnBoundaryError("point is not interior to the unit disc")
-        value += self.r0 / s0 ** 2
-        for j in range(1, self.n_max + 1):
-            disc = self.disc(j)
-            s = abs(z - disc.center) - disc.radius
-            if s <= 0.0:
-                raise OnBoundaryError(f"point touches removed disc {j}")
-            value += disc.radius / s ** 2
-        return value, value + 2.0 ** -(self.n_max + 1)
+        sums, certified = self.bound_sum_grid([z])
+        return float(sums[0]), float(certified[0])
 
-    def bound_sum_grid(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised bound sums over an array of real points."""
-        xs = np.asarray(xs, dtype=float)
+    def bound_sum_grid(self, xs) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`bound_sum` over an array of real or complex
+        points."""
+        xs = np.asarray(xs)
         s0 = 1.0 - np.abs(xs)
         if np.any(s0 <= 0.0):
-            raise OnBoundaryError("grid leaves the open unit disc")
+            raise OnBoundaryError("a point is not interior to the unit disc")
         total = self.r0 / s0 ** 2
         for j in range(1, self.n_max + 1):
             disc = self.disc(j)
             s = np.abs(xs - disc.center) - disc.radius
             if np.any(s <= 0.0):
-                raise OnBoundaryError(f"grid touches removed disc {j}")
+                raise OnBoundaryError(f"a point touches removed disc {j}")
             total = total + disc.radius / s ** 2
         return total, total + 2.0 ** -(self.n_max + 1)
 

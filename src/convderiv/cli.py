@@ -247,11 +247,13 @@ def _cmd_cheese_verify(args) -> _Outcome:
                             max_certified=verification.max_certified,
                             threshold=verification.bound_threshold),
     ]
-    xs = cheese.interval_grid(args.grid)
-    sums, certified = X.bound_sum_grid(xs)
-    csv = (["x", "sum", "certified_lt"],
-           [[float(x), float(s), float(c)]
-            for x, s, c in zip(xs, sums, certified)])
+    csv = None
+    if args.csv:
+        xs = cheese.interval_grid(args.grid)
+        sums, certified = X.bound_sum_grid(xs)
+        csv = (["x", "sum", "certified_lt"],
+               [[float(x), float(s), float(c)]
+                for x, s, c in zip(xs, sums, certified)])
     return _Outcome(inputs, verification.to_dict(), certs, csv=csv)
 
 
@@ -283,9 +285,7 @@ def _load_algebra(name_or_path: str) -> bimodules.FiniteAlgebra:
 def _cmd_bimodule_check(args) -> _Outcome:
     A = _load_algebra(args.algebra)
     inputs = {"algebra": args.algebra, "dim": A.dim}
-    c = A.structure
-    assoc = float(np.abs(np.einsum("ijm,mkl->ijkl", c, c)
-                         - np.einsum("jkm,iml->ijkl", c, c)).max(initial=0.0))
+    assoc = A.associativity_defect
     E = A.self_bimodule()
     dual = E.dual()
     certs = [
@@ -304,18 +304,7 @@ def _cmd_bimodule_check(args) -> _Outcome:
 def _cmd_bimodule_rank1(args) -> _Outcome:
     A = _load_algebra(args.algebra)
     inputs = {"algebra": args.algebra, "dim": A.dim}
-    span = bimodules.square_span(A)
-    anchor = None
-    eye = np.eye(A.dim, dtype=complex)
-    for i in range(A.dim):
-        candidate = eye[i]
-        residual = candidate - bimodules._project_onto_rows(span, candidate)
-        if np.linalg.norm(residual) > 1e-9:
-            anchor = candidate
-            break
-    if anchor is None:
-        raise ValueError("every basis vector lies in the product span; "
-                         "no rank-one non-inner derivation exists here")
+    anchor = bimodules.find_anchor(A)
     lambda0, D = bimodules.rank_one_derivation(A, anchor)
     dual_of_A = A.self_bimodule().dual()
     defect = bimodules.derivation_defect(A, dual_of_A, D)

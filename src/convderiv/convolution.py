@@ -19,7 +19,7 @@ import numpy as np
 # runaway convolution should fail loudly rather than allocate gigabytes.
 DEGREE_CAP = 1 << 16
 
-# Indices are plain Python ints (exact); anything above this is refused.
+# Indices are exact int64 values; anything above this is refused.
 INDEX_CAP = 1 << 62
 
 _EPS = 1e-12
@@ -250,22 +250,28 @@ def l1_norm(a: L1Element) -> float:
 # functionals on the algebra
 # ---------------------------------------------------------------------------
 
+def _per_index(scalar: Callable) -> Callable:
+    """Array rule that calls a scalar rule once per index, as a Python int."""
+    def rule(idx):
+        values = (complex(scalar(i)) for i in idx.tolist())
+        return np.fromiter(values, dtype=complex, count=idx.size)
+    return rule
+
+
 class DualSequence:
     """A functional presented by its values phi(t^n) on the monomial basis.
 
-    ``rule`` maps a non-negative index to a complex value and must be
-    deterministic.  ``tail`` declares what is known beyond a finite probe.
-    ``vectorized`` rules additionally accept an integer ndarray and return
-    the matching array of values; this is an optimisation only and never
-    changes results.
+    ``rule`` maps an int64 index array to the array of complex values and
+    must be deterministic; ``tail`` declares what is known beyond a finite
+    probe.  A ``vectorized=False`` rule maps one Python-int index to one
+    value and is wrapped once in a per-index loop, so :meth:`bulk` is the
+    only evaluation path and ``at(n)`` is ``bulk([n])[0]``.
     """
 
     def __init__(self, rule: Callable, tail: Tail = UNDECLARED,
                  vectorized: bool = False):
-        self._rule = rule
+        self._rule = rule if vectorized else _per_index(rule)
         self.tail = tail
-        self.vectorized = bool(vectorized)
-        self.computed_range = -1
 
     @classmethod
     def from_values(cls, values, tail: Tail = UNDECLARED) -> "DualSequence":
@@ -288,12 +294,11 @@ class DualSequence:
                                  "ZeroTail start")
 
         def rule(n):
-            n_arr = np.asarray(n)
-            if np.any(n_arr >= table.size):
+            if np.any(n >= table.size):
                 raise UndeclaredTailError(
-                    f"index {int(np.max(n_arr))} is beyond the table "
+                    f"index {int(np.max(n))} is beyond the table "
                     f"(length {table.size}) and the tail is undeclared")
-            return table[n_arr]
+            return table[n]
 
         return cls(rule, tail=tail, vectorized=True)
 
@@ -301,22 +306,15 @@ class DualSequence:
     def constant(cls, value: complex) -> "DualSequence":
         value = complex(value)
         tail = ClosedForm(Constant(value)) if value != 0 else ZeroTail(0)
-        return cls(lambda n: np.full(np.shape(n), value, dtype=complex)
-                   if np.ndim(n) else value,
+        return cls(lambda n: np.full(n.shape, value, dtype=complex),
                    tail=tail, vectorized=True)
 
     def at(self, n) -> complex:
-        """Value at a single index (exact for arbitrarily large Python ints)."""
+        """Value at a single index 0 <= n <= INDEX_CAP: a one-element bulk."""
         n = int(n)
-        if n < 0:
-            raise ValueError("indices are non-negative")
-        if isinstance(self.tail, ZeroTail) and n >= self.tail.start:
-            value = 0j
-        else:
-            value = complex(self._rule(n))
-        if n > self.computed_range:
-            self.computed_range = n
-        return value
+        if not 0 <= n <= INDEX_CAP:
+            raise ValueError(f"index {n} lies outside 0..INDEX_CAP")
+        return complex(self.bulk([n])[0])
 
     __call__ = at
 
@@ -329,13 +327,7 @@ class DualSequence:
         else:
             live = np.ones(idx.shape, dtype=bool)
         if live.any():
-            sel = idx[live]
-            if self.vectorized:
-                out[live] = np.asarray(self._rule(sel), dtype=complex)
-            else:
-                out[live] = [complex(self._rule(int(i))) for i in sel]
-        if idx.size:
-            self.computed_range = max(self.computed_range, int(idx.max()))
+            out[live] = self._rule(idx[live])
         return out
 
     def values(self, upto: int) -> np.ndarray:
@@ -411,13 +403,10 @@ def act_on_dual(a: L1Element, psi: DualSequence) -> DualSequence:
     coef = a.coeffs[a.support]
 
     def rule(n):
-        if np.ndim(n):
-            n_arr = np.asarray(n)
-            out = np.zeros(n_arr.shape, dtype=complex)
-            for k, c in zip(ks, coef):
-                out += c * psi.bulk(n_arr + k)
-            return out
-        return sum((c * psi.at(n + k) for k, c in zip(ks, coef)), 0j)
+        out = np.zeros(n.shape, dtype=complex)
+        for k, c in zip(ks, coef):
+            out += c * psi.bulk(n + k)
+        return out
 
     if not ks:
         tail: Tail = ZeroTail(0)
@@ -426,10 +415,11 @@ def act_on_dual(a: L1Element, psi: DualSequence) -> DualSequence:
     elif isinstance(psi.tail, ClosedForm):
         cert = psi.tail.certificate
         if isinstance(cert, Constant):
-            # all shifted values equal the constant once n >= start
+            # every n + k reaches cert.start once n >= cert.start - min k
             total = complex(np.sum(coef)) * cert.value
-            tail = ClosedForm(Constant(total, cert.start)) if total != 0 \
-                else ZeroTail(cert.start)
+            start = max(0, cert.start - ks[0])
+            tail = ClosedForm(Constant(total, start)) if total != 0 \
+                else ZeroTail(start)
         else:
             tail = ClosedForm()
     else:

@@ -30,6 +30,8 @@ from .convolution import (
     UNDECLARED,
     Undeclared,
     ZeroTail,
+    _per_index,
+    act_on_dual,
     tail_to_dict,
     validate_tail,
 )
@@ -122,15 +124,11 @@ class Derivation:
     """A bounded derivation into the dual, held as its coefficient sequence.
 
     Use :meth:`from_phi` or :meth:`from_mu`; the two round-trip exactly.
-    ``norm_lower`` is the largest probed value of |mu| so far; ``norm_cache``
-    is set once the declared tail certifies the supremum was attained.
     """
 
     def __init__(self, mu: DualSequence, phi: DualSequence):
         self.mu = mu
         self.phi = phi
-        self.norm_lower = 0.0
-        self.norm_cache: Optional[float] = None
 
     # -- construction -------------------------------------------------------
 
@@ -146,47 +144,28 @@ class Derivation:
         """
         tail = _normalize_mu_certificate(
             _mu_tail_from_phi(phi.tail) if mu_tail is None else mu_tail)
-
-        def mu_rule(n):
-            if np.ndim(n):
-                n_arr = np.asarray(n, dtype=np.int64)
-                out = np.zeros(n_arr.shape, dtype=complex)
-                pos = n_arr >= 1
-                if pos.any():
-                    out[pos] = n_arr[pos] * phi.bulk(n_arr[pos] - 1)
-                return out
-            return n * phi.at(n - 1) if n >= 1 else 0j
-
-        mu = DualSequence(mu_rule, tail=tail, vectorized=True)
-        deriv = cls(mu, phi)
+        mu = DualSequence(_vanishing_at_zero(lambda n: n * phi.bulk(n - 1)),
+                          tail=tail, vectorized=True)
         if probe_depth >= 1:
-            deriv.norm(probe_depth)
-        return deriv
+            validate_tail(mu, probe_depth, first_index=1)
+        return cls(mu, phi)
 
     @classmethod
     def from_mu(cls, mu_rule: Callable, tail: Tail = UNDECLARED) -> "Derivation":
         """Derivation from its coefficient sequence; index 0 is forced to 0."""
         tail = _normalize_mu_certificate(tail)
-
-        def rule(n):
-            if np.ndim(n):
-                n_arr = np.asarray(n, dtype=np.int64)
-                out = np.zeros(n_arr.shape, dtype=complex)
-                pos = n_arr >= 1
-                if pos.any():
-                    vals = mu_rule(n_arr[pos])
-                    out[pos] = np.asarray(vals, dtype=complex)
-                return out
-            return complex(mu_rule(n)) if n >= 1 else 0j
-
-        vectorized = _accepts_arrays(mu_rule)
-        mu = DualSequence(rule, tail=tail, vectorized=vectorized)
+        values = mu_rule if _accepts_arrays(mu_rule) else _per_index(mu_rule)
+        mu = DualSequence(_vanishing_at_zero(values), tail=tail,
+                          vectorized=True)
 
         def phi_rule(n):
-            if np.ndim(n):
-                n_arr = np.asarray(n, dtype=np.int64)
-                return mu.bulk(n_arr + 1) / (n_arr + 1)
-            return mu.at(n + 1) / (n + 1)
+            # numpy's complex / real multiplies by a reciprocal; dividing
+            # the parts separately matches Python's complex / int exactly
+            num, den = mu.bulk(n + 1), (n + 1).astype(float)
+            out = np.empty(n.shape, dtype=complex)
+            out.real = num.real / den
+            out.imag = num.imag / den
+            return out
 
         phi = DualSequence(phi_rule, tail=_phi_tail_from_mu(tail),
                            vectorized=True)
@@ -201,15 +180,15 @@ class Derivation:
         if tail is None:
             tail = ZeroTail(table.size)
         seq = DualSequence.from_values(table, tail=tail)
-        return cls.from_mu(seq.at, tail=tail)
+        return cls.from_mu(seq.bulk, tail=tail)
 
     # -- evaluation ---------------------------------------------------------
 
     def monomial_probe(self, j: int, l: int = 0) -> complex:
         """D(t^j) evaluated at t^l, i.e. j * phi(t^{j+l-1}).
 
-        Exact for arbitrarily large Python integer indices, which the
-        non-compactness witness requires.
+        Exact for every index up to INDEX_CAP, the range the
+        non-compactness witness works in.
         """
         if j < 1:
             return 0j
@@ -223,36 +202,11 @@ class Derivation:
         return out
 
     def apply(self, f: L1Element) -> DualSequence:
-        """The functional D(f): its value at t^n is sum_k k a_k phi(t^{k+n-1})."""
-        ks = [int(k) for k in f.support if k >= 1]
-        weights = [k * f.coeffs[k] for k in ks]
-        phi = self.phi
-
-        def rule(n):
-            if np.ndim(n):
-                n_arr = np.asarray(n, dtype=np.int64)
-                out = np.zeros(n_arr.shape, dtype=complex)
-                for k, w in zip(ks, weights):
-                    out += w * phi.bulk(n_arr + (k - 1))
-                return out
-            return sum((w * phi.at(n + k - 1) for k, w in zip(ks, weights)), 0j)
-
-        if not ks:
-            tail: Tail = ZeroTail(0)
-        elif isinstance(phi.tail, ZeroTail):
-            tail = ZeroTail(max(0, phi.tail.start + 1 - ks[0]))
-        elif isinstance(phi.tail, ClosedForm):
-            cert = phi.tail.certificate
-            if isinstance(cert, Constant):
-                total = cert.value * complex(sum(weights))
-                start = max(0, cert.start + 1 - ks[0])
-                tail = ClosedForm(Constant(total, start)) if total != 0 \
-                    else ZeroTail(start)
-            else:
-                tail = ClosedForm()
-        else:
-            tail = UNDECLARED
-        return DualSequence(rule, tail=tail, vectorized=True)
+        """The functional D(f) = f'.phi, the module action of the formal
+        derivative f' = sum_k k a_k t^(k-1) on phi = D(t); its value at t^n
+        is sum_k k a_k phi(t^{k+n-1})."""
+        derivative = L1Element(np.arange(1, f.coeffs.size) * f.coeffs[1:])
+        return act_on_dual(derivative, self.phi)
 
     # -- norm ---------------------------------------------------------------
 
@@ -269,7 +223,6 @@ class Derivation:
         validate_tail(self.mu, probe_depth, first_index=1)
         mags = np.abs(self.mu.values(probe_depth))
         lower = float(mags[1:].max(initial=0.0))
-        self.norm_lower = max(self.norm_lower, lower)
         exact = None
         tail = self.mu.tail
         if isinstance(tail, ZeroTail) and tail.start <= probe_depth + 1:
@@ -280,8 +233,6 @@ class Derivation:
                 exact = lower
             elif isinstance(cert, Constant) and cert.start <= probe_depth + 1:
                 exact = max(lower, abs(cert.value))
-        if exact is not None:
-            self.norm_cache = exact
         return lower, exact
 
     # -- compactness --------------------------------------------------------
@@ -463,6 +414,17 @@ class Derivation:
 
     def __repr__(self):
         return f"Derivation(mu_tail={self.mu.tail!r})"
+
+
+def _vanishing_at_zero(values: Callable) -> Callable:
+    """Array rule that is 0 at index 0 (mu_0 = 0) and ``values`` elsewhere."""
+    def rule(n):
+        out = np.zeros(n.shape, dtype=complex)
+        pos = n >= 1
+        if pos.any():
+            out[pos] = values(n[pos])
+        return out
+    return rule
 
 
 def _accepts_arrays(rule: Callable) -> bool:

@@ -21,6 +21,7 @@ def test_catalog_algebras_validate():
     for name in ("zero2", "nil1", "trunc3", "trunc4"):
         A = cd.algebra_catalog(name)
         assert A.dim >= 1
+        assert A.associativity_defect == 0.0
     with pytest.raises(KeyError):
         cd.algebra_catalog("nonsense")
 
@@ -141,6 +142,18 @@ def test_rank_one_rejects_unital_algebras():
     for i in range(3):
         with pytest.raises(cd.NotOutsideSquareError):
             cd.rank_one_derivation(A, np.eye(3)[i])
+    with pytest.raises(cd.NotOutsideSquareError, match="every basis vector"):
+        cd.find_anchor(A)
+
+
+def test_find_anchor_skips_the_product_span():
+    c = np.zeros((2, 2, 2))
+    c[1, 1, 0] = 1.0  # e1 e1 = e0, so e0 spans the products
+    A = cd.FiniteAlgebra(c)
+    anchor = cd.find_anchor(A)
+    assert np.array_equal(anchor, [0.0, 1.0])
+    _, D = cd.rank_one_derivation(A, anchor)
+    assert complex(anchor @ D.matrix @ anchor) == pytest.approx(1.0)
 
 
 def test_inner_derivations_into_symmetric_modules_vanish():

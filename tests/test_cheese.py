@@ -135,6 +135,17 @@ def test_certified_sum_dominates_plain_sum():
     assert cert == value + 2.0 ** -9
 
 
+def test_bound_sum_at_complex_point_matches_direct_sum():
+    X = cd.build_cheese(6)
+    z = 0.2 - 0.15j
+    direct = 1.0 / (1.0 - abs(z)) ** 2
+    for d in X.discs:
+        direct += d.radius / (abs(z - d.center) - d.radius) ** 2
+    assert X.bound_sum(z) == (direct, direct + 2.0 ** -7)
+    sums, _ = X.bound_sum_grid([z, 0.25])
+    assert sums[0] == direct and sums[1] == X.bound_sum(0.25)[0]
+
+
 def test_serialisation_round_trip():
     X = cd.build_cheese(6)
     payload = X.to_dict()

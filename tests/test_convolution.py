@@ -183,11 +183,11 @@ def test_from_values_tail_rules():
         cd.DualSequence.from_values([1, 2], tail=cd.ClosedForm())
 
 
-def test_rule_determinism_and_computed_range():
+def test_rule_determinism():
     seq = cd.DualSequence(lambda n: (n * 7 + 1) % 5, tail=cd.ClosedForm())
     first = seq.at(12)
     assert seq.at(12) == first
-    assert seq.computed_range >= 12
+    assert first == (12 * 7 + 1) % 5
 
 
 def test_validate_tail_catches_lies():
@@ -205,3 +205,25 @@ def test_validate_tail_catches_lies():
     honest = cd.DualSequence(lambda n: 2.0 ** -n,
                              tail=cd.ClosedForm(cd.Decay(0, ratio=0.5)))
     cd.validate_tail(honest, 40)
+
+
+def test_at_refuses_indices_beyond_cap():
+    seq = cd.DualSequence.constant(1.0)
+    assert seq.at(cd.INDEX_CAP) == 1.0
+    with pytest.raises(ValueError):
+        seq.at(cd.INDEX_CAP + 1)
+    with pytest.raises(ValueError):
+        seq.at(-1)
+
+
+def test_scalar_rules_receive_python_ints():
+    seen = set()
+
+    def rule(n):
+        seen.add(type(n))
+        return n % 3
+
+    seq = cd.DualSequence(rule, tail=cd.ClosedForm())
+    assert list(seq.bulk([0, 4, 2 ** 53 + 1])) == [0, 1, (2 ** 53 + 1) % 3]
+    assert seq.at(5) == 2
+    assert seen == {int}

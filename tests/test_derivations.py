@@ -1,5 +1,7 @@
 """Derivation calculus: construction, norms, compactness, witnesses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,6 @@ def test_from_phi_geometric_norm_exact():
     lower, exact = D.norm(64)
     assert lower == expected
     assert exact == expected
-    assert D.norm_cache == expected
 
 
 def test_geometric_mu_values():
@@ -189,12 +190,12 @@ def test_norm_without_certificate_gives_lower_only():
     assert lower == 1.0 and exact is None
 
 
-def test_norm_cache_bounds_later_evaluations():
+def test_exact_norm_bounds_later_evaluations():
     D = peaked_mu()
-    D.norm(64)
-    assert D.norm_cache == 1.0
+    _, exact = D.norm(64)
+    assert exact == 1.0
     for n in (100, 500, 4096):
-        assert abs(D.mu.at(n)) <= D.norm_cache
+        assert abs(D.mu.at(n)) <= exact
 
 
 def test_mu_phi_consistency_both_constructions():
@@ -207,12 +208,12 @@ def test_mu_phi_consistency_both_constructions():
             assert abs(D.mu.at(n) - n * D.phi.at(n - 1)) < 1e-12
 
 
-def test_norm_cache_idempotent():
+def test_exact_norm_idempotent():
     D = peaked_mu()
-    D.norm(64)
-    first = D.norm_cache
-    D.norm(128)
-    assert D.norm_cache == first
+    _, first = D.norm(64)
+    assert first == 1.0
+    _, again = D.norm(128)
+    assert again == first
 
 
 def test_isometry_mu_sup_equals_monomial_probe_sup():
@@ -397,3 +398,66 @@ def test_witness_report_serialises_and_rechecks():
         gaps=tuple((i, k, g) for i, k, g in payload["gaps"]),
         separation=payload["separation"])
     assert not tampered.recheck(D)
+
+
+# -- one evaluation path ---------------------------------------------------------
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _single_path_sequences():
+    wave = cd.DualSequence(
+        lambda n: np.exp(0.3j * n) / (n + 1.0), tail=cd.ClosedForm(),
+        vectorized=True)
+    a = cd.L1Element([0.3 - 0.2j, 0, 1.7 + 0.9j, -0.45j])
+    from_phi = cd.Derivation.from_phi(wave, probe_depth=0)
+    array_mu = cd.Derivation.from_mu(
+        lambda n: np.cos(0.7 * n) * (1 + 1j / n), tail=cd.ClosedForm())
+    scalar_mu = cd.Derivation.from_mu(
+        lambda n: math.cos(0.7 * n) / math.sqrt(n), tail=cd.ClosedForm())
+    return {
+        "from_values": cd.DualSequence.from_values(
+            [1 + 2j, 0.3, -4.1], tail=cd.ZeroTail(3)),
+        "constant": cd.DualSequence.constant(0.3 + 0.7j),
+        "act_on_dual": cd.act_on_dual(a, wave),
+        "from_phi": from_phi.mu,
+        "from_mu_array_mu": array_mu.mu,
+        "from_mu_array_phi": array_mu.phi,
+        "from_mu_scalar_mu": scalar_mu.mu,
+        "from_mu_scalar_phi": scalar_mu.phi,
+        "apply": from_phi.apply(cd.L1Element([2, -0.6 + 1.1j, 0, 0.35])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_single_path_sequences()))
+def test_at_is_a_one_element_bulk(name):
+    seq = _single_path_sequences()[name]
+    for n in list(range(80)) + [1000, 2 ** 31 + 5, 2 ** 53 + 1]:
+        assert _bits(seq.at(n)) == _bits(seq.bulk([n])[0]), n
+
+
+def test_phi_from_mu_matches_python_quotient():
+    D = cd.Derivation.from_mu(lambda n: math.sin(n) * n / (n + 3.0),
+                              tail=cd.ClosedForm())
+    ns = list(range(200)) + [2 ** 53 + 7]
+    for n, value in zip(ns, D.phi.bulk(ns)):
+        assert _bits(value) == _bits(D.mu.at(n + 1) / (n + 1)), n
+
+
+@pytest.mark.parametrize("tail, expected", [
+    (cd.ZeroTail(7), cd.ZeroTail(6)),
+    (cd.ClosedForm(cd.Constant(0.25, 3)), cd.ClosedForm(cd.Constant(0.25, 2))),
+    (cd.ClosedForm(cd.Decay(2)), cd.ClosedForm()),
+    (cd.UNDECLARED, cd.UNDECLARED),
+], ids=["zero", "constant", "decay", "undeclared"])
+def test_apply_tail_is_the_module_action_tail(tail, expected):
+    phi = cd.DualSequence(lambda n: 0.25 if n >= 3 else 1.0 / (n + 1),
+                          tail=tail)
+    D = cd.Derivation.from_phi(phi, probe_depth=0, mu_tail=cd.UNDECLARED)
+    f = cd.L1Element([0.5, 0, 2, -1])
+    image = D.apply(f)
+    assert image.tail == cd.act_on_dual(cd.L1Element([0, 4, -3]), phi).tail
+    assert image.tail == expected
+    cd.validate_tail(image, 40)  # the tightened Constant start is sound
