@@ -28,6 +28,7 @@ from .convolution import (
     ClosedForm,
     Decay,
     L1Element,
+    Tail,
     UNDECLARED,
     UndeclaredTailError,
     ZeroTail,
@@ -58,18 +59,18 @@ class _Outcome:
 # flag helpers
 # ---------------------------------------------------------------------------
 
-def _tail_flag(text: str):
+def _tail_flag(text: str) -> Tail:
+    # the declaration is about mu, whose certificates start at index 1
     if text == "decay":
-        return text
+        return ClosedForm(Decay(start=1))
     if text == "none":
-        return text
+        return UNDECLARED
     if text.startswith("zero:"):
         try:
-            int(text.split(":", 1)[1])
+            return ZeroTail(int(text.split(":", 1)[1]))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad zero-tail index in {text!r}")
-        return text
     raise argparse.ArgumentTypeError(
         f"tail must be zero:N, decay, or none (got {text!r})")
 
@@ -80,14 +81,6 @@ def _coeffs(text: str) -> L1Element:
         return L1Element([complex(item) for item in items if item])
     except ValueError as exc:
         raise ValueError(f"bad coefficient list {text!r}: {exc}")
-
-
-def _tail_from_flag(flag: str, first_index: int):
-    if flag == "none":
-        return UNDECLARED
-    if flag == "decay":
-        return ClosedForm(Decay(start=first_index))
-    return ZeroTail(int(flag.split(":", 1)[1]))
 
 
 def _build_derivation(args) -> Tuple[Derivation, dict]:
@@ -106,9 +99,8 @@ def _build_derivation(args) -> Tuple[Derivation, dict]:
     else:
         mu_profile = profile
         mu_rule = scalar
-    tail_flag = getattr(args, "tail", None)
-    if tail_flag is not None:
-        tail = _tail_from_flag(tail_flag, first_index=1)
+    tail = getattr(args, "tail", None)
+    if tail is not None:
         tail_source = "declared"
     elif mu_profile is not None:
         if mu_profile.degree_gap > 0:
@@ -467,7 +459,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             UnboundedDerivationError, TailUnknownError,
             UndeclaredTailError, cheese.OnBoundaryError,
             cheese.PoleInXError, cheese.ConstructionFailedError,
-            ValueError, KeyError, OSError) as exc:
+            ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CertificateViolationError, WitnessVerificationError,

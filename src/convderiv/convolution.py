@@ -10,7 +10,8 @@ refuse to guess when none is declared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -109,18 +110,52 @@ def tail_to_dict(tail: Tail) -> dict:
         return {"kind": "zero", "start": tail.start}
     if isinstance(tail, Undeclared):
         return {"kind": "undeclared"}
+    out = {"kind": "closed_form"}
     cert = tail.certificate
+    if cert is not None:
+        out.update(asdict(cert), certificate=type(cert).__name__.lower())
+        if isinstance(cert, Constant):
+            out["value"] = [cert.value.real, cert.value.imag]
+    return out
+
+
+def shift_tail(tail: Tail, k: int) -> Tail:
+    """Tail of n -> psi(n + k): what held from index s holds from s - k."""
+    if isinstance(tail, ZeroTail):
+        return ZeroTail(max(0, tail.start - k))
+    cert = getattr(tail, "certificate", None)
     if cert is None:
-        return {"kind": "closed_form"}
+        return tail
+    return ClosedForm(replace(cert, start=max(0, cert.start - k)))
+
+
+def index_scaled_tail(tail: Tail, power: int) -> Optional[Tail]:
+    """Tail of n -> n**power * psi(n) for power +1 or -1.
+
+    None means the scaled sequence is unbounded: a non-zero constant or a
+    floor times n.  Index 0 is left out of every scaled certificate.
+    """
+    cert = getattr(tail, "certificate", None)
+    if cert is None:
+        return tail
+    if isinstance(cert, Constant) and cert.value == 0:
+        return ZeroTail(cert.start)
     if isinstance(cert, Decay):
-        return {"kind": "closed_form", "certificate": "decay",
-                "start": cert.start, "ratio": cert.ratio}
+        if power < 0:
+            # |psi(n+1)|/(n+1) <= ratio |psi(n)|/n: the same envelope
+            return ClosedForm(replace(cert, start=max(cert.start, 1)))
+        if cert.ratio is None:
+            return ClosedForm()
+        # |(n+1) psi(n+1)| <= ((n+1)/n) ratio |n psi(n)|, and the factor is
+        # <= 1 once n >= ratio/(1-ratio); the geometric envelope forces -> 0
+        return ClosedForm(Decay(max(
+            cert.start, math.ceil(cert.ratio / (1 - cert.ratio)), 1)))
+    if power > 0:
+        return None
     if isinstance(cert, Constant):
-        return {"kind": "closed_form", "certificate": "constant",
-                "start": cert.start,
-                "value": [cert.value.real, cert.value.imag]}
-    return {"kind": "closed_form", "certificate": "floor",
-            "start": cert.start, "bound": cert.bound}
+        # a constant divided by n decreases monotonically to zero
+        return ClosedForm(Decay(max(cert.start, 1)))
+    return ClosedForm()
 
 
 # ---------------------------------------------------------------------------
@@ -352,32 +387,34 @@ def validate_tail(seq: DualSequence, upto: int, first_index: int = 0,
         # ZeroTail values are zero by construction and tables are checked
         # against their declaration at build time; nothing to probe here.
         return
-    vals = seq.values(upto)
-    mags = np.abs(vals)
     cert = tail.certificate
     start = max(cert.start, first_index)
-    if isinstance(cert, Decay):
-        for n in range(start, upto):
-            limit = mags[n] + atol
-            if cert.ratio is not None:
-                limit = cert.ratio * mags[n] + atol
-            if mags[n + 1] > limit:
-                raise CertificateViolationError(
-                    f"declared decay from {cert.start} but |value| rises "
-                    f"from {mags[n]:.6e} to {mags[n + 1]:.6e} at index {n + 1}")
-    elif isinstance(cert, Constant):
+    # one mask of violations per kind; the first one is cited
+    if isinstance(cert, Constant):
+        vals = seq.values(upto)
         scale = max(1.0, abs(cert.value))
-        for n in range(start, upto + 1):
-            if abs(vals[n] - cert.value) > atol * scale:
-                raise CertificateViolationError(
-                    f"declared constant {cert.value} from {cert.start} but "
-                    f"value at {n} is {vals[n]}")
-    elif isinstance(cert, Floor):
-        for n in range(start, upto + 1):
-            if mags[n] < cert.bound - atol:
-                raise CertificateViolationError(
-                    f"declared |value| >= {cert.bound} from {cert.start} but "
-                    f"|value| at {n} is {mags[n]:.6e}")
+        bad = np.abs(vals[start:] - cert.value) > atol * scale
+    else:
+        mags = np.abs(seq.values(upto))
+        if isinstance(cert, Decay):
+            ratio = 1.0 if cert.ratio is None else cert.ratio
+            bad = mags[start + 1:] > ratio * mags[start:-1] + atol
+        else:
+            bad = mags[start:] < cert.bound - atol
+    if not bad.any():
+        return
+    n = start + int(bad.argmax())
+    if isinstance(cert, Decay):
+        raise CertificateViolationError(
+            f"declared decay from {cert.start} but |value| rises "
+            f"from {mags[n]:.6e} to {mags[n + 1]:.6e} at index {n + 1}")
+    if isinstance(cert, Constant):
+        raise CertificateViolationError(
+            f"declared constant {cert.value} from {cert.start} but "
+            f"value at {n} is {vals[n]}")
+    raise CertificateViolationError(
+        f"declared |value| >= {cert.bound} from {cert.start} but "
+        f"|value| at {n} is {mags[n]:.6e}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +445,15 @@ def act_on_dual(a: L1Element, psi: DualSequence) -> DualSequence:
             out += c * psi.bulk(n + k)
         return out
 
-    if not ks:
-        tail: Tail = ZeroTail(0)
-    elif isinstance(psi.tail, ZeroTail):
-        tail = ZeroTail(max(0, psi.tail.start - ks[0]))
-    elif isinstance(psi.tail, ClosedForm):
-        cert = psi.tail.certificate
-        if isinstance(cert, Constant):
-            # every n + k reaches cert.start once n >= cert.start - min k
-            total = complex(np.sum(coef)) * cert.value
-            start = max(0, cert.start - ks[0])
-            tail = ClosedForm(Constant(total, start)) if total != 0 \
-                else ZeroTail(start)
-        else:
-            tail = ClosedForm()
-    else:
-        tail = UNDECLARED
+    # every n + k reaches a start s once n >= s - min k
+    tail = shift_tail(psi.tail, ks[0]) if ks else ZeroTail(0)
+    cert = getattr(tail, "certificate", None)
+    if isinstance(cert, Constant):
+        total = complex(np.sum(coef)) * cert.value
+        tail = ClosedForm(replace(cert, value=total)) if total != 0 \
+            else ZeroTail(cert.start)
+    elif cert is not None:
+        tail = ClosedForm()
     return DualSequence(rule, tail=tail, vectorized=True)
 
 

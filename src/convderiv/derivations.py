@@ -12,19 +12,17 @@ rather than by sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .convolution import (
     INDEX_CAP,
-    Certificate,
     ClosedForm,
     Constant,
     Decay,
     DualSequence,
-    Floor,
     L1Element,
     Tail,
     UNDECLARED,
@@ -32,6 +30,8 @@ from .convolution import (
     ZeroTail,
     _per_index,
     act_on_dual,
+    index_scaled_tail,
+    shift_tail,
     tail_to_dict,
     validate_tail,
 )
@@ -65,61 +65,6 @@ class WitnessVerificationError(RuntimeError):
     """A claimed witness inequality failed its numerical re-check."""
 
 
-def _mu_tail_from_phi(tail: Tail) -> Tail:
-    """Sound tail declaration for mu_n = n*phi(n-1) given phi's declaration."""
-    if isinstance(tail, ZeroTail):
-        return ZeroTail(tail.start + 1)
-    if isinstance(tail, Undeclared):
-        return UNDECLARED
-    cert = tail.certificate
-    if isinstance(cert, (Constant, Floor)):
-        bound = abs(cert.value) if isinstance(cert, Constant) else cert.bound
-        if bound > 0:
-            raise UnboundedDerivationError(
-                f"|phi| >= {bound} from index {cert.start}, so "
-                f"n*|phi(n-1)| is unbounded and no bounded derivation "
-                f"has phi as its value at t")
-        return ZeroTail(cert.start + 1)
-    if isinstance(cert, Decay) and cert.ratio is not None:
-        # |mu(n+1)/mu(n)| <= ((n+1)/n) * ratio, which is <= 1 once
-        # n >= ratio/(1-ratio); the geometric envelope forces mu -> 0
-        start = max(cert.start + 1, math.ceil(cert.ratio / (1 - cert.ratio)), 1)
-        return ClosedForm(Decay(start=start))
-    return ClosedForm()
-
-
-def _phi_tail_from_mu(tail: Tail) -> Tail:
-    """Sound tail declaration for phi(n) = mu(n+1)/(n+1) given mu's."""
-    if isinstance(tail, ZeroTail):
-        return ZeroTail(max(tail.start - 1, 0))
-    if isinstance(tail, Undeclared):
-        return UNDECLARED
-    cert = tail.certificate
-    if isinstance(cert, Decay):
-        return ClosedForm(Decay(start=max(cert.start - 1, 0), ratio=cert.ratio))
-    if isinstance(cert, Constant):
-        if cert.value == 0:
-            return ZeroTail(max(cert.start - 1, 0))
-        # a constant divided by n+1 decreases monotonically to zero
-        return ClosedForm(Decay(start=max(cert.start - 1, 0)))
-    return ClosedForm()
-
-
-def _normalize_mu_certificate(tail: Tail) -> Tail:
-    # mu_0 = 0 structurally, so certificates about mu start at index 1
-    if isinstance(tail, ClosedForm) and tail.certificate is not None:
-        cert = tail.certificate
-        if cert.start < 1:
-            if isinstance(cert, Decay):
-                cert = Decay(start=1, ratio=cert.ratio)
-            elif isinstance(cert, Constant):
-                cert = Constant(cert.value, start=1)
-            else:
-                cert = Floor(cert.bound, start=1)
-            return ClosedForm(cert)
-    return tail
-
-
 class Derivation:
     """A bounded derivation into the dual, held as its coefficient sequence.
 
@@ -142,10 +87,14 @@ class Derivation:
         exact knowledge of the derived sequence declare its tail directly;
         by default a sound declaration is derived from phi's.
         """
-        tail = _normalize_mu_certificate(
-            _mu_tail_from_phi(phi.tail) if mu_tail is None else mu_tail)
-        mu = DualSequence(_vanishing_at_zero(lambda n: n * phi.bulk(n - 1)),
-                          tail=tail, vectorized=True)
+        if mu_tail is None:
+            mu_tail = index_scaled_tail(shift_tail(phi.tail, -1), 1)
+        if mu_tail is None:
+            raise UnboundedDerivationError(
+                f"phi's tail {phi.tail} bounds |phi| below, so n*|phi(n-1)| "
+                f"is unbounded and no bounded derivation has phi as its "
+                f"value at t")
+        mu = _mu_sequence(lambda n: n * phi.bulk(n - 1), mu_tail)
         if probe_depth >= 1:
             validate_tail(mu, probe_depth, first_index=1)
         return cls(mu, phi)
@@ -153,10 +102,8 @@ class Derivation:
     @classmethod
     def from_mu(cls, mu_rule: Callable, tail: Tail = UNDECLARED) -> "Derivation":
         """Derivation from its coefficient sequence; index 0 is forced to 0."""
-        tail = _normalize_mu_certificate(tail)
         values = mu_rule if _accepts_arrays(mu_rule) else _per_index(mu_rule)
-        mu = DualSequence(_vanishing_at_zero(values), tail=tail,
-                          vectorized=True)
+        mu = _mu_sequence(values, tail)
 
         def phi_rule(n):
             # numpy's complex / real multiplies by a reciprocal; dividing
@@ -167,8 +114,8 @@ class Derivation:
             out.imag = num.imag / den
             return out
 
-        phi = DualSequence(phi_rule, tail=_phi_tail_from_mu(tail),
-                           vectorized=True)
+        phi_tail = shift_tail(index_scaled_tail(mu.tail, -1), 1)
+        phi = DualSequence(phi_rule, tail=phi_tail, vectorized=True)
         return cls(mu, phi)
 
     @classmethod
@@ -301,28 +248,21 @@ class Derivation:
         head = self.mu.values(k)
         truncated = Derivation.from_mu_values(head, tail=ZeroTail(k + 1))
         tail = self.mu.tail
+        cert = getattr(tail, "certificate", None)
+        # sup_{n>k} |mu_n| = max(probe of k+1..stop-1, beyond); decay never
+        # rises past its start, so its last probed value bounds the rest
         if isinstance(tail, ZeroTail):
-            upto = tail.start - 1
-            err = 0.0 if upto <= k else float(
-                np.abs(self.mu.bulk(np.arange(k + 1, upto + 1))).max())
-            return truncated, err
-        if isinstance(tail, ClosedForm):
-            cert = tail.certificate
-            if isinstance(cert, Decay):
-                stop = max(k + 1, cert.start)
-                err = float(np.abs(
-                    self.mu.bulk(np.arange(k + 1, stop + 1))).max())
-                return truncated, err
-            if isinstance(cert, Constant):
-                err = abs(cert.value)
-                if cert.start > k + 1:
-                    probe = np.abs(
-                        self.mu.bulk(np.arange(k + 1, cert.start)))
-                    err = max(err, float(probe.max(initial=0.0)))
-                return truncated, err
-        raise TailUnknownError(
-            "truncation error needs a declared tail (zero, decay, or "
-            "eventually constant)")
+            stop, beyond = tail.start, 0.0
+        elif isinstance(cert, Decay):
+            stop, beyond = max(k + 1, cert.start) + 1, 0.0
+        elif isinstance(cert, Constant):
+            stop, beyond = cert.start, abs(cert.value)
+        else:
+            raise TailUnknownError(
+                "truncation error needs a declared tail (zero, decay, or "
+                "eventually constant)")
+        probe = np.abs(self.mu.bulk(np.arange(k + 1, stop)))
+        return truncated, max(beyond, float(probe.max(initial=0.0)))
 
     # -- non-compactness witness ----------------------------------------------
 
@@ -390,8 +330,6 @@ class Derivation:
         # step-doubling scan upward from the lower bound, capped hard;
         # admissible indices recur geometrically for every catalogued rule,
         # so the scan is cheap
-        if isinstance(self.mu.tail, ZeroTail) and lb >= self.mu.tail.start:
-            return None
         offset = 0
         while True:
             n = lb + offset
@@ -416,15 +354,22 @@ class Derivation:
         return f"Derivation(mu_tail={self.mu.tail!r})"
 
 
-def _vanishing_at_zero(values: Callable) -> Callable:
-    """Array rule that is 0 at index 0 (mu_0 = 0) and ``values`` elsewhere."""
+def _mu_sequence(values: Callable, tail: Tail) -> DualSequence:
+    """mu: 0 at index 0 (mu_0 = 0 for every derivation), ``values`` elsewhere.
+
+    Index 0 is structurally zero, so certificates about mu start at 1.
+    """
     def rule(n):
         out = np.zeros(n.shape, dtype=complex)
         pos = n >= 1
         if pos.any():
             out[pos] = values(n[pos])
         return out
-    return rule
+
+    cert = getattr(tail, "certificate", None)
+    if cert is not None and cert.start < 1:
+        tail = ClosedForm(replace(cert, start=1))
+    return DualSequence(rule, tail=tail, vectorized=True)
 
 
 def _accepts_arrays(rule: Callable) -> bool:

@@ -229,11 +229,15 @@ def format_rule(expr: RuleExpr) -> str:
 # ---------------------------------------------------------------------------
 
 def eval_rule(expr: RuleExpr, n) -> float:
-    """Evaluate at a single non-negative index in double precision."""
+    """Evaluate at a single non-negative index in double precision.
+
+    The index stays an exact integer, so (-1)^n is exact up to INDEX_CAP; a
+    power that overflows a double raises RuleEvaluationError.
+    """
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, Var):
-        return float(n)
+        return int(n)
     if isinstance(expr, Neg):
         return -eval_rule(expr.operand, n)
     left = eval_rule(expr.left, n)
@@ -244,7 +248,14 @@ def eval_rule(expr: RuleExpr, n) -> float:
                 f"exponent {exponent} is not an integer", n)
         if left == 0.0 and exponent < 0:
             raise RuleEvaluationError("zero raised to a negative power", n)
-        return float(left ** int(exponent))
+        exponent = int(exponent)
+        if left == -1:
+            # a double exponent rounds above 2^53; keep the int's parity
+            exponent %= 2
+        try:
+            return float(left) ** exponent
+        except OverflowError:
+            raise RuleEvaluationError("power overflows a double", n)
     right = eval_rule(expr.right, n)
     if isinstance(expr, Add):
         return left + right

@@ -3,9 +3,12 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
+from ruletrees import random_expr
 
-from convderiv import cli, reports
+from convderiv import cli, reports, rules
+from convderiv.convolution import UNDECLARED, ClosedForm, Decay, ZeroTail
 
 
 def run(argv):
@@ -107,6 +110,29 @@ def test_no_witness_for_compact_rule_exit_code(capsys):
 def test_usage_error_exit_code():
     assert run(["deriv", "norm"]) == 2  # neither --phi nor --mu
     assert run(["nonsense"]) == 2
+
+
+def test_overflow_is_an_input_error(capsys):
+    assert run(["deriv", "norm", "--mu", "10^400"]) == 2
+    assert run(["deriv", "norm", "--mu", "55^n", "--depth", "200"]) == 2
+    assert "power overflows a double (at n = " in capsys.readouterr().err
+
+
+def test_random_rules_exit_with_a_contract_code(capsys):
+    # every rule gives 0, 1 or 2; an exception escaping main fails the test
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        text = rules.format_rule(random_expr(rng, int(rng.integers(1, 5))))
+        for flag in ("--mu", "--phi"):
+            argv = ["deriv", "norm", flag, text, "--depth", "200"]
+            assert run(argv) in (0, 1, 2), argv
+    capsys.readouterr()
+
+
+def test_tail_flag_parses_to_a_tail():
+    assert cli._tail_flag("zero:7") == ZeroTail(7)
+    assert cli._tail_flag("decay") == ClosedForm(Decay(1))
+    assert cli._tail_flag("none") is UNDECLARED
 
 
 def test_cheese_verify(tmp_path):

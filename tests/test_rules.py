@@ -83,6 +83,22 @@ def test_eval_non_integer_exponent_is_reported():
         cd.eval_rule(tree, 3)
 
 
+def test_eval_sign_power_parity_is_exact_beyond_2_53():
+    tree = cd.parse_rule("(-1)^n")
+    for n in (2 ** 53 + 1, 2 ** 62 - 1):
+        assert cd.eval_rule(tree, n) == -1.0
+        assert cd.eval_rule(tree, n - 1) == 1.0
+    seq = cd.DualSequence(cd.rules.rule_callable(tree))
+    assert seq.at(2 ** 53 + 1) == -1.0
+
+
+def test_eval_power_overflow_is_reported():
+    with pytest.raises(RuleEvaluationError) as err:
+        cd.eval_rule(cd.parse_rule("55^n"), 178)
+    assert err.value.index == 178
+    assert cd.eval_rule(cd.parse_rule("55^n"), 2) == 3025.0
+
+
 def test_eval_zero_to_negative_power():
     tree = cd.parse_rule("n^(-1)")
     assert cd.eval_rule(tree, 2) == 0.5
