@@ -58,6 +58,7 @@ from .bimodules import (
     algebra_from_dict,
     algebra_from_file,
     derivation_defect,
+    derivation_scale,
     derivative_map,
     dual_homomorphism,
     find_anchor,

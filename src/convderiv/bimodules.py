@@ -55,6 +55,11 @@ class FiniteMap:
         return self.matrix @ np.asarray(vec, dtype=complex)
 
 
+def _gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entry modulus of a - b."""
+    return float(np.abs(a - b).max(initial=0.0))
+
+
 class FiniteAlgebra:
     """Commutative associative algebra from structure constants.
 
@@ -69,9 +74,11 @@ class FiniteAlgebra:
             raise ValueError("structure constants must form a (d, d, d) array")
         if not np.array_equal(c, c.transpose(1, 0, 2)):
             raise ValueError("structure constants are not commutative")
-        lhs = np.einsum("ijm,mkl->ijkl", c, c)
-        rhs = np.einsum("jkm,iml->ijkl", c, c)
-        defect = float(np.abs(lhs - rhs).max(initial=0.0))
+        d = c.shape[0]
+        rows, cols = c.reshape(d, d * d), c.reshape(d * d, d)
+        # block i: (e_i e_j) e_k against e_i (e_j e_k) as [j, (k, l)]
+        defect = max((_gap(c[i] @ rows, (cols @ c[i]).reshape(d, d * d))
+                      for i in range(d)), default=0.0)
         if defect > atol:
             raise ValueError(f"associativity defect {defect:.3e} exceeds "
                              f"{atol:.1e}")
@@ -95,7 +102,7 @@ class FiniteAlgebra:
     def self_bimodule(self) -> "FiniteBimodule":
         """The algebra acting on itself by multiplication (symmetric)."""
         action = self.structure
-        return FiniteBimodule(self, action, action)
+        return FiniteBimodule._derived(self, action, action)
 
     def __repr__(self):
         return f"FiniteAlgebra(dim={self.dim})"
@@ -115,15 +122,55 @@ class FiniteBimodule:
         if L.shape != R.shape or L.ndim != 3 or L.shape[0] != d \
                 or L.shape[1] != L.shape[2]:
             raise ValueError("action tensors must have shape (dim_A, m, m)")
-        checks = (
-            np.einsum("jxy,iyz->ijxz", L, L) - np.einsum("ijm,mxz->ijxz", c, L),
-            np.einsum("ixy,jyz->ijxz", R, R) - np.einsum("ijm,mxz->ijxz", c, R),
-            np.einsum("jxy,iyz->ijxz", R, L) - np.einsum("ixy,jyz->ijxz", L, R),
-        )
-        defect = max(float(np.abs(t).max(initial=0.0)) for t in checks)
+        m = L.shape[1]
+        L_rows, R_rows = L.reshape(d * m, m), R.reshape(d * m, m)
+        L_flat, R_flat = L.reshape(d, m * m), R.reshape(d, m * m)
+        R_cols = R.transpose(1, 0, 2).reshape(m, d * m)  # [x, (j, z)]
+        defect = 0.0
+        for i in range(d):
+            # block i of e_i.(e_j.f) = (e_i e_j).f, (f.e_i).e_j = f.(e_i e_j)
+            # and e_i.(f.e_j) = (e_i.f).e_j, entries [j, x, z] or [x, j, z]
+            defect = max(
+                defect,
+                _gap((L_rows @ L[i]).reshape(d, m, m),
+                     (c[i] @ L_flat).reshape(d, m, m)),
+                _gap((R[i] @ R_cols).reshape(m, d, m),
+                     (c[i] @ R_flat).reshape(d, m, m).transpose(1, 0, 2)),
+                _gap((R_rows @ L[i]).reshape(d, m, m).transpose(1, 0, 2),
+                     (L[i] @ R_cols).reshape(m, d, m)))
         if defect > atol:
             raise ValueError(f"bimodule axiom defect {defect:.3e} exceeds "
                              f"{atol:.1e}")
+        self._set(algebra, L, R)
+
+    @classmethod
+    def _derived(cls, algebra: FiniteAlgebra, left, right) -> "FiniteBimodule":
+        """A module whose axioms follow from ones already checked.
+
+        No check runs here, and none is needed for the two callers:
+
+        - ``FiniteAlgebra.self_bimodule``: left = right = c.  Using
+          c[i, j] = c[j, i], which the algebra checked exactly, each axiom
+          tensor is the associativity defect
+          assoc[i, j, k] = (e_i e_j) e_k - e_i (e_j e_k) with its indices
+          permuted, up to sign: e_i.(e_j.f_x) - (e_i e_j).f_x is
+          -assoc[i, j, x], (f_x.e_i).e_j - f_x.(e_i e_j) is assoc[x, i, j],
+          and e_i.(f_x.e_j) - (e_i.f_x).e_j is -assoc[i, x, j].
+        - ``FiniteBimodule.dual``: with left' = right^T and right' = left^T
+          (module indices transposed), the dual's axiom tensors are the
+          original's with the module indices transposed: the first is the
+          second at [i, j, z, x], the second the first at [i, j, z, x], and
+          the third itself at [j, i, z, x].
+
+        Each entry is the same sum of products as the entry it matches, up
+        to the order of summation, so the largest defect is the one the
+        validated algebra or module already passed.
+        """
+        module = cls.__new__(cls)
+        module._set(algebra, left, right)
+        return module
+
+    def _set(self, algebra: FiniteAlgebra, L: np.ndarray, R: np.ndarray):
         self.algebra = algebra
         self.left = L
         self.right = R
@@ -151,7 +198,7 @@ class FiniteBimodule:
         """
         dual_left = self.right.transpose(0, 2, 1)
         dual_right = self.left.transpose(0, 2, 1)
-        return FiniteBimodule(self.algebra, dual_left, dual_right)
+        return FiniteBimodule._derived(self.algebra, dual_left, dual_right)
 
     def __repr__(self):
         return (f"FiniteBimodule(dim={self.dim}, "
@@ -214,15 +261,31 @@ def find_anchor(A: FiniteAlgebra) -> np.ndarray:
                                 "no rank-one non-inner derivation exists here")
 
 
+def _derivation_terms(M, c, left, right):
+    # entry [i, j, y] of D(e_i e_j), e_i.D(e_j) and D(e_i).e_j at coordinate y
+    return (np.einsum("yk,ijk->ijy", M, c), np.einsum("xj,ixy->ijy", M, left),
+            np.einsum("xi,jxy->ijy", M, right))
+
+
 def derivation_defect(A: FiniteAlgebra, E: FiniteBimodule,
                       D: FiniteMap) -> float:
     """Largest coefficient violation of D(ab) = a.D(b) + D(a).b on basis pairs."""
-    M, c = D.matrix, A.structure
-    # entry [i, j, y]: D(e_i e_j) - e_i.D(e_j) - D(e_i).e_j at coordinate y
-    defect = np.einsum("yk,ijk->ijy", M, c) \
-        - np.einsum("xj,ixy->ijy", M, E.left) \
-        - np.einsum("xi,jxy->ijy", M, E.right)
-    return float(np.abs(defect).max(initial=0.0))
+    whole, left, right = _derivation_terms(D.matrix, A.structure, E.left,
+                                           E.right)
+    return float(np.abs(whole - left - right).max(initial=0.0))
+
+
+def derivation_scale(A: FiniteAlgebra, E: FiniteBimodule,
+                     D: FiniteMap) -> float:
+    """Size of the terms in ``derivation_defect``: the largest entry of
+    |M| |c| + |M| |E.left| + |M| |E.right|, entrywise moduli.
+
+    Rounding in the defect grows with this, so tolerances are relative to
+    ``max(1, scale)``.
+    """
+    terms = _derivation_terms(np.abs(D.matrix), np.abs(A.structure),
+                              np.abs(E.left), np.abs(E.right))
+    return float(sum(terms).max(initial=0.0))
 
 
 def rank_one_derivation(A: FiniteAlgebra, a0,
@@ -345,15 +408,16 @@ def transfer(D: FiniteMap, lam, A: FiniteAlgebra, E: FiniteBimodule,
              atol: float = 1e-10) -> FiniteMap:
     """Compose D with the induced homomorphism into the dual.
 
-    The result is again a derivation (checked on all basis pairs), its
-    rank never exceeds rank(D), and its operator norm is at most the
-    product of the factors' norms in the declared coordinate norms.
+    The result is again a derivation (checked on all basis pairs, to
+    ``atol`` relative to ``derivation_scale``), its rank never exceeds
+    rank(D), and its operator norm is at most the product of the factors'
+    norms in the declared coordinate norms.
     """
     R = dual_homomorphism(A, E, lam)
     composed = FiniteMap(R.matrix @ D.matrix, source=D.source, target="A*")
     dual_of_A = A.self_bimodule().dual()
     defect = derivation_defect(A, dual_of_A, composed)
-    if defect > atol:
+    if defect > atol * max(1.0, derivation_scale(A, dual_of_A, composed)):
         raise ValueError(f"transferred map violates the derivation identity "
                          f"by {defect:.3e}")
     return composed
@@ -405,22 +469,29 @@ def algebra_catalog(name: str) -> FiniteAlgebra:
 
 
 def _as_complex(entry) -> complex:
-    if isinstance(entry, (list, tuple)):
-        if len(entry) != 2:
-            raise ValueError("complex entries are [re, im] pairs")
-        return complex(float(entry[0]), float(entry[1]))
-    return complex(entry)
+    try:
+        if isinstance(entry, (list, tuple)):
+            if len(entry) != 2:
+                raise ValueError("complex entries are [re, im] pairs")
+            return complex(float(entry[0]), float(entry[1]))
+        return complex(entry)
+    except TypeError:
+        raise ValueError(f"bad structure constant {entry!r}") from None
 
 
 def algebra_from_dict(payload: dict) -> FiniteAlgebra:
     """Structure constants from {"dim": d, "c": nested array}."""
     d = int(payload["dim"])
-    raw = payload["c"]
-    c = np.zeros((d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                c[i, j, k] = _as_complex(raw[i][j][k])
+
+    def sized(items):
+        if not isinstance(items, (list, tuple)) or len(items) != d:
+            raise ValueError(f'"c" must have shape (dim, dim, dim) = '
+                             f'{(d, d, d)}')
+        return items
+
+    c = np.array([[[_as_complex(entry) for entry in sized(row)]
+                   for row in sized(plane)] for plane in sized(payload["c"])],
+                 dtype=complex).reshape(d, d, d)
     return FiniteAlgebra(c)
 
 

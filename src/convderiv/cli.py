@@ -300,12 +300,13 @@ def _cmd_bimodule_rank1(args) -> _Outcome:
     lambda0, D = bimodules.rank_one_derivation(A, anchor)
     dual_of_A = A.self_bimodule().dual()
     defect = bimodules.derivation_defect(A, dual_of_A, D)
+    scale = bimodules.derivation_scale(A, dual_of_A, D)
     anchor_value = complex(anchor @ D.matrix @ anchor)
     fit = bimodules.is_inner(A, dual_of_A, D)
     certs = [
         reports.certificate("rank-one", D.rank == 1, rank=D.rank),
-        reports.certificate("derivation-identity", defect <= 1e-12,
-                            defect=defect),
+        reports.certificate("derivation-identity",
+                            defect <= 1e-12 * max(1.0, scale), defect=defect),
         reports.certificate("anchor-pairing",
                             abs(anchor_value - 1) <= 1e-12,
                             value=reports.complex_to_json(anchor_value)),
@@ -331,14 +332,15 @@ def _cmd_bimodule_transfer(args) -> _Outcome:
     composed = bimodules.transfer(D, lam, A, E)
     dual_of_A = E.dual()
     defect = bimodules.derivation_defect(A, dual_of_A, composed)
+    scale = bimodules.derivation_scale(A, dual_of_A, composed)
     anchor_value = complex(a0 @ composed.matrix @ a0)
     norm_D = bimodules.opnorm_l1_to_l1(D.matrix)
     norm_R = bimodules.opnorm_l1_to_sup(
         bimodules.dual_homomorphism(A, E, lam).matrix)
     norm_composed = bimodules.opnorm_l1_to_sup(composed.matrix)
     certs = [
-        reports.certificate("derivation-identity", defect <= 1e-10,
-                            defect=defect),
+        reports.certificate("derivation-identity",
+                            defect <= 1e-10 * max(1.0, scale), defect=defect),
         reports.certificate("anchor-pairing",
                             abs(anchor_value - 1) <= 1e-12,
                             value=reports.complex_to_json(anchor_value)),

@@ -87,6 +87,11 @@ class ZeroTail:
 
     start: int
 
+    def __post_init__(self):
+        if self.start < 0:
+            raise ValueError(f"a zero tail starts at an index >= 0 "
+                             f"(got {self.start})")
+
 
 @dataclass(frozen=True)
 class ClosedForm:

@@ -493,6 +493,14 @@ def _static_int(expr: RuleExpr) -> Optional[int]:
     return None
 
 
+def _as_float(exact: Fraction, what: str, index: int) -> float:
+    try:
+        return float(exact)
+    except OverflowError:
+        raise RuleEvaluationError(f"the exact {what} of the rule exceeds "
+                                  f"the float range", index) from None
+
+
 def certificate_for(profile: RationalProfile,
                     min_start: int = 0) -> Union[Certificate, ZeroTail, None]:
     """Sound asymptotic certificate for an exactly known rational sequence.
@@ -506,7 +514,7 @@ def certificate_for(profile: RationalProfile,
     if const is not None:
         if const == 0:
             return ZeroTail(min_start)
-        return Constant(float(const), min_start)
+        return Constant(_as_float(const, "constant", min_start), min_start)
     gap = profile.degree_gap
     start = max(profile.monotone_start(), min_start)
     if gap < 0:
@@ -523,10 +531,10 @@ def certificate_for(profile: RationalProfile,
             s *= 2
             if s > 1 << 40:  # unreachable for genuine rational decay
                 return None
-        return Floor(float(target), start=s)
+        return Floor(_as_float(target, "limit", s), start=s)
     # diverges: eventually monotone increasing in modulus
     value = abs(profile.eval_exact(start))
     while value == 0:
         start += 1
         value = abs(profile.eval_exact(start))
-    return Floor(float(value), start=start)
+    return Floor(_as_float(value, "value", start), start=start)

@@ -339,3 +339,171 @@ def test_boundedness_transfers_with_norm_product():
         lhs = cd.opnorm_l1_to_sup(R.matrix @ D)
         rhs = cd.opnorm_l1_to_sup(R.matrix) * cd.opnorm_l1_to_l1(D)
         assert lhs <= rhs + 1e-12
+
+
+# -- validation at the trust boundary -----------------------------------------
+
+def change_basis(c, power, seed):
+    """Structure constants in the basis given by the columns of Q (I+S)^power,
+    with S the shift and Q a seeded signed permutation: integer data, entries
+    growing with the power."""
+    d = c.shape[0]
+    rng = np.random.default_rng(seed)
+    step = np.eye(d) + np.eye(d, k=1)
+    Q = np.zeros((d, d))
+    Q[np.arange(d), rng.permutation(d)] = rng.choice([-1, 1], size=d)
+    P = Q @ np.linalg.matrix_power(step, power)
+    P_inv = np.rint(np.linalg.inv(P))
+    return np.rint(np.einsum("ai,bj,abm,km->ijk", P, P, c, P_inv))
+
+
+def ideal(K):
+    """t.k[t]/t^K in the basis t, ..., t^(K-1): no unit, so rank1 applies."""
+    d = K - 1
+    c = np.zeros((d, d, d))
+    for i in range(d):
+        for j in range(d - i - 1):
+            c[i, j, i + j + 1] = 1.0
+    return c
+
+
+def einsum_associativity_defect(c):
+    """Reference: the d^4 einsum form of (e_i e_j) e_k - e_i (e_j e_k)."""
+    return float(np.abs(np.einsum("ijm,mkl->ijkl", c, c)
+                        - np.einsum("jkm,iml->ijkl", c, c)).max(initial=0.0))
+
+
+def einsum_axiom_defect(c, L, R):
+    """Reference: the three bimodule axioms as d^2 m^2 einsum tensors."""
+    checks = (
+        np.einsum("jxy,iyz->ijxz", L, L) - np.einsum("ijm,mxz->ijxz", c, L),
+        np.einsum("ixy,jyz->ijxz", R, R) - np.einsum("ijm,mxz->ijxz", c, R),
+        np.einsum("jxy,iyz->ijxz", R, L) - np.einsum("ixy,jyz->ijxz", L, R),
+    )
+    return max(float(np.abs(t).max(initial=0.0)) for t in checks)
+
+
+def random_commutative(rng, d):
+    c = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    return c + c.transpose(1, 0, 2)
+
+
+def assert_axiom_defect(A, L, R, expected, rel=1e-12):
+    """The module check passes just above ``expected`` and fails just below."""
+    cd.FiniteBimodule(A, L, R, atol=expected * (1 + rel))
+    with pytest.raises(ValueError, match="axiom"):
+        cd.FiniteBimodule(A, L, R, atol=expected * (1 - rel))
+
+
+def test_derived_modules_pass_the_full_check():
+    algebras = [cd.algebra_catalog(name) for name in
+                ["zero2", "nil1"] + [f"trunc{K}" for K in range(2, 9)]]
+    trunc6 = cd.algebra_catalog("trunc6").structure.real
+    algebras.append(cd.FiniteAlgebra(change_basis(trunc6, 1, seed=3)))
+    for A in algebras:
+        E = A.self_bimodule()
+        for derived in (E, E.dual()):
+            checked = cd.FiniteBimodule(A, derived.left, derived.right)
+            assert checked.symmetric == derived.symmetric
+            assert np.array_equal(checked.left, derived.left)
+            assert np.array_equal(checked.right, derived.right)
+
+
+def test_blocked_validation_equals_einsum_reference():
+    rng = np.random.default_rng(2024)
+    for d in (1, 2, 3, 5, 8):
+        c = random_commutative(rng, d)
+        A = cd.FiniteAlgebra(c, atol=np.inf)
+        assert A.associativity_defect == pytest.approx(
+            einsum_associativity_defect(c), rel=1e-12, abs=0)
+    A = cd.algebra_catalog("trunc4")
+    for m in (1, 3, 6):
+        L, R = (rng.standard_normal((4, m, m))
+                + 1j * rng.standard_normal((4, m, m)) for _ in range(2))
+        assert_axiom_defect(A, L, R, einsum_axiom_defect(A.structure, L, R))
+
+
+def test_blocked_validation_rejects_a_perturbed_entry_in_every_block():
+    d, eps = 6, 1e-6
+    c = cd.algebra_catalog(f"trunc{d}").structure.copy()
+    for i in range(d):
+        # e_i . 1 = (1 + eps) e_i breaks (1 . 1) e_i = 1 (1 . e_i)
+        bad = c.copy()
+        bad[i, 0, i] = bad[0, i, i] = 1 + eps
+        with pytest.raises(ValueError, match="associativity"):
+            cd.FiniteAlgebra(bad)
+        assert cd.FiniteAlgebra(bad, atol=np.inf).associativity_defect == \
+            pytest.approx(einsum_associativity_defect(bad), rel=1e-12)
+    A = cd.FiniteAlgebra(c)
+    for i in range(d):
+        for side in (0, 1):
+            L, R = c.copy(), c.copy()
+            (L, R)[side][i, 0, i] = 1 + eps
+            with pytest.raises(ValueError, match="axiom"):
+                cd.FiniteBimodule(A, L, R)
+            assert_axiom_defect(A, L, R, einsum_axiom_defect(c, L, R),
+                                rel=1e-9)
+
+
+def test_validation_allocates_no_fourth_power_intermediate():
+    import tracemalloc
+
+    c = cd.algebra_catalog("trunc40").structure
+    tracemalloc.start()
+    try:
+        A = cd.FiniteAlgebra(c)
+        cd.FiniteBimodule(A, c, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 40 ** 4 * 16 > 40e6  # one d^4 complex tensor would be 41 MB
+    assert peak < 8e6
+
+
+# -- derivation identity tolerance --------------------------------------------
+
+def test_derivation_identity_tolerance_is_relative():
+    A = cd.FiniteAlgebra(change_basis(ideal(12), 4, seed=5))
+    assert np.abs(A.structure).max() > 1e3  # large entries
+    dual = A.self_bimodule().dual()
+    _, D = cd.rank_one_derivation(A, cd.find_anchor(A))
+
+    def holds(M):
+        D = cd.FiniteMap(M)
+        return cd.derivation_defect(A, dual, D) <= 1e-12 * max(
+            1.0, cd.derivation_scale(A, dual, D))
+
+    assert holds(D.matrix)
+    for a, b in ((0, 0), (3, 7), (10, 2)):
+        off = D.matrix.copy()
+        off[a, b] += 1e-9 * np.abs(D.matrix).max()
+        assert not holds(off)
+
+
+def test_derivation_scale_examples():
+    A = cd.algebra_catalog("zero2")
+    dual = A.self_bimodule().dual()
+    _, D = cd.rank_one_derivation(A, [1.0, 0.0])
+    assert cd.derivation_scale(A, dual, D) == 0.0  # products vanish
+    A = cd.algebra_catalog("trunc3")
+    E = A.self_bimodule()
+    M = cd.derivative_map(A).matrix
+    # |M| |c| + |M| |left| + |M| |right| at [1, 1, 1]: 2 + 1 + 1
+    assert cd.derivation_scale(A, E, cd.FiniteMap(M)) == 4.0
+
+
+# -- algebra files ------------------------------------------------------------
+
+def test_algebra_file_shape_is_checked():
+    with pytest.raises(ValueError, match=r"\(3, 3, 3\)"):
+        cd.algebra_from_dict({"dim": 3, "c": np.zeros((2, 2, 2)).tolist()})
+    with pytest.raises(ValueError, match=r"\(2, 2, 2\)"):
+        cd.algebra_from_dict({"dim": 2, "c": np.zeros((3, 3, 3)).tolist()})
+    with pytest.raises(ValueError, match=r"\(2, 2, 2\)"):
+        cd.algebra_from_dict({"dim": 2, "c": [[[0, 0], [0, 0]], [0, 0]]})
+    with pytest.raises(ValueError, match="pairs"):
+        cd.algebra_from_dict({"dim": 1, "c": [[[[1, 2, 3]]]]})
+    with pytest.raises(ValueError, match="bad structure constant"):
+        cd.algebra_from_dict({"dim": 1, "c": [[[None]]]})
+    mixed = cd.algebra_from_dict({"dim": 1, "c": [[[[0.5, -2]]]]})
+    assert mixed.structure[0, 0, 0] == 0.5 - 2j

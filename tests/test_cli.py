@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 from ruletrees import random_expr
+from test_bimodules import change_basis, ideal
 
 from convderiv import cli, reports, rules
 from convderiv.convolution import UNDECLARED, ClosedForm, Decay, ZeroTail
@@ -129,6 +130,17 @@ def test_random_rules_exit_with_a_contract_code(capsys):
     capsys.readouterr()
 
 
+def test_huge_exact_constant_names_its_cause(capsys):
+    assert run(["deriv", "norm", "--mu", "10^400"]) == 2
+    err = capsys.readouterr().err
+    assert "exact constant of the rule exceeds the float range" in err
+
+
+def test_negative_zero_tail_start_is_an_input_error(capsys):
+    assert run(["deriv", "norm", "--mu", "1", "--tail", "zero:-3"]) == 2
+    assert "bad zero-tail index in 'zero:-3'" in capsys.readouterr().err
+
+
 def test_tail_flag_parses_to_a_tail():
     assert cli._tail_flag("zero:7") == ZeroTail(7)
     assert cli._tail_flag("decay") == ClosedForm(Decay(1))
@@ -189,6 +201,29 @@ def test_bimodule_rank1(tmp_path):
     names = {c["name"]: c["passed"] for c in report["certificates"]}
     assert names == {"rank-one": True, "derivation-identity": True,
                      "anchor-pairing": True, "not-inner": True}
+
+
+def test_algebra_file_of_the_wrong_shape_is_an_input_error(tmp_path,
+                                                           capsys):
+    for dim, size in ((3, 2), (2, 3)):
+        path = tmp_path / f"c{size}.json"
+        path.write_text(json.dumps(
+            {"dim": dim, "c": np.zeros((size,) * 3).tolist()}))
+        assert run(["bimodule", "check", "--algebra", f"@{path}"]) == 2
+        assert f"shape (dim, dim, dim) = {(dim,) * 3}" in \
+            capsys.readouterr().err
+
+
+def test_bimodule_rank1_large_entries(tmp_path):
+    # Q (I+S)^4 basis change of t.k[t]/t^24: entries ~1e5, so rounding in
+    # the identity is far above an absolute 1e-12
+    c = change_basis(ideal(24), 4, seed=1)
+    path = tmp_path / "ideal24.json"
+    path.write_text(json.dumps({"dim": 23, "c": c.tolist()}))
+    code, report = run_report(["bimodule", "rank1", "--algebra", f"@{path}"],
+                              tmp_path)
+    assert code == 0
+    assert all(cert["passed"] for cert in report["certificates"])
 
 
 def test_bimodule_rank1_rejects_unital(capsys):

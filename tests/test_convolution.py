@@ -181,6 +181,8 @@ def test_from_values_tail_rules():
         cd.DualSequence.from_values([1, 2, 3], tail=cd.ZeroTail(2))
     with pytest.raises(ValueError):
         cd.DualSequence.from_values([1, 2], tail=cd.ClosedForm())
+    with pytest.raises(ValueError, match="index >= 0"):
+        cd.DualSequence.from_values([1, 2, 0, 0], tail=cd.ZeroTail(-3))
 
 
 def test_rule_determinism():

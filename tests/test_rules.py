@@ -156,6 +156,17 @@ def test_certificates_from_profiles():
     assert isinstance(floor, cd.Floor) and floor.bound == 0.5
 
 
+def test_certificate_beyond_the_float_range_names_its_cause():
+    with pytest.raises(cd.RuleEvaluationError,
+                       match="exact constant of the rule exceeds the float"):
+        cd.certificate_for(cd.rational_profile(cd.parse_rule("10^400")),
+                           min_start=1)
+    with pytest.raises(cd.RuleEvaluationError,
+                       match="exact limit of the rule exceeds the float"):
+        cd.certificate_for(cd.rational_profile(
+            cd.parse_rule("(10^400*n+1)/(n+1)")), min_start=1)
+
+
 def test_certificate_starts_are_sound():
     # the declared monotone start must be past every probed reversal
     for text in ("1/(n+1)", "(n+7)/(n^3+2)", "(3*n+5)/(n^2-n+40)"):
