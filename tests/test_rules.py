@@ -1,5 +1,8 @@
 """Rule mini-language: grammar, printing, evaluation, exact analysis."""
 
+import math
+import struct
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -185,3 +188,65 @@ def test_floor_certificate_is_sound():
     assert cert.bound == 1.0  # half the limit 2
     for n in range(cert.start, cert.start + 500):
         assert abs(prof.eval_exact(n)) >= Fraction(1)
+
+
+# -- the compiled evaluator against the reference interpreter ---------------
+
+from ruletrees import reference_eval
+
+_PROBE_INDICES = (0, 1, 2, 10 ** 6, 2 ** 53 + 1, cd.INDEX_CAP)
+
+
+def _outcome(evaluate, n):
+    """What an evaluation gives: the value's type and bits, or the error."""
+    try:
+        value = evaluate(n)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    if isinstance(value, float):
+        # NaN matches NaN; every other float is compared bit for bit
+        return type(value), "nan" if math.isnan(value) else \
+            struct.pack("<d", value)
+    return type(value), value
+
+
+def test_compiled_rules_agree_with_the_reference_interpreter():
+    rng = np.random.default_rng(2024)
+    kinds = Counter()
+    for _ in range(1500):
+        tree = random_expr(rng, int(rng.integers(1, 7)))
+        compiled = cd.rules.rule_callable(tree)
+        for n in _PROBE_INDICES:
+            want = _outcome(lambda i: reference_eval(tree, i), n)
+            assert _outcome(lambda i: cd.eval_rule(tree, i), n) == want
+            assert _outcome(compiled, n) == want
+            kinds[want[0]] += 1
+    # the fuzz reaches ints, floats and errors alike
+    assert kinds[int] and kinds[float] and kinds["raises"]
+
+
+def test_compiled_errors_cite_their_index():
+    for text, n in (("1/(n-3)", 3), ("2^(n/2)", 3), ("n^(-1)", 0),
+                    ("55^n", 178)):
+        with pytest.raises(RuleEvaluationError) as err:
+            cd.rules.rule_callable(cd.parse_rule(text))(n)
+        assert err.value.index == n
+
+
+def test_rule_compilation_never_reenters_the_public_name(monkeypatch):
+    # perfbench counts every callable rule_callable returns as one rule
+    # evaluation, so compiling must recurse through a private name
+    entered = []
+    public = cd.rules.rule_callable
+
+    def counting(expr):
+        entered.append(expr)
+        return public(expr)
+
+    monkeypatch.setattr(cd.rules, "rule_callable", counting)
+    tree = cd.parse_rule("-((n+1)*2-3)/(n^2+(-1)^n*4)^2-" * 12 + "n")
+    rule = cd.rules.rule_callable(tree)
+    for n in (1, 5, 10 ** 6):
+        assert rule(n) == reference_eval(tree, n)
+        cd.eval_rule(tree, n)
+    assert entered == [tree]
