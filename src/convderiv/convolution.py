@@ -23,7 +23,8 @@ DEGREE_CAP = 1 << 16
 # Indices are exact int64 values; anything above this is refused.
 INDEX_CAP = 1 << 62
 
-_EPS = 1e-12
+# act_on_dual reads psi on at most this many indices n + k at once.
+_ACTION_BLOCK = 1 << 16
 
 
 class DegreeCapError(ValueError):
@@ -205,7 +206,8 @@ class L1Element:
             np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash(self.coeffs.tobytes())
+        # -0.0 == 0.0, so signed zeros are normalised before hashing
+        return hash((self.coeffs + 0.0).tobytes())
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -247,19 +249,25 @@ def zero() -> L1Element:
     return L1Element([])
 
 
-def _gaussian_integer_parts(arr: np.ndarray):
+def _largest_integer_part(arr: np.ndarray) -> Optional[float]:
+    """max |part| over the real and imaginary parts when every part is an
+    integer, else None; read from the floats, before any cast."""
     re, im = arr.real, arr.imag
     if np.all(re == np.rint(re)) and np.all(im == np.rint(im)):
-        return np.rint(re).astype(np.int64), np.rint(im).astype(np.int64)
+        return float(max(np.abs(re).max(), np.abs(im).max()))
     return None
 
 
 def convolve(a: L1Element, b: L1Element) -> L1Element:
     """Cauchy product: coefficient n of the result is sum_r a_r b_{n-r}.
 
-    When both inputs are Gaussian integers the product is computed in exact
-    integer arithmetic (int64, with an overflow guard), so identities that
-    hold over the integers hold exactly here too.
+    When both inputs are Gaussian integers and every coefficient of the
+    product is provably below 2^53 in modulus (2 min(len) max|a| max|b|
+    < 2^53, with max over real and imaginary parts), the product is
+    computed in exact int64 arithmetic and stored exactly, so identities
+    that hold over the integers hold exactly here too.  Larger integer
+    inputs, such as (2^27+1)^2, take the float path and are rounded like
+    any other float product.
     """
     ca, cb = a.coeffs, b.coeffs
     if ca.size == 0 or cb.size == 0:
@@ -267,17 +275,16 @@ def convolve(a: L1Element, b: L1Element) -> L1Element:
     if ca.size + cb.size - 1 > DEGREE_CAP + 1:
         raise DegreeCapError(
             f"product degree {ca.size + cb.size - 2} exceeds cap {DEGREE_CAP}")
-    ga, gb = _gaussian_integer_parts(ca), _gaussian_integer_parts(cb)
-    if ga is not None and gb is not None:
-        bound = 2 * min(ca.size, cb.size) \
-            * max(1, int(np.abs(ga[0]).max(initial=0)), int(np.abs(ga[1]).max(initial=0))) \
-            * max(1, int(np.abs(gb[0]).max(initial=0)), int(np.abs(gb[1]).max(initial=0)))
-        if bound < INDEX_CAP:
-            ar, ai = ga
-            br, bi = gb
-            re = np.convolve(ar, br) - np.convolve(ai, bi)
-            im = np.convolve(ar, bi) + np.convolve(ai, br)
-            return L1Element(re + 1j * im)
+    top_a, top_b = _largest_integer_part(ca), _largest_integer_part(cb)
+    # below 2^53 the float product of these integers is exact, so the
+    # comparison is too; an infinite part fails it
+    if top_a is not None and top_b is not None \
+            and 2 * min(ca.size, cb.size) * top_a * top_b < 2.0 ** 53:
+        ar, ai = ca.real.astype(np.int64), ca.imag.astype(np.int64)
+        br, bi = cb.real.astype(np.int64), cb.imag.astype(np.int64)
+        re = np.convolve(ar, br) - np.convolve(ai, bi)
+        im = np.convolve(ar, bi) + np.convolve(ai, br)
+        return L1Element(re + 1j * im)
     return L1Element(np.convolve(ca, cb))
 
 
@@ -359,16 +366,21 @@ class DualSequence:
     __call__ = at
 
     def bulk(self, indices) -> np.ndarray:
-        """Values at an array of indices, honouring a declared ZeroTail."""
+        """Values at an array of indices, honouring a declared ZeroTail.
+
+        The rule sees a one-dimensional, non-empty index array.
+        """
         idx = np.asarray(indices, dtype=np.int64)
-        out = np.zeros(idx.shape, dtype=complex)
         if isinstance(self.tail, ZeroTail):
+            out = np.zeros(idx.shape, dtype=complex)
             live = idx < self.tail.start
-        else:
-            live = np.ones(idx.shape, dtype=bool)
-        if live.any():
-            out[live] = self._rule(idx[live])
-        return out
+            if live.any():
+                out[live] = self._rule(idx[live])
+            return out
+        if not idx.size:
+            return np.zeros(idx.shape, dtype=complex)
+        values = self._rule(idx.ravel())
+        return np.asarray(values, dtype=complex).reshape(idx.shape)
 
     def values(self, upto: int) -> np.ndarray:
         """Array of values at indices 0..upto inclusive."""
@@ -381,33 +393,37 @@ class DualSequence:
 
 
 def validate_tail(seq: DualSequence, upto: int, first_index: int = 0,
-                  atol: float = 1e-9) -> None:
+                  atol: float = 1e-9) -> Optional[np.ndarray]:
     """Check a declared tail against every probed value up to ``upto``.
 
-    Raises CertificateViolationError on contradiction.  This cannot prove a
-    declaration, only catch it lying within the probe.
+    Returns the values at 0..upto that were checked, so a caller needs not
+    evaluate them again, or None when the tail carries no certificate to
+    check.  Raises CertificateViolationError on contradiction.  This cannot
+    prove a declaration, only catch it lying within the probe.
     """
     tail = seq.tail
     if not isinstance(tail, ClosedForm) or tail.certificate is None:
         # ZeroTail values are zero by construction and tables are checked
         # against their declaration at build time; nothing to probe here.
-        return
+        return None
     cert = tail.certificate
     start = max(cert.start, first_index)
+    vals = seq.values(upto)
     # one mask of violations per kind; the first one is cited
     if isinstance(cert, Constant):
-        vals = seq.values(upto)
         scale = max(1.0, abs(cert.value))
         bad = np.abs(vals[start:] - cert.value) > atol * scale
     else:
-        mags = np.abs(seq.values(upto))
+        mags = np.abs(vals)
         if isinstance(cert, Decay):
             ratio = 1.0 if cert.ratio is None else cert.ratio
-            bad = mags[start + 1:] > ratio * mags[start:-1] + atol
+            envelope = np.multiply(mags[start:-1], ratio)
+            envelope += atol
+            bad = mags[start + 1:] > envelope
         else:
             bad = mags[start:] < cert.bound - atol
     if not bad.any():
-        return
+        return vals
     n = start + int(bad.argmax())
     if isinstance(cert, Decay):
         raise CertificateViolationError(
@@ -441,17 +457,25 @@ def act_on_dual(a: L1Element, psi: DualSequence) -> DualSequence:
     (a.psi)(t^n) = sum_k a_k psi(t^{n+k}); the algebra is commutative so the
     left and right actions coincide.
     """
-    ks = [int(k) for k in a.support]
-    coef = a.coeffs[a.support]
+    ks = a.support
+    coef = a.coeffs[ks]
+    rows = max(1, _ACTION_BLOCK // max(1, ks.size))
 
     def rule(n):
+        # psi is read once per distinct index n + k of a block of rows, and
+        # the terms are summed in the order of k
         out = np.zeros(n.shape, dtype=complex)
-        for k, c in zip(ks, coef):
-            out += c * psi.bulk(n + k)
+        for lo in range(0, n.size, rows):
+            grid = ks[:, None] + n[None, lo:lo + rows]
+            wanted, where = np.unique(grid, return_inverse=True)
+            values = psi.bulk(wanted)[where].reshape(grid.shape)
+            block = out[lo:lo + rows]
+            for c, row in zip(coef, values):
+                block += c * row
         return out
 
     # every n + k reaches a start s once n >= s - min k
-    tail = shift_tail(psi.tail, ks[0]) if ks else ZeroTail(0)
+    tail = shift_tail(psi.tail, int(ks[0])) if ks.size else ZeroTail(0)
     cert = getattr(tail, "certificate", None)
     if isinstance(cert, Constant):
         total = complex(np.sum(coef)) * cert.value

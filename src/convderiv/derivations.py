@@ -167,9 +167,10 @@ class Derivation:
         """
         if probe_depth < 1:
             raise ValueError("probe depth must be at least 1")
-        validate_tail(self.mu, probe_depth, first_index=1)
-        mags = np.abs(self.mu.values(probe_depth))
-        lower = float(mags[1:].max(initial=0.0))
+        values = validate_tail(self.mu, probe_depth, first_index=1)
+        if values is None:
+            values = self.mu.values(probe_depth)
+        lower = float(np.abs(values[1:]).max(initial=0.0))
         exact = None
         tail = self.mu.tail
         if isinstance(tail, ZeroTail) and tail.start <= probe_depth + 1:
@@ -360,6 +361,8 @@ def _mu_sequence(values: Callable, tail: Tail) -> DualSequence:
     Index 0 is structurally zero, so certificates about mu start at 1.
     """
     def rule(n):
+        if n.min() >= 1:
+            return values(n)
         out = np.zeros(n.shape, dtype=complex)
         pos = n >= 1
         if pos.any():

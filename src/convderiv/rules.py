@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from .convolution import Certificate, Constant, Decay, Floor, ZeroTail
 
@@ -228,48 +228,65 @@ def format_rule(expr: RuleExpr) -> str:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def eval_rule(expr: RuleExpr, n) -> float:
-    """Evaluate at a single non-negative index in double precision.
+def _compile(expr: RuleExpr) -> Callable:
+    """Turn each node into a closure once; the root evaluates the rule at a
+    single non-negative index in double precision.
 
     The index stays an exact integer, so (-1)^n is exact up to INDEX_CAP; a
-    power that overflows a double raises RuleEvaluationError.
+    power that overflows a double raises RuleEvaluationError.  Operands are
+    evaluated left to right, so an error cites what the first failing node
+    found.  The recursion stays on this private name: the public
+    ``rule_callable`` is called once per rule.
     """
     if isinstance(expr, Lit):
-        return expr.value
+        value = expr.value
+        return lambda n: value
     if isinstance(expr, Var):
-        return int(n)
+        return int
     if isinstance(expr, Neg):
-        return -eval_rule(expr.operand, n)
-    left = eval_rule(expr.left, n)
-    if isinstance(expr, Pow):
-        exponent = eval_rule(expr.right, n)
+        operand = _compile(expr.operand)
+        return lambda n: -operand(n)
+    left, right = _compile(expr.left), _compile(expr.right)
+    if isinstance(expr, Add):
+        return lambda n: left(n) + right(n)
+    if isinstance(expr, Sub):
+        return lambda n: left(n) - right(n)
+    if isinstance(expr, Mul):
+        return lambda n: left(n) * right(n)
+    if isinstance(expr, Div):
+        def divide(n):
+            num, den = left(n), right(n)
+            if den == 0.0:
+                raise RuleEvaluationError("division by zero", n)
+            return num / den
+        return divide
+
+    def power(n):
+        base, exponent = left(n), right(n)
         if exponent != int(exponent):
             raise RuleEvaluationError(
                 f"exponent {exponent} is not an integer", n)
-        if left == 0.0 and exponent < 0:
+        if base == 0.0 and exponent < 0:
             raise RuleEvaluationError("zero raised to a negative power", n)
         exponent = int(exponent)
-        if left == -1:
+        if base == -1:
             # a double exponent rounds above 2^53; keep the int's parity
             exponent %= 2
         try:
-            return float(left) ** exponent
+            return float(base) ** exponent
         except OverflowError:
             raise RuleEvaluationError("power overflows a double", n)
-    right = eval_rule(expr.right, n)
-    if isinstance(expr, Add):
-        return left + right
-    if isinstance(expr, Sub):
-        return left - right
-    if isinstance(expr, Mul):
-        return left * right
-    if right == 0.0:
-        raise RuleEvaluationError("division by zero", n)
-    return left / right
+    return power
 
 
-def rule_callable(expr: RuleExpr):
-    return lambda n: eval_rule(expr, n)
+def eval_rule(expr: RuleExpr, n) -> float:
+    """Evaluate at a single non-negative index (see ``_compile``)."""
+    return _compile(expr)(n)
+
+
+def rule_callable(expr: RuleExpr) -> Callable:
+    """The rule compiled once: a function of one index."""
+    return _compile(expr)
 
 
 # ---------------------------------------------------------------------------

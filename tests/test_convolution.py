@@ -1,5 +1,8 @@
 """Algebra arithmetic: convolution, norms, pairing, dual actions."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -229,3 +232,149 @@ def test_scalar_rules_receive_python_ints():
     assert list(seq.bulk([0, 4, 2 ** 53 + 1])) == [0, 1, (2 ** 53 + 1) % 3]
     assert seq.at(5) == 2
     assert seen == {int}
+
+
+# -- the exact path ends where complex128 stops being exact ------------------
+
+def _python_int_product(a, b):
+    """Gaussian-integer Cauchy product in Python ints: no floating point."""
+    re = [0] * (len(a) + len(b) - 1)
+    im = [0] * len(re)
+    for i, (ar, ai) in enumerate(a):
+        for j, (br, bi) in enumerate(b):
+            re[i + j] += ar * br - ai * bi
+            im[i + j] += ar * bi + ai * br
+    return re, im
+
+
+def test_convolve_large_integer_valued_floats_take_the_float_path():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = cd.convolve(cd.L1Element([1e20]), cd.L1Element([1.0]))
+        pair = cd.convolve(cd.L1Element([1e19, 3]), cd.L1Element([1, 1]))
+    assert big == cd.L1Element([1e20])
+    assert pair == cd.L1Element([1e19, 1e19 + 3, 3])
+
+
+def test_convolve_just_below_2_53_is_exact():
+    # 2 * min(len) * max|a| * max|b| = 4 * (2^25 - 3) * (2^26 - 5) < 2^53
+    top_a, top_b = 2 ** 25 - 3, 2 ** 26 - 5
+    assert 2 ** 53 - 2 ** 31 < 4 * top_a * top_b < 2 ** 53
+    a = [(top_a, -top_a + 2), (top_a - 1, top_a)]
+    b = [(top_b, top_b - 7), (-top_b, top_b - 1)]
+    got = cd.convolve(cd.L1Element([complex(*z) for z in a]),
+                      cd.L1Element([complex(*z) for z in b])).coeffs
+    re, im = _python_int_product(a, b)
+    assert [int(z.real) for z in got] == re
+    assert [int(z.imag) for z in got] == im
+
+
+def test_convolve_above_2_53_is_the_float_product():
+    # 2 * min(len) * max|a| * max|b| = 6 * 2^53: the float path, whose sums
+    # round; coefficient 2 is 2^53 + 2 exactly but 2^53 in floats
+    a = np.array([1, 1, 1], dtype=complex)
+    b = np.array([1, 1, 2 ** 53], dtype=complex)
+    got = cd.convolve(cd.L1Element(a), cd.L1Element(b)).coeffs
+    assert _same_bits(got, np.convolve(a, b))
+    assert got[2] == 2 ** 53 != _python_int_product(
+        [(1, 0)] * 3, [(1, 0), (1, 0), (2 ** 53, 0)])[0][2]
+
+
+def test_hash_agrees_with_equality_on_signed_zeros():
+    pairs = [(cd.L1Element([-0.0, 1]), cd.L1Element([0.0, 1])),
+             (cd.L1Element([complex(2, -0.0)]), cd.L1Element([complex(2, 0)])),
+             (cd.L1Element([complex(-0.0, -0.0), 1j]),
+              cd.L1Element([0, 1j]))]
+    for left, right in pairs:
+        assert left == right
+        assert hash(left) == hash(right)
+        assert len({left, right}) == 1
+
+
+# -- each value is read once ---------------------------------------------------
+
+def _per_k_action(a, values):
+    """(a.psi)(t^n) = sum_k a_k psi(t^(n+k)), one read of psi per term k,
+    summed in the order of k."""
+    ks = a.support
+    coef = a.coeffs[ks]
+
+    def rule(n):
+        out = np.zeros(n.shape, dtype=complex)
+        for k, c in zip(ks, coef):
+            out += c * values(n + k)
+        return out
+    return rule
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    return x.shape == y.shape and \
+        x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
+
+
+def _wave():
+    return cd.DualSequence(lambda n: np.exp(0.3j * n) / (n + 1.0),
+                           tail=cd.ClosedForm(), vectorized=True)
+
+
+def test_act_on_dual_equals_the_per_k_sum_bit_for_bit():
+    rng = np.random.default_rng(17)
+    scalar = cd.DualSequence(lambda n: complex(math.cos(n), 1 / (n + 2)),
+                             tail=cd.ClosedForm())
+    table = cd.DualSequence.from_values(
+        rng.standard_normal(60) + 1j * rng.standard_normal(60),
+        tail=cd.ZeroTail(60))
+    for psi in (_wave(), scalar, table):
+        for _ in range(8):
+            a = cd.L1Element(_unit_disc_coeffs(rng, int(rng.integers(1, 40)))
+                             * (rng.random(1) < 0.7))
+            if a.degree < 0:
+                continue
+            n = np.concatenate([np.arange(90), rng.integers(0, 200, 40)])
+            got = cd.act_on_dual(a, psi).bulk(n)
+            assert _same_bits(got, _per_k_action(a, psi.bulk)(n))
+
+
+def test_act_on_dual_row_blocks_are_bit_identical():
+    # 3000 rows x 60 support terms is more than one block of index pairs
+    rng = np.random.default_rng(23)
+    a = cd.L1Element(_unit_disc_coeffs(rng, 90) * (rng.random(90) < 0.67))
+    assert a.support.size * 3000 > cd.convolution._ACTION_BLOCK
+    psi = _wave()
+    n = np.arange(3000)
+    got = cd.act_on_dual(a, psi).bulk(n)
+    assert _same_bits(got, _per_k_action(a, psi.bulk)(n))
+
+
+def test_nested_action_reads_psi_once_per_level():
+    rng = np.random.default_rng(29)
+    seen = []
+    wave = _wave()
+
+    def rule(n):
+        seen.append(n.copy())
+        return wave.bulk(n)
+
+    psi = cd.DualSequence(rule, tail=cd.ClosedForm(), vectorized=True)
+    f = cd.L1Element(_unit_disc_coeffs(rng, 30))
+    g = cd.L1Element(_unit_disc_coeffs(rng, 25))
+    n = np.arange(101)
+    got = cd.act_on_dual(f, cd.act_on_dual(g, psi)).bulk(n)
+    assert len(seen) == 1
+    assert seen[0].size == np.unique(seen[0]).size == 101 + 29 + 24
+    inner = _per_k_action(g, wave.bulk)
+    assert _same_bits(got, _per_k_action(f, inner)(n))
+
+
+def test_validate_tail_returns_the_values_it_checked():
+    honest = cd.DualSequence(lambda n: 2.0 ** -n,
+                             tail=cd.ClosedForm(cd.Decay(0, ratio=0.5)))
+    assert _same_bits(cd.validate_tail(honest, 40), honest.values(40))
+    const = cd.DualSequence(lambda n: 1.5 if n else 0.0,
+                            tail=cd.ClosedForm(cd.Constant(1.5, 1)))
+    assert _same_bits(cd.validate_tail(const, 9, first_index=1),
+                      const.values(9))
+    # nothing to check: no values are read
+    for tail in (cd.ClosedForm(), cd.UNDECLARED, cd.ZeroTail(3)):
+        assert cd.validate_tail(cd.DualSequence(None, tail=tail), 40) is None

@@ -1,6 +1,8 @@
 """Derivation calculus: construction, norms, compactness, witnesses."""
 
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -461,3 +463,43 @@ def test_apply_tail_is_the_module_action_tail(tail, expected):
     assert image.tail == cd.act_on_dual(cd.L1Element([0, 4, -3]), phi).tail
     assert image.tail == expected
     cd.validate_tail(image, 40)  # the tightened Constant start is sound
+
+
+# -- each value is evaluated once ----------------------------------------------
+
+@pytest.mark.parametrize("tail", [
+    cd.ClosedForm(cd.Decay(1)),
+    cd.ClosedForm(cd.Constant(0.0, 900)),
+    cd.ClosedForm(),
+    cd.ZeroTail(700),
+], ids=["decay", "constant", "no-certificate", "zero"])
+def test_norm_evaluates_each_index_once(tail):
+    seen = Counter()
+
+    def rule(n):
+        seen[int(n)] += 1  # int() of an array raises: a scalar-only rule
+        return 0.0 if n >= 900 else 1.0 / (n * n)
+
+    D = cd.Derivation.from_mu(rule, tail=tail)
+    seen.clear()
+    depth = 1000
+    D.norm(depth)
+    last = depth if not isinstance(tail, cd.ZeroTail) else tail.start - 1
+    assert seen == Counter(range(1, last + 1))
+
+
+def test_norm_peak_memory_at_depth_1e6():
+    D = cd.Derivation.from_mu(
+        lambda n: 3 / (np.asarray(n, float) + 2) ** 2,
+        tail=cd.ClosedForm(cd.Decay(1)))
+    D.norm(10)
+    tracemalloc.start()
+    try:
+        lower, exact = D.norm(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lower == exact == 1 / 3
+    # the values are held once: measured 46.7 MB, where reading them
+    # twice with masked copies peaked at 70.6 MB
+    assert peak < 56 * 2 ** 20
