@@ -417,6 +417,7 @@ def validate_tail(seq: DualSequence, upto: int, first_index: int = 0,
         mags = np.abs(vals)
         if isinstance(cert, Decay):
             ratio = 1.0 if cert.ratio is None else cert.ratio
+            # built in place: one temporary the size of the probe, not two
             envelope = np.multiply(mags[start:-1], ratio)
             envelope += atol
             bad = mags[start + 1:] > envelope

@@ -235,8 +235,9 @@ def _compile(expr: RuleExpr) -> Callable:
     The index stays an exact integer, so (-1)^n is exact up to INDEX_CAP; a
     power that overflows a double raises RuleEvaluationError.  Operands are
     evaluated left to right, so an error cites what the first failing node
-    found.  The recursion stays on this private name: the public
-    ``rule_callable`` is called once per rule.
+    found.  The recursion stays on this private name, so ``rule_callable``
+    is entered once per rule: perfbench's traced runs count each callable
+    it returns as one rule evaluation.
     """
     if isinstance(expr, Lit):
         value = expr.value

@@ -225,14 +225,6 @@ def test_compiled_rules_agree_with_the_reference_interpreter():
     assert kinds[int] and kinds[float] and kinds["raises"]
 
 
-def test_compiled_errors_cite_their_index():
-    for text, n in (("1/(n-3)", 3), ("2^(n/2)", 3), ("n^(-1)", 0),
-                    ("55^n", 178)):
-        with pytest.raises(RuleEvaluationError) as err:
-            cd.rules.rule_callable(cd.parse_rule(text))(n)
-        assert err.value.index == n
-
-
 def test_rule_compilation_never_reenters_the_public_name(monkeypatch):
     # perfbench counts every callable rule_callable returns as one rule
     # evaluation, so compiling must recurse through a private name
