@@ -242,3 +242,40 @@ def test_rule_compilation_never_reenters_the_public_name(monkeypatch):
         assert rule(n) == reference_eval(tree, n)
         cd.eval_rule(tree, n)
     assert entered == [tree]
+
+
+# -- the printer and the exact analysis against the reference walks ---------
+
+from ruletrees import (
+    analysis_passes_a_limit, reference_format, reference_profile,
+)
+
+
+def test_format_matches_the_reference_printer():
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        tree = random_expr(rng, int(rng.integers(1, 7)))
+        assert cd.format_rule(tree) == reference_format(tree)
+
+
+def _profile_outcome(analyse, tree):
+    try:
+        profile = analyse(tree)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return None if profile is None else (profile.num, profile.den)
+
+
+def test_profiles_match_the_reference_analysis():
+    rng = np.random.default_rng(11)
+    kinds = Counter()
+    for _ in range(800):
+        tree = random_expr(rng, int(rng.integers(1, 7)))
+        if analysis_passes_a_limit(tree):
+            kinds["limit"] += 1
+            continue
+        want = _profile_outcome(reference_profile, tree)
+        assert _profile_outcome(cd.rational_profile, tree) == want
+        kinds["none" if want is None else "profile"] += 1
+    # the fuzz reaches profiles, non-rational rules and the limits
+    assert kinds["profile"] and kinds["none"] and kinds["limit"]
