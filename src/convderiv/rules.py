@@ -9,10 +9,10 @@ associate to the left:
     power  := atom ('^' atom)*
     atom   := NUMBER | 'n' | '(' expr ')'
 
-Exponents must evaluate to integers.  Besides parsing and evaluation this
-module performs *exact* rational-function analysis of a parsed rule (over
-Fraction coefficients), which is how asymptotic certificates for rational
-rules are derived without sampling.
+Exponents must evaluate to integers.  Printing, evaluation and *exact*
+rational-function analysis (over Fraction coefficients: how certificates
+for rational rules are derived without sampling) are three algebras of one
+fold over the parsed tree.
 """
 
 from __future__ import annotations
@@ -92,7 +92,19 @@ class Pow:
 
 RuleExpr = Union[Lit, Var, Neg, Add, Sub, Mul, Div, Pow]
 
-_BINOPS = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^"}
+
+def _fold(expr: RuleExpr, algebra: dict):
+    """The one traversal, bottom-up: ``algebra[type(node)]`` combines what
+    the operands folded to, left to right (_PRINT, _EVALUATE, _ANALYSE)."""
+    kind = type(expr)
+    if kind is Lit:
+        return algebra[Lit](expr.value)
+    if kind is Var:
+        return algebra[Var]()
+    if kind is Neg:
+        return algebra[Neg](_fold(expr.operand, algebra))
+    return algebra[kind](_fold(expr.left, algebra),
+                         _fold(expr.right, algebra))
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +195,8 @@ def parse_rule(text: str) -> RuleExpr:
 
 
 # ---------------------------------------------------------------------------
-# printing
+# printing and evaluation: two algebras of the fold
 # ---------------------------------------------------------------------------
-
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Lit: 5, Var: 5}
-
 
 def _fmt_number(v: float) -> str:
     if float(v).is_integer():
@@ -198,70 +207,44 @@ def _fmt_number(v: float) -> str:
     return text
 
 
-def _fmt(expr: RuleExpr, parent_prec: int, right_side: bool) -> str:
-    prec = _PREC[type(expr)]
-    if isinstance(expr, Lit):
-        text = _fmt_number(expr.value)
-    elif isinstance(expr, Var):
-        text = "n"
-    elif isinstance(expr, Neg):
-        text = "-" + _fmt(expr.operand, prec, False)
-    elif isinstance(expr, Pow):
-        # the grammar takes atoms on both sides of '^': composite right
-        # operands always need parentheses, composite left operands follow
-        # normal precedence with '^' chains associating left
-        text = _fmt(expr.left, prec, False) + "^" + _fmt(expr.right, prec + 1, False)
-    else:
-        op = _BINOPS[type(expr)]
-        text = _fmt(expr.left, prec, False) + op + _fmt(expr.right, prec, True)
-    if prec < parent_prec or (prec == parent_prec and right_side):
-        return f"({text})"
-    return text
+def _wrap(operand, prec: int) -> str:
+    text, inner = operand
+    return f"({text})" if inner < prec else text
+
+
+def _infix(op: str, prec: int):
+    # left-associative: a right operand of the same precedence is wrapped
+    return lambda left, right: (
+        _wrap(left, prec) + op + _wrap(right, prec + 1), prec)
+
+
+# each node prints as (text, precedence)
+_PRINT = {
+    Lit: lambda value: (_fmt_number(value), 5),
+    Var: lambda: ("n", 5),
+    Neg: lambda operand: ("-" + _wrap(operand, 3), 3),
+    Add: _infix("+", 1), Sub: _infix("-", 1),
+    Mul: _infix("*", 2), Div: _infix("/", 2),
+    # '^' takes atoms on both sides, and every composite binds looser
+    Pow: _infix("^", 4),
+}
 
 
 def format_rule(expr: RuleExpr) -> str:
     """Minimal-parenthesis rendering; parse(format_rule(e)) == e."""
-    return _fmt(expr, 0, False)
+    return _fold(expr, _PRINT)[0]
 
 
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
+def _divide(left: Callable, right: Callable) -> Callable:
+    def divide(n):
+        num, den = left(n), right(n)
+        if den == 0.0:
+            raise RuleEvaluationError("division by zero", n)
+        return num / den
+    return divide
 
-def _compile(expr: RuleExpr) -> Callable:
-    """Turn each node into a closure once; the root evaluates the rule at a
-    single non-negative index in double precision.
 
-    The index stays an exact integer, so (-1)^n is exact up to INDEX_CAP; a
-    power that overflows a double raises RuleEvaluationError.  Operands are
-    evaluated left to right, so an error cites what the first failing node
-    found.  The recursion stays on this private name, so ``rule_callable``
-    is entered once per rule: perfbench's traced runs count each callable
-    it returns as one rule evaluation.
-    """
-    if isinstance(expr, Lit):
-        value = expr.value
-        return lambda n: value
-    if isinstance(expr, Var):
-        return int
-    if isinstance(expr, Neg):
-        operand = _compile(expr.operand)
-        return lambda n: -operand(n)
-    left, right = _compile(expr.left), _compile(expr.right)
-    if isinstance(expr, Add):
-        return lambda n: left(n) + right(n)
-    if isinstance(expr, Sub):
-        return lambda n: left(n) - right(n)
-    if isinstance(expr, Mul):
-        return lambda n: left(n) * right(n)
-    if isinstance(expr, Div):
-        def divide(n):
-            num, den = left(n), right(n)
-            if den == 0.0:
-                raise RuleEvaluationError("division by zero", n)
-            return num / den
-        return divide
-
+def _power(left: Callable, right: Callable) -> Callable:
     def power(n):
         base, exponent = left(n), right(n)
         if exponent != int(exponent):
@@ -280,14 +263,32 @@ def _compile(expr: RuleExpr) -> Callable:
     return power
 
 
+# each node folds to a closure of one index
+_EVALUATE = {
+    Lit: lambda value: lambda n: value,
+    Var: lambda: int,
+    Neg: lambda operand: lambda n: -operand(n),
+    Add: lambda left, right: lambda n: left(n) + right(n),
+    Sub: lambda left, right: lambda n: left(n) - right(n),
+    Mul: lambda left, right: lambda n: left(n) * right(n),
+    Div: _divide,
+    Pow: _power,
+}
+
+
 def eval_rule(expr: RuleExpr, n) -> float:
-    """Evaluate at a single non-negative index (see ``_compile``)."""
-    return _compile(expr)(n)
+    """Evaluate at a single non-negative index in double precision.  The
+    index stays an exact integer, so (-1)^n is exact up to INDEX_CAP; a
+    power that overflows a double raises RuleEvaluationError.  Operands are
+    evaluated left to right, so an error cites the first failing node."""
+    return _fold(expr, _EVALUATE)(n)
 
 
 def rule_callable(expr: RuleExpr) -> Callable:
-    """The rule compiled once: a function of one index."""
-    return _compile(expr)
+    """The rule folded once into closures: a function of one index.  It
+    calls no public name, because perfbench's traced runs count each
+    callable it returns as one rule evaluation."""
+    return _fold(expr, _EVALUATE)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +325,6 @@ def _pmul(p, q):
 
 
 def _pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
     quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
     while len(rem) >= len(q) and any(rem):
@@ -451,64 +450,64 @@ class RationalProfile:
         return int(bound) + 2
 
 
+def _lift(value) -> Optional[RationalProfile]:
+    """A literal's value as a constant profile; profiles and None pass."""
+    if isinstance(value, float):
+        return RationalProfile.make((Fraction(value),), (Fraction(1),))
+    return value
+
+
+def _rational(parts: Callable) -> Callable:
+    # a binary node: None unless both operands are rational and ``parts``,
+    # the unreduced (num, den) of the result, has a non-zero denominator
+    def combine(left, right):
+        left, right = _lift(left), _lift(right)
+        if left is None or right is None:
+            return None
+        num, den = parts(left, right)
+        return RationalProfile.make(num, den) if den else None
+    return combine
+
+
+def _sum(p, q):
+    return (_padd(_pmul(p.num, q.den), _pmul(q.num, p.den)),
+            _pmul(p.den, q.den))
+
+
+def _power_profile(base, exponent) -> Optional[RationalProfile]:
+    # only a literal exponent is analysed: one that merely evaluates to an
+    # integer, like 10^17+1-10^17 (1.0 in floating point), may not be exact
+    base = _lift(base)
+    if base is None or not isinstance(exponent, float) \
+            or not exponent.is_integer():
+        return None
+    k = int(exponent)
+    num, den = (base.num, base.den) if k >= 0 else (base.den, base.num)
+    rnum = rden = (Fraction(1),)
+    for _ in range(abs(k)):
+        rnum, rden = _pmul(rnum, num), _pmul(rden, den)
+    return RationalProfile.make(rnum, rden) if rden else None  # 0^-k: none
+
+
+# a literal folds to its float, and so does a negated literal; any other
+# node folds to a RationalProfile, or None when it is not rational
+_ANALYSE = {
+    Lit: float,
+    Var: lambda: RationalProfile((Fraction(0), Fraction(1)), (Fraction(1),)),
+    Neg: lambda operand: -operand if isinstance(operand, float)
+    else _ANALYSE[Sub](0.0, operand),
+    Add: _rational(_sum),
+    Sub: _rational(lambda p, q: _sum(p, RationalProfile(_pneg(q.num), q.den))),
+    Mul: _rational(lambda p, q: (_pmul(p.num, q.num), _pmul(p.den, q.den))),
+    Div: _rational(lambda p, q: (_pmul(p.num, q.den), _pmul(p.den, q.num))),
+    Pow: _power_profile,
+}
+
+
 def rational_profile(expr: RuleExpr) -> Optional[RationalProfile]:
     """Exact rational form of a rule, or None when the rule is not rational
     in the index (e.g. an exponent containing the variable)."""
-    one = (Fraction(1),)
-    if isinstance(expr, Lit):
-        return RationalProfile.make((Fraction(expr.value),), one)
-    if isinstance(expr, Var):
-        return RationalProfile.make((Fraction(0), Fraction(1)), one)
-    if isinstance(expr, Neg):
-        inner = rational_profile(expr.operand)
-        return None if inner is None else RationalProfile.make(
-            _pneg(inner.num), inner.den)
-    if isinstance(expr, Pow):
-        base = rational_profile(expr.left)
-        exponent = _static_int(expr.right)
-        if base is None or exponent is None:
-            return None
-        if exponent >= 0:
-            num, den = base.num, base.den
-        else:
-            num, den, exponent = base.den, base.num, -exponent
-            if not den:
-                return None
-        rnum, rden = one, one
-        for _ in range(exponent):
-            rnum, rden = _pmul(rnum, num), _pmul(rden, den)
-        if not rden:
-            return None
-        return RationalProfile.make(rnum, rden)
-    left = rational_profile(expr.left)
-    right = rational_profile(expr.right)
-    if left is None or right is None:
-        return None
-    if isinstance(expr, Add):
-        return RationalProfile.make(
-            _padd(_pmul(left.num, right.den), _pmul(right.num, left.den)),
-            _pmul(left.den, right.den))
-    if isinstance(expr, Sub):
-        return RationalProfile.make(
-            _padd(_pmul(left.num, right.den),
-                  _pneg(_pmul(right.num, left.den))),
-            _pmul(left.den, right.den))
-    if isinstance(expr, Mul):
-        return RationalProfile.make(_pmul(left.num, right.num),
-                                    _pmul(left.den, right.den))
-    if not right.num:
-        return None
-    return RationalProfile.make(_pmul(left.num, right.den),
-                                _pmul(left.den, right.num))
-
-
-def _static_int(expr: RuleExpr) -> Optional[int]:
-    if isinstance(expr, Lit):
-        return int(expr.value) if float(expr.value).is_integer() else None
-    if isinstance(expr, Neg):
-        inner = _static_int(expr.operand)
-        return None if inner is None else -inner
-    return None
+    return _lift(_fold(expr, _ANALYSE))
 
 
 def _as_float(exact: Fraction, what: str, index: int) -> float:
