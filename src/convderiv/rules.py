@@ -324,6 +324,18 @@ def _pmul(p, q):
     return _ptrim(out)
 
 
+def _ppow(p, k: int):
+    """p^k by repeated squaring."""
+    out = (Fraction(1),)
+    while k:
+        if k & 1:
+            out = _pmul(out, p)
+        k >>= 1
+        if k:
+            p = _pmul(p, p)
+    return out
+
+
 def _pdivmod(p, q):
     rem = list(p)
     quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
@@ -457,15 +469,24 @@ def _lift(value) -> Optional[RationalProfile]:
     return value
 
 
+# The analysis declines (None, as for a rule that is not rational) past
+# these limits, where exact arithmetic alone could run for minutes.
+_MAX_DEGREE = 64  # of an unreduced numerator or denominator
+_MAX_BITS = 2 ** 16  # of a constant power's exact value
+
+
 def _rational(parts: Callable) -> Callable:
     # a binary node: None unless both operands are rational and ``parts``,
     # the unreduced (num, den) of the result, has a non-zero denominator
+    # and stays within _MAX_DEGREE
     def combine(left, right):
         left, right = _lift(left), _lift(right)
         if left is None or right is None:
             return None
         num, den = parts(left, right)
-        return RationalProfile.make(num, den) if den else None
+        if not den or max(len(num), len(den)) > _MAX_DEGREE + 1:
+            return None
+        return RationalProfile.make(num, den)
     return combine
 
 
@@ -483,10 +504,13 @@ def _power_profile(base, exponent) -> Optional[RationalProfile]:
         return None
     k = int(exponent)
     num, den = (base.num, base.den) if k >= 0 else (base.den, base.num)
-    rnum = rden = (Fraction(1),)
-    for _ in range(abs(k)):
-        rnum, rden = _pmul(rnum, num), _pmul(rden, den)
-    return RationalProfile.make(rnum, rden) if rden else None  # 0^-k: none
+    k, const = abs(k), base.constant_value()
+    bits = 0 if const is None else k * max(const.numerator.bit_length(),
+                                           const.denominator.bit_length())
+    if k * (max(len(num), len(den)) - 1) > _MAX_DEGREE or bits > _MAX_BITS:
+        return None
+    num, den = _ppow(num, k), _ppow(den, k)
+    return RationalProfile.make(num, den) if den else None  # 0^-k: none
 
 
 # a literal folds to its float, and so does a negated literal; any other

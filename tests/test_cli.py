@@ -1,6 +1,11 @@
 """Command-line surface: dispatch, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -10,6 +15,8 @@ from test_bimodules import change_basis, ideal
 
 from convderiv import cli, reports, rules
 from convderiv.convolution import UNDECLARED, ClosedForm, Decay, ZeroTail
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -134,6 +141,22 @@ def test_huge_exact_constant_names_its_cause(capsys):
     assert run(["deriv", "norm", "--mu", "10^400"]) == 2
     err = capsys.readouterr().err
     assert "exact constant of the rule exceeds the float range" in err
+
+
+@pytest.mark.parametrize("rule", [
+    "1/n+1^100000000", "n^2000", "((n+1)/(n+2))^128"])
+def test_exact_analysis_past_its_limits_stays_fast(rule):
+    # each of these took seconds or minutes of exact arithmetic before the
+    # analysis declined past degree 64 and 2^16-bit constant powers
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "convderiv.cli", "deriv", "norm", "--mu",
+         rule], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode in (0, 1, 2), done.stderr
+    assert time.perf_counter() - start < 2.0
 
 
 def test_negative_zero_tail_start_is_an_input_error(capsys):

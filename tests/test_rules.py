@@ -272,6 +272,9 @@ def test_profiles_match_the_reference_analysis():
     for _ in range(800):
         tree = random_expr(rng, int(rng.integers(1, 7)))
         if analysis_passes_a_limit(tree):
+            # past a limit the analysis declines, as for a rule that is
+            # not rational
+            assert cd.rational_profile(tree) is None
             kinds["limit"] += 1
             continue
         want = _profile_outcome(reference_profile, tree)
@@ -279,3 +282,19 @@ def test_profiles_match_the_reference_analysis():
         kinds["none" if want is None else "profile"] += 1
     # the fuzz reaches profiles, non-rational rules and the limits
     assert kinds["profile"] and kinds["none"] and kinds["limit"]
+
+
+@pytest.mark.parametrize("text, kept", [
+    ("n^64", True), ("n^65", False), ("n^(-65)", False),
+    ("((n+1)/(n+2))^64", True), ("((n+1)/(n+2))^128", False),
+    ("(n+1)^33*(n+1)^31", True), ("(n+1)^33*(n+1)^32", False),
+    ("10^400", True), ("2^32768", True), ("2^32769", False),
+    ("1^100000000", False), ("0^100000000", False),
+    ("n^2000", False),
+])
+def test_analysis_limits(text, kept):
+    # an unreduced numerator or denominator may reach degree 64, and a
+    # constant power |k| x bit length 2^16; past either there is no profile
+    tree = cd.parse_rule(text)
+    assert analysis_passes_a_limit(tree) is not kept
+    assert (cd.rational_profile(tree) is not None) is kept
