@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -404,6 +404,18 @@ def find_transfer_functional(A: FiniteAlgebra, E: FiniteBimodule, D: FiniteMap,
         f"D vanished on the squares of all {probes} probed elements")
 
 
+@dataclass
+class _Transferred(FiniteMap):
+    """The map ``transfer`` returns, carrying what it computed: the
+    homomorphism R into the dual, and the derivation-identity defect with
+    its scale and the tolerance it met."""
+
+    homomorphism: Optional[FiniteMap] = None
+    defect: float = 0.0
+    scale: float = 0.0
+    tolerance: float = 0.0
+
+
 def transfer(D: FiniteMap, lam, A: FiniteAlgebra, E: FiniteBimodule,
              atol: float = 1e-10) -> FiniteMap:
     """Compose D with the induced homomorphism into the dual.
@@ -411,15 +423,19 @@ def transfer(D: FiniteMap, lam, A: FiniteAlgebra, E: FiniteBimodule,
     The result is again a derivation (checked on all basis pairs, to
     ``atol`` relative to ``derivation_scale``), its rank never exceeds
     rank(D), and its operator norm is at most the product of the factors'
-    norms in the declared coordinate norms.
+    norms in the declared coordinate norms.  It also carries the
+    homomorphism, the defect, the scale and the tolerance as attributes.
     """
     R = dual_homomorphism(A, E, lam)
-    composed = FiniteMap(R.matrix @ D.matrix, source=D.source, target="A*")
+    composed = _Transferred(R.matrix @ D.matrix, source=D.source,
+                            target="A*", homomorphism=R)
     dual_of_A = A.self_bimodule().dual()
-    defect = derivation_defect(A, dual_of_A, composed)
-    if defect > atol * max(1.0, derivation_scale(A, dual_of_A, composed)):
+    composed.defect = derivation_defect(A, dual_of_A, composed)
+    composed.scale = derivation_scale(A, dual_of_A, composed)
+    composed.tolerance = atol * max(1.0, composed.scale)
+    if composed.defect > composed.tolerance:
         raise ValueError(f"transferred map violates the derivation identity "
-                         f"by {defect:.3e}")
+                         f"by {composed.defect:.3e}")
     return composed
 
 

@@ -330,17 +330,14 @@ def _cmd_bimodule_transfer(args) -> _Outcome:
     D = bimodules.derivative_map(A)
     a0, lam = bimodules.find_transfer_functional(A, E, D, seed=args.seed)
     composed = bimodules.transfer(D, lam, A, E)
-    dual_of_A = E.dual()
-    defect = bimodules.derivation_defect(A, dual_of_A, composed)
-    scale = bimodules.derivation_scale(A, dual_of_A, composed)
     anchor_value = complex(a0 @ composed.matrix @ a0)
     norm_D = bimodules.opnorm_l1_to_l1(D.matrix)
-    norm_R = bimodules.opnorm_l1_to_sup(
-        bimodules.dual_homomorphism(A, E, lam).matrix)
+    norm_R = bimodules.opnorm_l1_to_sup(composed.homomorphism.matrix)
     norm_composed = bimodules.opnorm_l1_to_sup(composed.matrix)
     certs = [
         reports.certificate("derivation-identity",
-                            defect <= 1e-10 * max(1.0, scale), defect=defect),
+                            composed.defect <= composed.tolerance,
+                            defect=composed.defect),
         reports.certificate("anchor-pairing",
                             abs(anchor_value - 1) <= 1e-12,
                             value=reports.complex_to_json(anchor_value)),

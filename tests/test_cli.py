@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +14,7 @@ import pytest
 from ruletrees import random_expr
 from test_bimodules import change_basis, ideal
 
-from convderiv import cli, reports, rules
+from convderiv import bimodules, cli, reports, rules
 from convderiv.convolution import UNDECLARED, ClosedForm, Decay, ZeroTail
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -259,6 +260,22 @@ def test_bimodule_transfer(tmp_path):
     assert code == 0
     assert report["result"]["rank"] <= 3
     assert all(c["passed"] for c in report["certificates"])
+
+
+def test_bimodule_transfer_computes_each_part_once(monkeypatch, capsys):
+    # the CLI reads the homomorphism, defect and scale that transfer
+    # computed instead of computing them again
+    calls = Counter()
+    for name in ("derivation_defect", "derivation_scale",
+                 "dual_homomorphism"):
+        def counting(*args, _name=name, _inner=getattr(bimodules, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(bimodules, name, counting)
+    assert run(["bimodule", "transfer", "--algebra", "trunc6"]) == 0
+    capsys.readouterr()
+    assert calls == {"derivation_defect": 1, "derivation_scale": 1,
+                     "dual_homomorphism": 1}
 
 
 def test_bimodule_transfer_needs_truncated(capsys):
