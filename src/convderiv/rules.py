@@ -496,8 +496,9 @@ def _sum(p, q):
 
 
 def _power_profile(base, exponent) -> Optional[RationalProfile]:
-    # only a literal exponent is analysed: one that merely evaluates to an
-    # integer, like 10^17+1-10^17 (1.0 in floating point), may not be exact
+    # only a literal exponent is analysed: an exponent that merely evaluates
+    # to an integer, like 10^17+1-10^17 (0 in floating point, 1 exactly),
+    # would certify another rule than the one evaluated
     base = _lift(base)
     if base is None or not isinstance(exponent, float) \
             or not exponent.is_integer():

@@ -189,7 +189,9 @@ def analysis_passes_a_limit(expr):
     if right is None or (isinstance(expr, Div) and not right.num):
         return False
     if isinstance(expr, (Add, Sub)):
-        num = _padd(_pmul(left.num, right.den), _pmul(right.num, left.den))
+        cross = _pmul(right.num, left.den)
+        num = _padd(_pmul(left.num, right.den),
+                    cross if isinstance(expr, Add) else _pneg(cross))
         den = _pmul(left.den, right.den)
     elif isinstance(expr, Mul):
         num, den = _pmul(left.num, right.num), _pmul(left.den, right.den)
