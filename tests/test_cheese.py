@@ -208,6 +208,84 @@ def test_separation_certificate_floor():
                 assert report.separations[i, j] >= floor - 1e-9
 
 
+# -- pinned pairwise separations ----------------------------------------------
+
+def reference_separations(X, n_hi=None, grid=2001):
+    """The pairwise sweep ``noncompact_report`` once ran, kept as the
+    reference: every pair over every evaluation point.
+
+    Returns (matrix, separations, diag_error, min_separation).
+    """
+    n_hi = X.n_max if n_hi is None else n_hi
+    centers = np.array([X.disc(n).center for n in range(1, n_hi + 1)])
+    radii = np.array([X.disc(n).radius for n in range(1, n_hi + 1)])
+    points = np.concatenate([cd.interval_grid(grid), centers.real])
+    values = -radii[None, :] / (points[:, None] - centers[None, :]) ** 2
+    matrix = np.abs(values[grid:, :]).T
+    stable_diag = radii / centers.imag ** 2
+    diag_error = float(np.abs(np.diagonal(matrix) - 1.0).max())
+    diag_error = max(diag_error, float(np.abs(stable_diag - 1.0).max()))
+    separations = np.zeros((n_hi, n_hi))
+    for i in range(n_hi):
+        for j in range(i + 1, n_hi):
+            sep = float(np.abs(values[:, i] - values[:, j]).max())
+            separations[i, j] = separations[j, i] = sep
+    off_diag = separations[~np.eye(n_hi, dtype=bool)]
+    min_separation = float(off_diag.min()) if off_diag.size else math.inf
+    return matrix, separations, diag_error, min_separation
+
+
+def assert_matches_reference(X, n_hi=None, grid=2001):
+    report = cd.noncompact_report(X, n_hi=n_hi, grid=grid)
+    matrix, separations, diag_error, min_separation = \
+        reference_separations(X, n_hi, grid)
+    assert np.array_equal(report.separations, separations)
+    assert np.array_equal(report.matrix, matrix)
+    assert report.diag_error == diag_error
+    assert report.min_separation == min_separation
+    return report
+
+
+@pytest.mark.parametrize("n_max, grid", [
+    (1, 2001), (2, 2), (8, 2001), (16, 20001), (24, 20001), (25, 2001),
+    (25, 100001), (12, 50000)])
+def test_separations_match_the_pairwise_reference(n_max, grid):
+    assert_matches_reference(cd.build_cheese(n_max), grid=grid)
+
+
+def test_separations_of_a_leading_subfamily_match_the_reference():
+    assert_matches_reference(cd.build_cheese(20), n_hi=7, grid=2001)
+
+
+def test_a_grid_of_two_points_certifies_separation():
+    # the ground points alone carry the separation certificate
+    report = assert_matches_reference(cd.build_cheese(12), grid=2)
+    assert report.passed
+
+
+def _family(*discs):
+    return cd.CheeseSet.from_dict({
+        "n_max": len(discs),
+        "discs": [{"x": x, "y": y, "r": r} for x, y, r in discs]})
+
+
+def test_separations_match_the_reference_when_two_probes_meet():
+    # discs 1 and 2 share a ground point where both probe derivatives are
+    # exactly 1, so no pair is bounded away from 0 at the ground points
+    X = _family((0.25, 0.25, 0.0625), (0.25, 0.125, 0.015625),
+                (0.4, 0.05, 0.0025))
+    assert cd.pole_probe(X, 1).derivative(0.25) \
+        == cd.pole_probe(X, 2).derivative(0.25)
+    report = assert_matches_reference(X, grid=2001)
+    assert report.min_separation > 0.0
+
+
+def test_separations_match_the_reference_when_two_probes_nearly_meet():
+    X = _family((0.25, 0.25, 0.0625), (0.25, 0.125, 0.0156),
+                (0.4, 0.05, 0.0025))
+    assert_matches_reference(X, grid=2001)
+
+
 # -- derivative bound check ------------------------------------------------------
 
 def test_bound_check_on_first_probe():
