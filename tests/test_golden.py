@@ -75,6 +75,8 @@ CASES = {
     "cheese_verify_csv": ["cheese", "verify", "--nmax", "5", "--grid", "101",
                           "--csv", "table.csv"],
     "cheese_demo": ["cheese", "demo", "--nmax", "6", "--grid", "501"],
+    "cheese_demo_csv": ["cheese", "demo", "--nmax", "6", "--grid", "501",
+                        "--csv", "table.csv"],
     "bimodule_check_trunc": ["bimodule", "check", "--algebra", "trunc4"],
     "bimodule_check_file": ["bimodule", "check", "--algebra",
                             "@nilsquare.json"],
