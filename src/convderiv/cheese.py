@@ -444,27 +444,48 @@ def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
     x_m themselves; the per-term dyadic certificates make
     |f_i'(x_j)| < 2^-(i+1) for i != j while |f_j'(x_j)| = 1, so every
     pairwise sup distance exceeds 3/4 up to grid slack.
+
+    Each separation is the exact maximum of the computed h = |v_i - v_j|
+    over all evaluation points, found by sweeping only screened candidate
+    points.  The computed h at x_i and at x_j bound pair (i, j)'s maximum
+    from below; L is the least of these bounds over all pairs.  With
+    tau = L/2 (1 - 1e-9), S_k is the set of points where the computed
+    |v_k| >= tau, and pair (i, j) is swept over S_i and S_j.  Let p* be
+    where the computed h is largest.  If p* lay outside S_i and S_j, then,
+    with eps = 2^-53 covering the rounding of the subtraction and of the
+    three moduli, and barring underflow,
+
+        h(p*) <= (|v_i| + |v_j|)(1 + 8 eps) < 2 tau (1 + 8 eps) < L <= h(p*),
+
+    a contradiction.  So p* is a candidate, and the result is the same
+    maximum of the same computed numbers.  When L is 0, tau is 0 and every
+    point is a candidate: the full sweep.
     """
     n_hi = X.n_max if n_hi is None else n_hi
     if not 1 <= n_hi <= X.n_max:
         raise ValueError("n_hi must lie in 1..n_max")
     centers = np.array([X.disc(n).center for n in range(1, n_hi + 1)])
     radii = np.array([X.disc(n).radius for n in range(1, n_hi + 1)])
-    ground = centers.real
-    points = np.concatenate([interval_grid(grid), ground])
-    # complex derivative values of every probe at every evaluation point
-    values = -radii[None, :] / (points[:, None] - centers[None, :]) ** 2
-    matrix = np.abs(values[grid:, :]).T  # rows n, columns m: |f_n'(x_m)|
+    points = np.concatenate([interval_grid(grid), centers.real])
+    # complex derivative values: row n is probe n at every evaluation point
+    values = -radii[:, None] / (points[None, :] - centers[:, None]) ** 2
+    matrix = np.abs(values[:, grid:])  # rows n, columns m: |f_n'(x_m)|
     stable_diag = radii / centers.imag ** 2
     diag_error = float(np.abs(np.diagonal(matrix) - 1.0).max())
     diag_error = max(diag_error, float(np.abs(stable_diag - 1.0).max()))
-    separations = np.zeros((n_hi, n_hi))
-    for i in range(n_hi):
-        for j in range(i + 1, n_hi):
-            sep = float(np.abs(values[:, i] - values[:, j]).max())
-            separations[i, j] = separations[j, i] = sep
-    off_diag = separations[~np.eye(n_hi, dtype=bool)]
-    min_separation = float(off_diag.min()) if off_diag.size else math.inf
+    off_diag = ~np.eye(n_hi, dtype=bool)
+    # [i, m]: the computed |f_i'(x_m) - f_m'(x_m)|
+    at_ground = np.abs(values[:, grid:] - np.diagonal(values[:, grid:]))
+    lower = np.maximum(at_ground, at_ground.T)[off_diag].min(initial=math.inf)
+    tau = 0.5 * lower * (1.0 - 1e-9)
+    # [k, i]: the largest computed |f_i' - f_k'| over S_k
+    reach = np.empty((n_hi, n_hi))
+    for k in range(n_hi):
+        near = np.flatnonzero(np.abs(values[k]) >= tau)
+        reach[k] = np.abs(values[:, near] - values[k, near]).max(
+            1, initial=0.0)
+    separations = np.maximum(reach, reach.T)
+    min_separation = float(separations[off_diag].min(initial=math.inf))
     return NoncompactnessReport(
         matrix=matrix, separations=separations, diag_error=diag_error,
         min_separation=min_separation)
