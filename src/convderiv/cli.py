@@ -17,6 +17,7 @@ coefficient sequence is computed symbolically (never sampled).  Explicit
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional, Tuple
 
@@ -360,7 +361,10 @@ def _cmd_bimodule_transfer(args) -> _Outcome:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared for the process;
+    parsing reads it and leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="convderiv",
         description="derivations on the one-sided convolution algebra: "

@@ -305,3 +305,39 @@ def test_reports_revalidate_from_serialized_inputs(tmp_path):
     ):
         _, report = run_report(argv, tmp_path)
         assert cli.revalidate_report(report)
+
+
+# -- one parser per process ----------------------------------------------------
+
+def test_a_csv_table_is_not_written_again_by_the_next_call(tmp_path, capsys):
+    table = tmp_path / "grid.csv"
+    argv = ["cheese", "verify", "--nmax", "5", "--grid", "101"]
+    assert run(argv + ["--csv", str(table)]) == 0
+    assert "table written to" in capsys.readouterr().out
+    table.unlink()
+    assert run(argv) == 0
+    assert "table written to" not in capsys.readouterr().out
+    assert not table.exists()
+
+
+def test_a_seed_does_not_carry_over_to_the_next_call(tmp_path):
+    argv = ["bimodule", "transfer", "--algebra", "trunc4"]
+    _, seeded = run_report(argv + ["--seed", "7"], tmp_path, "seeded.json")
+    _, default = run_report(argv, tmp_path, "default.json")
+    assert (seeded["seed"], default["seed"]) == (7, 42)
+    assert default["command"] == argv + ["--out",
+                                         str(tmp_path / "default.json")]
+
+
+def test_malformed_calls_in_a_row_each_exit_two_with_usage(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    for argv in (["nonsense"], ["cheese", "demo", "--nmax", "x"]):
+        assert run(argv) == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+def test_cheese_demo_and_bimodule_check_reports_revalidate(tmp_path):
+    for argv in (["cheese", "demo", "--nmax", "6", "--grid", "501"],
+                 ["bimodule", "check", "--algebra", "trunc4"]):
+        _, report = run_report(argv, tmp_path)
+        assert cli.revalidate_report(report)
