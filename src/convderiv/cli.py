@@ -262,11 +262,12 @@ def _cmd_cheese_demo(args) -> _Outcome:
                             min_separation=report.min_separation,
                             floor=report.separation_floor),
     ]
-    rows = [[n + 1, m + 1, float(report.matrix[n, m])]
-            for n in range(report.matrix.shape[0])
-            for m in range(report.matrix.shape[1])]
-    return _Outcome(inputs, report.to_dict(), certs,
-                    csv=(["n", "m", "M_nm"], rows))
+    csv = None
+    if args.csv:
+        csv = (["n", "m", "M_nm"],
+               [[n + 1, m + 1, float(value)]
+                for (n, m), value in np.ndenumerate(report.matrix)])
+    return _Outcome(inputs, report.to_dict(), certs, csv=csv)
 
 
 def _load_algebra(name_or_path: str) -> bimodules.FiniteAlgebra:
@@ -478,7 +479,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"report written to {args.out}")
     else:
         print(reports.render_report(report), end="")
-    if outcome.csv is not None and getattr(args, "csv", None):
+    if outcome.csv is not None:
         header, rows = outcome.csv
         reports.write_csv(args.csv, header, rows)
         print(f"table written to {args.csv}")
