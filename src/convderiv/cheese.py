@@ -469,13 +469,14 @@ def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
     points = np.concatenate([interval_grid(grid), centers.real])
     # complex derivative values: row n is probe n at every evaluation point
     values = -radii[:, None] / (points[None, :] - centers[:, None]) ** 2
-    matrix = np.abs(values[:, grid:])  # rows n, columns m: |f_n'(x_m)|
+    ground = values[:, grid:]
+    matrix = np.abs(ground)  # rows n, columns m: |f_n'(x_m)|
     stable_diag = radii / centers.imag ** 2
     diag_error = float(np.abs(np.diagonal(matrix) - 1.0).max())
     diag_error = max(diag_error, float(np.abs(stable_diag - 1.0).max()))
     off_diag = ~np.eye(n_hi, dtype=bool)
     # [i, m]: the computed |f_i'(x_m) - f_m'(x_m)|
-    at_ground = np.abs(values[:, grid:] - np.diagonal(values[:, grid:]))
+    at_ground = np.abs(ground - np.diagonal(ground))
     lower = np.maximum(at_ground, at_ground.T)[off_diag].min(initial=math.inf)
     tau = 0.5 * lower * (1.0 - 1e-9)
     # [k, i]: the largest computed |f_i' - f_k'| over S_k

@@ -362,7 +362,7 @@ def _cmd_bimodule_transfer(args) -> _Outcome:
 # parser wiring
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument tree, built on first use and shared for the process;
     parsing reads it and leaves it unchanged."""
