@@ -301,6 +301,8 @@ def test_reports_revalidate_from_serialized_inputs(tmp_path):
         ["deriv", "norm", "--phi", "1/(n+1)", "--depth", "200"],
         ["deriv", "classify", "--mu", "n*2^(1-n)", "--tail", "decay"],
         ["cheese", "verify", "--nmax", "5", "--grid", "301"],
+        ["cheese", "demo", "--nmax", "6", "--grid", "501"],
+        ["bimodule", "check", "--algebra", "trunc4"],
         ["bimodule", "transfer", "--algebra", "trunc4"],
     ):
         _, report = run_report(argv, tmp_path)
@@ -334,10 +336,3 @@ def test_malformed_calls_in_a_row_each_exit_two_with_usage(capsys):
     for argv in (["nonsense"], ["cheese", "demo", "--nmax", "x"]):
         assert run(argv) == 2
         assert "usage:" in capsys.readouterr().err
-
-
-def test_cheese_demo_and_bimodule_check_reports_revalidate(tmp_path):
-    for argv in (["cheese", "demo", "--nmax", "6", "--grid", "501"],
-                 ["bimodule", "check", "--algebra", "trunc4"]):
-        _, report = run_report(argv, tmp_path)
-        assert cli.revalidate_report(report)
