@@ -21,7 +21,7 @@ that defeats compactness of f |-> f' restricted to the interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -280,6 +280,11 @@ class CheeseVerification:
     per_term_margin: float  # min over (n, x off I_n) of 2^-(n+1) - r_n/s_n^2
     bound_threshold: float = 6.5
     per_term_tol: float = 1e-12
+    # the swept bound sums over the grid, kept for the CSV table
+    sums: Optional[np.ndarray] = field(default=None, repr=False,
+                                       compare=False)
+    certified: Optional[np.ndarray] = field(default=None, repr=False,
+                                            compare=False)
 
     @property
     def geometry_ok(self) -> bool:
@@ -300,9 +305,7 @@ class CheeseVerification:
     def to_dict(self) -> dict:
         return {
             "n_max": self.n_max, "grid": self.grid,
-            "margins": {"containment": self.margins.containment,
-                        "disjointness": self.margins.disjointness,
-                        "interval_gap": self.margins.interval_gap},
+            "margins": asdict(self.margins),
             "max_sum": self.max_sum, "max_certified": self.max_certified,
             "per_term_margin": self.per_term_margin,
             "bound_threshold": self.bound_threshold,
@@ -337,7 +340,7 @@ def verify_cheese(X: CheeseSet, grid: int = 2001) -> CheeseVerification:
     return CheeseVerification(
         n_max=X.n_max, grid=grid, margins=X.margins,
         max_sum=float(sums.max()), max_certified=float(certified.max()),
-        per_term_margin=per_term_margin)
+        per_term_margin=per_term_margin, sums=sums, certified=certified)
 
 
 @dataclass
@@ -386,11 +389,10 @@ def derivative_bound_check(X: CheeseSet, f: RationalFunction,
         samples.append(np.abs(f(d.center + d.radius * small)))
     sup_estimate = float(max(s.max() for s in samples))
     max_derivative = float(np.abs(f.derivative(xs)).max())
-    verification = verify_cheese(X, grid)
     ratio = max_derivative / sup_estimate if sup_estimate > 0 else 0.0
     return DerivativeBoundReport(
         max_derivative=max_derivative, sup_estimate=sup_estimate, ratio=ratio,
-        certified_constant=verification.max_certified,
+        certified_constant=float(X.bound_sum_grid(xs)[1].max()),
         grid_tolerance=grid_tolerance)
 
 

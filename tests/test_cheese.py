@@ -314,6 +314,19 @@ def test_bound_check_sum_of_probes():
     assert report.passed
 
 
+def test_bound_check_reads_the_bound_sum_without_a_verification(
+        monkeypatch):
+    X = cd.build_cheese(8)
+    expected = cd.verify_cheese(X, grid=801).max_certified
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("derivative_bound_check ran verify_cheese")
+
+    monkeypatch.setattr(cd.cheese, "verify_cheese", refuse)
+    report = cd.derivative_bound_check(X, cd.pole_probe(X, 1), grid=801)
+    assert report.certified_constant == expected
+
+
 def test_bound_check_rejects_pole_in_region():
     X = cd.build_cheese(4)
     f = cd.RationalFunction((0.25 + 0j,), (1.0,))

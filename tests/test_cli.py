@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -14,10 +15,20 @@ import pytest
 from ruletrees import random_expr
 from test_bimodules import change_basis, ideal
 
-from convderiv import bimodules, cli, reports, rules
-from convderiv.convolution import UNDECLARED, ClosedForm, Decay, ZeroTail
+from convderiv import bimodules, cheese, cli, reports, rules
+from convderiv.bimodules import FiniteMap
+from convderiv.convolution import (
+    UNDECLARED,
+    ClosedForm,
+    Decay,
+    L1Element,
+    ZeroTail,
+    act_on_dual,
+)
+from convderiv.derivations import Derivation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+NILSQUARE = Path(__file__).resolve().parent / "golden" / "nilsquare.json"
 
 
 def run(argv):
@@ -183,6 +194,22 @@ def test_cheese_verify(tmp_path):
     assert len(rows) == 501
 
 
+def test_cheese_verify_csv_sweeps_the_grid_once(tmp_path, monkeypatch,
+                                               capsys):
+    calls = Counter()
+    sweep = cheese.CheeseSet.bound_sum_grid
+
+    def counting(self, xs):
+        calls["bound_sum_grid"] += 1
+        return sweep(self, xs)
+
+    monkeypatch.setattr(cheese.CheeseSet, "bound_sum_grid", counting)
+    assert run(["cheese", "verify", "--nmax", "5", "--grid", "101",
+                "--csv", str(tmp_path / "grid.csv")]) == 0
+    capsys.readouterr()
+    assert calls == {"bound_sum_grid": 1}
+
+
 def test_cheese_demo(tmp_path):
     csv_path = tmp_path / "matrix.csv"
     code, report = run_report(
@@ -224,7 +251,7 @@ def test_bimodule_rank1(tmp_path):
     assert code == 0
     names = {c["name"]: c["passed"] for c in report["certificates"]}
     assert names == {"rank-one": True, "derivation-identity": True,
-                     "anchor-pairing": True, "not-inner": True}
+                     "anchor-pairing": True}
 
 
 def test_algebra_file_of_the_wrong_shape_is_an_input_error(tmp_path,
@@ -307,6 +334,96 @@ def test_reports_revalidate_from_serialized_inputs(tmp_path):
     ):
         _, report = run_report(argv, tmp_path)
         assert cli.revalidate_report(report)
+
+
+# -- every certificate can fail ------------------------------------------------
+
+def _then(change):
+    """A patch that passes the producer's result through ``change``."""
+    return lambda inner: lambda *args, **kw: change(inner(*args, **kw))
+
+
+# One row per certificate name: the command, the producer patched, and the
+# patch, which breaks the numbers that certificate alone checks.
+CERTIFICATE_FAILURES = {
+    "submultiplicative": (
+        ["conv", "1,1", "1,1"], cli, "convolve",
+        _then(lambda p: L1Element(p.coeffs * (1 + 1e-9)))),
+    "verdict-evidence": (
+        ["deriv", "classify", "--mu", "1"], Derivation, "classify_compact",
+        _then(lambda verdict: replace(verdict, floor=2 * verdict.floor))),
+    "image-bounded": (
+        ["deriv", "apply", "--phi", "1/(n+1)", "--f", "0,1", "--depth", "8"],
+        Derivation, "apply",
+        _then(lambda image: act_on_dual(L1Element([2.0]), image))),
+    "truncation-error-dominates-probe": (
+        ["deriv", "truncate", "--mu", "2^(1-n)", "--tail", "decay",
+         "--terms", "3"], Derivation, "truncate",
+        _then(lambda cut: (cut[0], cut[1] / 2))),
+    "witness-inequalities": (
+        ["deriv", "witness", "--mu", "1", "--eps", "0.5", "--terms", "3"],
+        Derivation, "witness",
+        _then(lambda report: replace(
+            report, diagonal=tuple(2 * d for d in report.diagonal)))),
+    "per-term-dyadic-bound": (
+        ["cheese", "verify", "--nmax", "5", "--grid", "101"], cheese,
+        "verify_cheese",
+        _then(lambda verification: replace(verification,
+                                           per_term_margin=-1e-6))),
+    "derivative-bound-sum": (
+        ["cheese", "verify", "--nmax", "5", "--grid", "101"], cheese,
+        "verify_cheese",
+        _then(lambda verification: replace(
+            verification, max_certified=verification.bound_threshold))),
+    "unit-diagonal": (
+        ["cheese", "demo", "--nmax", "6", "--grid", "501"], cheese,
+        "noncompact_report",
+        _then(lambda report: replace(report, diag_error=1e-9))),
+    "pairwise-separation": (
+        ["cheese", "demo", "--nmax", "6", "--grid", "501"], cheese,
+        "noncompact_report",
+        _then(lambda report: replace(report, min_separation=0.5))),
+    # zero2: every map is a derivation, and the anchor is e_0
+    "rank-one": (
+        ["bimodule", "rank1", "--algebra", "zero2"], bimodules,
+        "rank_one_derivation",
+        _then(lambda pair: (pair[0], FiniteMap(np.eye(2))))),
+    # nilsquare: e_1 e_1 = c e_2, so u (x) v below has D(e_1 e_1) = 0 but
+    # (e_1.D(e_1) + D(e_1).e_1)(e_1) = 2c; rank one, pairing 1 at e_0
+    "derivation-identity": (
+        ["bimodule", "rank1", "--algebra", f"@{NILSQUARE}"], bimodules,
+        "rank_one_derivation",
+        _then(lambda pair: (pair[0],
+                            FiniteMap(np.outer([1, 0, 1], [1, 1, 0]))))),
+    "anchor-pairing": (
+        ["bimodule", "transfer", "--algebra", "trunc4"], bimodules,
+        "transfer",
+        lambda inner: lambda D, lam, A, E: inner(D, 2 * lam, A, E)),
+    # trunc4: the anchor is e_1, so a diagonal off e_1 lifts the rank to 4
+    "rank-monotone": (
+        ["bimodule", "transfer", "--algebra", "trunc4"], bimodules,
+        "transfer",
+        _then(lambda composed: replace(
+            composed,
+            matrix=composed.matrix + 1e-3 * np.diag([1, 0, 1, 1])))),
+    "norm-product-bound": (
+        ["bimodule", "transfer", "--algebra", "trunc4"], bimodules,
+        "transfer",
+        _then(lambda composed: replace(
+            composed,
+            homomorphism=FiniteMap(composed.homomorphism.matrix / 2)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_FAILURES))
+def test_certificate_fails_alone(name, monkeypatch, capsys):
+    argv, owner, producer, patch = CERTIFICATE_FAILURES[name]
+    monkeypatch.setattr(owner, producer, patch(getattr(owner, producer)))
+    assert run(argv) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("certificate ")]
+    assert f"certificate {name}: FAIL" in lines
+    assert sum(line.endswith(": FAIL") for line in lines) == 1
 
 
 # -- one parser per process ----------------------------------------------------

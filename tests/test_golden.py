@@ -10,15 +10,18 @@ on its own.  Regenerate the corpus with ``python tests/test_golden.py``.
 import contextlib
 import io
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
+from test_cli import CERTIFICATE_FAILURES
 
 from convderiv import cli, reports
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 CASES = {
     "conv_integers": ["conv", "1,2,3", "4,5"],
@@ -123,6 +126,17 @@ def test_golden(name, tmp_path):
 def test_corpus_has_no_stray_files():
     names = {p.stem for p in GOLDEN.glob("*.txt")}
     assert names == set(CASES)
+
+
+def test_every_certificate_is_documented_and_made_to_fail():
+    # stderr's "certificate failure: ..." lines name no certificate
+    emitted = {match for path in GOLDEN.glob("*.txt")
+               for match in re.findall(r"^certificate (\S+): (?:PASS|FAIL)$",
+                                       path.read_text(), re.MULTILINE)}
+    section = README.read_text().split("### Certificates", 1)[1]
+    section = section.split("\n#", 1)[0]
+    documented = set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
+    assert emitted == documented == set(CERTIFICATE_FAILURES)
 
 
 if __name__ == "__main__":
