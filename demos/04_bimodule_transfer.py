@@ -30,12 +30,14 @@ print()
 print("== transfer on truncated polynomials of order 4 ==")
 B = cd.algebra_catalog("trunc4")
 E = B.self_bimodule()
-ddt = cd.derivative_map(B)
-print("d/dt matrix (rank", ddt.rank, "):")
-print(ddt.matrix.real)
-a0, lam = cd.find_transfer_functional(B, E, ddt)
+euler = cd.euler_derivation(B)
+print("the Euler derivation t d/dt, e_k -> k e_k (rank", euler.rank, "):")
+print(euler.matrix.real)
+print("its derivation-identity residual into B:",
+      cd.derivation_defect(B, E, euler))
+a0, lam = cd.find_transfer_functional(B, E, euler)
 print("anchor element a0 =", a0.real, " functional =", lam.real)
-composed = cd.transfer(ddt, lam, B, E)
+composed = cd.transfer(euler, lam, B, E)
 print("transferred matrix (rank", composed.rank, "):")
 print(composed.matrix.real)
 print("identity residual:", cd.derivation_defect(B, E.dual(), composed))
@@ -45,6 +47,6 @@ print()
 print("== boundedness transfers with the norm product ==")
 R = cd.dual_homomorphism(B, E, lam)
 print(f"|D'| = {cd.opnorm_l1_to_sup(composed.matrix):.6f}  <=  "
-      f"|R| |D| = {cd.opnorm_l1_to_sup(R.matrix) * cd.opnorm_l1_to_l1(ddt.matrix):.6f}")
+      f"|R| |D| = {cd.opnorm_l1_to_sup(R.matrix) * cd.opnorm_l1_to_l1(euler.matrix):.6f}")
 print("(weak compactness adds nothing at finite dimension: every bounded "
       "map is compact)")

@@ -59,8 +59,8 @@ from .bimodules import (
     algebra_from_file,
     derivation_defect,
     derivation_scale,
-    derivative_map,
     dual_homomorphism,
+    euler_derivation,
     find_anchor,
     find_transfer_functional,
     is_inner,
@@ -78,10 +78,8 @@ from .cheese import (
     ConstructionFailedError,
     Disc,
     OnBoundaryError,
-    PoleInXError,
     RationalFunction,
     build_cheese,
-    derivative_bound_check,
     interval_grid,
     landing_interval,
     midpoint,

@@ -41,10 +41,6 @@ class OnBoundaryError(ValueError):
     """The bound sum is undefined where some distance vanishes."""
 
 
-class PoleInXError(ValueError):
-    """A pole of the probe function lies in the certified region."""
-
-
 @dataclass(frozen=True)
 class Disc:
     """Open disc; for constructed cheeses radius == center.imag ** 2."""
@@ -83,7 +79,6 @@ class CheeseSet:
         self.discs = tuple(discs)
         self.n_max = len(self.discs)
         self.r0 = 1.0
-        self.interval = INTERVAL
         self.margins = self._certify()
 
     def _certify(self) -> GeometryMargins:
@@ -223,11 +218,10 @@ def build_cheese(n_max: int, precision_floor: int = 40) -> CheeseSet:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """constant + sum_k residue_k / (z - pole_k), with its derivative."""
+    """sum_k residue_k / (z - pole_k), with its derivative."""
 
     poles: Tuple[complex, ...]
     residues: Tuple[complex, ...]
-    constant: complex = 0j
 
     def __post_init__(self):
         if len(self.poles) != len(self.residues):
@@ -235,7 +229,7 @@ class RationalFunction:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        out = np.full(z.shape, self.constant, dtype=complex)
+        out = np.zeros(z.shape, dtype=complex)
         for p, res in zip(self.poles, self.residues):
             out = out + res / (z - p)
         return out if out.shape else complex(out)
@@ -246,11 +240,6 @@ class RationalFunction:
         for p, res in zip(self.poles, self.residues):
             out = out - res / (z - p) ** 2
         return out if out.shape else complex(out)
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.poles + other.poles,
-                                self.residues + other.residues,
-                                self.constant + other.constant)
 
 
 def pole_probe(X: CheeseSet, n: int) -> RationalFunction:
@@ -341,59 +330,6 @@ def verify_cheese(X: CheeseSet, grid: int = 2001) -> CheeseVerification:
         n_max=X.n_max, grid=grid, margins=X.margins,
         max_sum=float(sums.max()), max_certified=float(certified.max()),
         per_term_margin=per_term_margin, sums=sums, certified=certified)
-
-
-@dataclass
-class DerivativeBoundReport:
-    """Sampled check of |f'| on the interval against the certified constant."""
-
-    max_derivative: float
-    sup_estimate: float
-    ratio: float
-    certified_constant: float
-    grid_tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.ratio <= self.certified_constant + self.grid_tolerance
-
-    def to_dict(self) -> dict:
-        return {"max_derivative": self.max_derivative,
-                "sup_estimate": self.sup_estimate, "ratio": self.ratio,
-                "certified_constant": self.certified_constant,
-                "grid_tolerance": self.grid_tolerance, "passed": self.passed}
-
-
-def derivative_bound_check(X: CheeseSet, f: RationalFunction,
-                           grid: int = 2001, boundary_points: int = 4096,
-                           disc_points: int = 256,
-                           grid_tolerance: float = 1e-6) -> DerivativeBoundReport:
-    """Estimate |f| on the set and |f'| on the interval; compare their ratio
-    with the grid-certified bound constant.
-
-    Poles must sit strictly inside removed discs or outside the closed unit
-    disc.  The sup of a rational function over the set is attained on its
-    boundary (maximum modulus), so boundary sampling estimates it from
-    below; the reported ratio is accordingly an upper estimate and is
-    allowed the stated grid tolerance.
-    """
-    for p in f.poles:
-        inside_removed = any(abs(p - d.center) < d.radius for d in X.discs)
-        if not inside_removed and abs(p) <= 1.0:
-            raise PoleInXError(f"pole {p} lies in the certified region")
-    xs = interval_grid(grid)
-    theta = np.exp(2j * np.pi * np.arange(boundary_points) / boundary_points)
-    samples = [np.abs(f(theta)), np.abs(f(xs))]
-    small = np.exp(2j * np.pi * np.arange(disc_points) / disc_points)
-    for d in X.discs:
-        samples.append(np.abs(f(d.center + d.radius * small)))
-    sup_estimate = float(max(s.max() for s in samples))
-    max_derivative = float(np.abs(f.derivative(xs)).max())
-    ratio = max_derivative / sup_estimate if sup_estimate > 0 else 0.0
-    return DerivativeBoundReport(
-        max_derivative=max_derivative, sup_estimate=sup_estimate, ratio=ratio,
-        certified_constant=float(X.bound_sum_grid(xs)[1].max()),
-        grid_tolerance=grid_tolerance)
 
 
 @dataclass

@@ -136,8 +136,21 @@ def _cmd_conv(args) -> _Outcome:
               "b": reports.complex_seq_to_json(b.coeffs)}
     bound = l1_norm(a) * l1_norm(b)
     value = l1_norm(product)
+    # The theorem |a*b|_1 <= |a|_1 |b|_1 survives rounding as value <=
+    # bound / (1 - N u), barring underflow (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 2nd ed., §3.1; u = 2^-53, gamma_k =
+    # k u/(1 - k u)).  A sum of k terms >= 0 is within gamma_(k-1), a
+    # modulus within gamma_2.  Each part of a product coefficient is a real
+    # sum of 2m products, m = min(la, lb), within gamma_2m of
+    # sum_r |a_r||b_(n-r)| as |xr yr| + |xi yi| <= |x||y|, so the
+    # coefficient is within sqrt(2) gamma_2m <= gamma_3m of it.  So value
+    # <= |a||b| (1 + gamma_p), p = lp + 1 + 3m, and bound >= |a||b| (1 -
+    # gamma_q), q = la + lb + 3; as 1/(1 - gamma_q) <= 1 + gamma_2q and
+    # 1 + gamma_N = 1/(1 - N u), N = p + 2q, plus one u for the division.
+    la, lb, lp = a.coeffs.size, b.coeffs.size, product.coeffs.size
+    n = lp + 3 * min(la, lb) + 2 * (la + lb) + 8
     certs = [reports.certificate(
-        "submultiplicative", value <= bound + 1e-12,
+        "submultiplicative", value <= bound / (1.0 - n * 2.0 ** -53),
         product_norm=value, factor_bound=bound)]
     result = {"coefficients": reports.complex_seq_to_json(product.coeffs),
               "l1_norm": value}
@@ -305,9 +318,9 @@ def _cmd_bimodule_transfer(args) -> _Outcome:
     A = _load_algebra(args.algebra)
     if not bimodules._TRUNC_RE.match(args.algebra):
         raise ValueError("transfer demo needs a truncated polynomial "
-                         "algebra (truncK) so d/dt supplies the derivation")
+                         "algebra (truncK) so t d/dt supplies the derivation")
     E = A.self_bimodule()
-    D = bimodules.derivative_map(A)
+    D = bimodules.euler_derivation(A)
     a0, lam = bimodules.find_transfer_functional(A, E, D, seed=args.seed)
     composed = bimodules.transfer(D, lam, A, E)
     anchor_value = complex(a0 @ composed.matrix @ a0)
@@ -440,7 +453,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (rules.RuleSyntaxError, rules.RuleEvaluationError,
             UnboundedDerivationError, TailUnknownError,
             UndeclaredTailError, cheese.OnBoundaryError,
-            cheese.PoleInXError, cheese.ConstructionFailedError,
+            bimodules.NoSuchElementError, cheese.ConstructionFailedError,
             ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -136,7 +136,7 @@ def test_criterion_5_rank_one_instance():
 def test_criterion_6_transfer_trunc4():
     A = cd.algebra_catalog("trunc4")
     E = A.self_bimodule()
-    D = cd.derivative_map(A)
+    D = cd.euler_derivation(A)
     a0, lam = cd.find_transfer_functional(A, E, D)
     composed = cd.transfer(D, lam, A, E)
     defect = cd.derivation_defect(A, E.dual(), composed)

@@ -1,20 +1,23 @@
 """Finite-dimensional algebras, bimodules, rank-one construction, transfer."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import convderiv as cd
 
+GOLDEN = Path(__file__).parent / "golden"
 
-def trunc_derivative_oracle(order, coeffs):
-    """Independent d/dt in the quotient ring: multiply out, differentiate,
-    reduce mod t^order.  Used to pin expected values for the transfer tests.
+
+def trunc_euler_oracle(order, coeffs):
+    """Independent t d/dt in the quotient ring: multiply out, weight each
+    coefficient by its degree, reduce mod t^order.  Used to pin expected
+    values for the transfer tests.
     """
-    coeffs = list(coeffs) + [0] * order
-    derived = [k * coeffs[k] for k in range(1, order + 1)]
-    return np.array((derived + [0] * order)[:order], dtype=complex)
+    coeffs = (list(coeffs) + [0] * order)[:order]
+    return np.array([k * coeffs[k] for k in range(order)], dtype=complex)
 
 
 def test_catalog_algebras_validate():
@@ -191,7 +194,7 @@ def test_is_inner_recovers_inner_derivation():
         delta = np.column_stack(
             [E.act_left(np.eye(2, dtype=complex)[i], e)
              - E.act_right(e, np.eye(2, dtype=complex)[i]) for i in range(2)])
-        fit = cd.is_inner(A, E, cd.FiniteMap(delta, target="E"))
+        fit = cd.is_inner(A, E, cd.FiniteMap(delta))
         assert fit.solved
         assert fit.residual <= 1e-12
         # the recovered element reproduces the same commutator map
@@ -247,20 +250,31 @@ def test_dual_homomorphism_coefficient_functional():
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def test_dual_homomorphism_is_exact_at_every_scale():
+    # the homomorphism identity follows from the module axioms, so a large
+    # functional is no reason to refuse
+    A = cd.algebra_from_file(str(GOLDEN / "rounded.json"))
+    E = A.self_bimodule()
+    for s in (1.0, 1e3, 1e6, 1e9):
+        lam = s * np.ones(A.dim)
+        R = cd.dual_homomorphism(A, E, lam)
+        assert np.array_equal(R.matrix, np.einsum("axy,y->ax", E.left, lam))
+
+
 def test_find_transfer_functional_trunc3():
     A = cd.algebra_catalog("trunc3")
     E = A.self_bimodule()
-    D = cd.derivative_map(A)
+    D = cd.euler_derivation(A)
     a0, lam = cd.find_transfer_functional(A, E, D)
-    # basis scan finds t first: d/dt(t^2) = 2t != 0
+    # basis scan skips 1 (D(1) = 0) and finds t: t d/dt(t^2) = 2t^2 != 0
     assert np.allclose(a0, [0, 1, 0])
     image = D(A.multiply(a0, a0))
     assert np.abs(image).max() > 0
-    # the example element 1 + t works as well: (1+t)^2 has derivative 2 + 2t
+    # the example element 1 + t works as well: (1+t)^2 maps to 2t + 2t^2
     alt = np.array([1.0, 1.0, 0.0], dtype=complex)
-    oracle = trunc_derivative_oracle(3, [1, 2, 1])  # (1+t)^2 = 1 + 2t + t^2
+    oracle = trunc_euler_oracle(3, [1, 2, 1])  # (1+t)^2 = 1 + 2t + t^2
     assert np.allclose(D(A.multiply(alt, alt)), oracle)
-    assert np.allclose(oracle, [2, 2, 0])
+    assert np.allclose(oracle, [0, 2, 2])
     # normalisation lam(a0 . D(a0)) = 1
     w = E.act_left(a0, D(a0))
     assert complex(lam @ w) == pytest.approx(1.0, abs=1e-14)
@@ -292,7 +306,7 @@ def test_transfer_zero_map_is_zero():
 def test_transfer_trunc3():
     A = cd.algebra_catalog("trunc3")
     E = A.self_bimodule()
-    D = cd.derivative_map(A)
+    D = cd.euler_derivation(A)
     a0, lam = cd.find_transfer_functional(A, E, D)
     composed = cd.transfer(D, lam, A, E)
     assert composed.rank <= D.rank == 2
@@ -304,13 +318,40 @@ def test_transfer_trunc3():
 def test_transfer_trunc4():
     A = cd.algebra_catalog("trunc4")
     E = A.self_bimodule()
-    D = cd.derivative_map(A)
+    D = cd.euler_derivation(A)
     assert D.rank == 3
     a0, lam = cd.find_transfer_functional(A, E, D)
     composed = cd.transfer(D, lam, A, E)
     assert composed.rank <= 3
     assert abs(complex(a0 @ composed.matrix @ a0) - 1.0) <= 1e-12
     assert cd.derivation_defect(A, E.dual(), composed) < 1e-10
+
+
+def test_euler_derivation_is_a_derivation():
+    for K in range(1, 25):
+        A = cd.truncated_polynomials(K)
+        D = cd.euler_derivation(A)
+        assert cd.derivation_defect(A, A.self_bimodule(), D) == 0.0
+        assert D.rank == K - 1
+
+
+@pytest.mark.parametrize("K", [2, 3, 6, 24])
+def test_transfer_agrees_with_the_convolution_algebra(K):
+    # the quotient map l1(Z+) -> C[t]/t^K is a homomorphism, so the
+    # transferred map pulls back to a derivation into the dual of l1(Z+)
+    # with mu_k = k lambda_k below K and 0 from K on
+    A = cd.truncated_polynomials(K)
+    E = A.self_bimodule()
+    D = cd.euler_derivation(A)
+    _, lam = cd.find_transfer_functional(A, E, D)
+    composed = cd.transfer(D, lam, A, E)
+    pulled = cd.Derivation.from_mu_values(np.arange(K) * lam)
+    corner = np.array([[pulled.monomial_probe(j, l) for j in range(K)]
+                       for l in range(K)])
+    assert np.abs(corner - composed.matrix).max() == 0.0
+    verdict = pulled.classify_compact()
+    assert verdict.verdict == "compact"
+    assert isinstance(verdict.tail, cd.ZeroTail)
 
 
 def test_rank_monotone_under_composition():
@@ -487,8 +528,8 @@ def test_derivation_scale_examples():
     assert cd.derivation_scale(A, dual, D) == 0.0  # products vanish
     A = cd.algebra_catalog("trunc3")
     E = A.self_bimodule()
-    M = cd.derivative_map(A).matrix
-    # |M| |c| + |M| |left| + |M| |right| at [1, 1, 1]: 2 + 1 + 1
+    M = cd.euler_derivation(A).matrix
+    # |M| |c| + |M| |left| + |M| |right| at [i, j, 2], i + j = 2: 2 + j + i
     assert cd.derivation_scale(A, E, cd.FiniteMap(M)) == 4.0
 
 

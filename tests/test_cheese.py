@@ -284,58 +284,3 @@ def test_separations_match_the_reference_when_two_probes_nearly_meet():
     X = _family((0.25, 0.25, 0.0625), (0.25, 0.125, 0.0156),
                 (0.4, 0.05, 0.0025))
     assert_matches_reference(X, grid=2001)
-
-
-# -- derivative bound check ------------------------------------------------------
-
-def test_bound_check_on_first_probe():
-    X = cd.build_cheese(8)
-    report = cd.derivative_bound_check(X, cd.pole_probe(X, 1), grid=801)
-    assert report.sup_estimate == pytest.approx(1.0, abs=1e-12)
-    assert report.ratio <= 6.5
-    assert report.passed
-
-
-def test_bound_check_constant_function():
-    X = cd.build_cheese(4)
-    f = cd.RationalFunction((), (), constant=3.0)
-    report = cd.derivative_bound_check(X, f, grid=201)
-    assert report.max_derivative == 0.0
-    assert report.ratio == 0.0
-    assert report.passed
-
-
-def test_bound_check_sum_of_probes():
-    X = cd.build_cheese(8)
-    f = cd.pole_probe(X, 1) + cd.pole_probe(X, 2)
-    report = cd.derivative_bound_check(X, f, grid=801)
-    assert report.sup_estimate <= 2.0 + 1e-12
-    assert report.max_derivative <= 13.0
-    assert report.passed
-
-
-def test_bound_check_reads_the_bound_sum_without_a_verification(
-        monkeypatch):
-    X = cd.build_cheese(8)
-    expected = cd.verify_cheese(X, grid=801).max_certified
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("derivative_bound_check ran verify_cheese")
-
-    monkeypatch.setattr(cd.cheese, "verify_cheese", refuse)
-    report = cd.derivative_bound_check(X, cd.pole_probe(X, 1), grid=801)
-    assert report.certified_constant == expected
-
-
-def test_bound_check_rejects_pole_in_region():
-    X = cd.build_cheese(4)
-    f = cd.RationalFunction((0.25 + 0j,), (1.0,))
-    with pytest.raises(cd.PoleInXError):
-        cd.derivative_bound_check(X, f, grid=101)
-
-
-def test_bound_check_allows_pole_outside_disc():
-    X = cd.build_cheese(4)
-    f = cd.RationalFunction((2.0 + 0j,), (1.0,))
-    report = cd.derivative_bound_check(X, f, grid=201)
-    assert report.passed
