@@ -9,6 +9,7 @@ on its own.  Regenerate the corpus with ``python tests/test_golden.py``.
 
 import contextlib
 import io
+import json
 import os
 import re
 import shutil
@@ -126,6 +127,22 @@ def test_golden(name, tmp_path):
 def test_corpus_has_no_stray_files():
     names = {p.stem for p in GOLDEN.glob("*.txt")}
     assert names == set(CASES)
+
+
+def test_golden_reports_are_canonical_json():
+    # a report is its stdout's lines from "{" to "}"; with the timestamp
+    # line stripped it must still be json.dumps(sort_keys, indent=2)
+    reports_seen = 0
+    for path in sorted(GOLDEN.glob("*.txt")):
+        stdout = path.read_text().split("--- stdout ---\n", 1)[1]
+        lines = stdout.split("\n--- stderr ---", 1)[0].split("\n")
+        if "{" not in lines:
+            continue
+        text = "\n".join(lines[lines.index("{"):lines.index("}") + 1])
+        assert json.dumps(json.loads(text), sort_keys=True,
+                          indent=2) == text, path.name
+        reports_seen += 1
+    assert reports_seen >= 30
 
 
 def test_every_certificate_is_documented_and_made_to_fail():
