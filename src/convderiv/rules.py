@@ -95,16 +95,26 @@ RuleExpr = Union[Lit, Var, Neg, Add, Sub, Mul, Div, Pow]
 
 def _fold(expr: RuleExpr, algebra: dict):
     """The one traversal, bottom-up: ``algebra[type(node)]`` combines what
-    the operands folded to, left to right (_PRINT, _EVALUATE, _ANALYSE)."""
-    kind = type(expr)
-    if kind is Lit:
-        return algebra[Lit](expr.value)
-    if kind is Var:
-        return algebra[Var]()
-    if kind is Neg:
-        return algebra[Neg](_fold(expr.operand, algebra))
-    return algebra[kind](_fold(expr.left, algebra),
-                         _fold(expr.right, algebra))
+    the operands folded to, left to right (_PRINT, _Source, _ANALYSE).  It
+    keeps its own stack, so a tree as deep as a 2,000-term sum folds too."""
+    folded, pending = [], [(expr, False)]
+    while pending:
+        node, operands_done = pending.pop()
+        kind = type(node)
+        if kind is Lit:
+            folded.append(algebra[Lit](node.value))
+        elif kind is Var:
+            folded.append(algebra[Var]())
+        elif operands_done:
+            arity = 1 if kind is Neg else 2
+            operands = folded[-arity:]
+            del folded[-arity:]
+            folded.append(algebra[kind](*operands))
+        else:
+            pending.append((node, True))
+            pending.extend(((node.operand, False),) if kind is Neg else
+                           ((node.right, False), (node.left, False)))
+    return folded[0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +205,8 @@ def parse_rule(text: str) -> RuleExpr:
 
 
 # ---------------------------------------------------------------------------
-# printing and evaluation: two algebras of the fold
+# printing and evaluation: two algebras of the fold, the second emitting
+# straight-line Python source
 # ---------------------------------------------------------------------------
 
 def _fmt_number(v: float) -> str:
@@ -235,60 +246,130 @@ def format_rule(expr: RuleExpr) -> str:
     return _fold(expr, _PRINT)[0]
 
 
-def _divide(left: Callable, right: Callable) -> Callable:
-    def divide(n):
-        num, den = left(n), right(n)
-        if den == 0.0:
-            raise RuleEvaluationError("division by zero", n)
-        return num / den
-    return divide
+class _Source:
+    """The Python source of one rule, emitted by the fold through ``table``.
 
+    Each node appends its statements in post-order and assigns its result
+    to a fresh local, so operands are evaluated left to right and no
+    expression nests.  A node folds to ``(name, value)``: the name holding
+    its result and, for a literal or a negated literal, the value itself.
+    Literals are bound as names in ``namespace``; no input text or value is
+    ever formatted into the source.  The statements are those the closures
+    of the tree-walking evaluator ran, with the same checks, messages and
+    order; only a finite integral literal exponent is specialised.
+    """
 
-def _power(left: Callable, right: Callable) -> Callable:
-    def power(n):
-        base, exponent = left(n), right(n)
-        if exponent != int(exponent):
-            raise RuleEvaluationError(
-                f"exponent {exponent} is not an integer", n)
-        if base == 0.0 and exponent < 0:
-            raise RuleEvaluationError("zero raised to a negative power", n)
-        exponent = int(exponent)
-        if base == -1:
+    def __init__(self):
+        self.lines = []
+        self.namespace = {"RuleEvaluationError": RuleEvaluationError}
+        self.locals = 0
+        self.indexed = False
+        self.table = {Lit: self.literal, Var: self.index, Neg: self.negate,
+                      Add: self.infix("+"), Sub: self.infix("-"),
+                      Mul: self.infix("*"), Div: self.divide,
+                      Pow: self.power}
+
+    def fresh(self) -> str:
+        self.locals += 1
+        return f"t{self.locals}"
+
+    def assign(self, expression: str):
+        name = self.fresh()
+        self.lines.append(f"{name} = {expression}")
+        return name, None
+
+    def literal(self, value):
+        name = f"c{len(self.namespace)}"
+        self.namespace[name] = value
+        return name, value
+
+    def index(self):
+        # the index stays an exact int, so (-1)^n keeps its parity
+        if not self.indexed:
+            self.lines.append("i = int(n)")
+            self.indexed = True
+        return "i", None
+
+    def negate(self, operand):
+        name, value = operand
+        return self.assign(f"-{name}") if value is None \
+            else self.literal(-value)
+
+    def infix(self, op: str):
+        return lambda left, right: self.assign(f"{left[0]} {op} {right[0]}")
+
+    def divide(self, left, right):
+        name, value = right
+        if value is None or value == 0.0:
+            self.lines += [f"if {name} == 0.0:",
+                           "    raise RuleEvaluationError("
+                           "'division by zero', n)"]
+        return self.assign(f"{left[0]} / {name}")
+
+    def power(self, left, right):
+        base, (exponent, value) = left[0], right
+        if isinstance(value, float) and value.is_integer():
+            # int(value) is exact, so float ** int keeps the parity of
+            # (-1)^k and no zero base needs a check for k >= 0
+            k = int(value)
+            if k < 0:
+                self.lines += [f"if {base} == 0.0:",
+                               "    raise RuleEvaluationError("
+                               "'zero raised to a negative power', n)"]
+            return self.raised(base, self.literal(k)[0])
+        k = self.fresh()
+        self.lines += [
+            f"if {exponent} != int({exponent}):",
+            "    raise RuleEvaluationError("
+            f"f'exponent {{{exponent}}} is not an integer', n)",
+            f"if {base} == 0.0 and {exponent} < 0:",
+            "    raise RuleEvaluationError("
+            "'zero raised to a negative power', n)",
+            f"{k} = int({exponent})",
             # a double exponent rounds above 2^53; keep the int's parity
-            exponent %= 2
-        try:
-            return float(base) ** exponent
-        except OverflowError:
-            raise RuleEvaluationError("power overflows a double", n)
-    return power
+            f"if {base} == -1:",
+            f"    {k} %= 2"]
+        return self.raised(base, k)
+
+    def raised(self, base: str, k: str):
+        name = self.fresh()
+        self.lines += ["try:",
+                       f"    {name} = float({base}) ** {k}",
+                       "except OverflowError:",
+                       "    raise RuleEvaluationError("
+                       "'power overflows a double', n)"]
+        return name, None
+
+    def function(self, result) -> Callable:
+        body = self.lines + [f"return {result[0]}"]
+        source = "def rule(n):\n" + "".join(f"    {line}\n" for line in body)
+        exec(compile(source, "<rule>", "exec"), self.namespace)
+        return self.namespace["rule"]
 
 
-# each node folds to a closure of one index
-_EVALUATE = {
-    Lit: lambda value: lambda n: value,
-    Var: lambda: int,
-    Neg: lambda operand: lambda n: -operand(n),
-    Add: lambda left, right: lambda n: left(n) + right(n),
-    Sub: lambda left, right: lambda n: left(n) - right(n),
-    Mul: lambda left, right: lambda n: left(n) * right(n),
-    Div: _divide,
-    Pow: _power,
-}
+def _compile(expr: RuleExpr) -> Callable:
+    source = _Source()
+    return source.function(_fold(expr, source.table))
 
 
 def eval_rule(expr: RuleExpr, n) -> float:
     """Evaluate at a single non-negative index in double precision.  The
     index stays an exact integer, so (-1)^n is exact up to INDEX_CAP; a
     power that overflows a double raises RuleEvaluationError.  Operands are
-    evaluated left to right, so an error cites the first failing node."""
-    return _fold(expr, _EVALUATE)(n)
+    evaluated left to right, so an error cites the first failing node.
+    The rule is compiled as by ``rule_callable`` on every call, so evaluate
+    many indices through ``rule_callable`` instead."""
+    return _compile(expr)(n)
 
 
 def rule_callable(expr: RuleExpr) -> Callable:
-    """The rule folded once into closures: a function of one index.  It
+    """The rule compiled once: a function of one index, with the values and
+    errors of ``eval_rule``.  The fold emits straight-line Python source,
+    one assignment per node in post-order with the literals bound as names,
+    so no input text enters the source; it is compiled with ``exec``.  It
     calls no public name, because perfbench's traced runs count each
     callable it returns as one rule evaluation."""
-    return _fold(expr, _EVALUATE)
+    return _compile(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -223,6 +224,45 @@ def test_compiled_rules_agree_with_the_reference_interpreter():
             kinds[want[0]] += 1
     # the fuzz reaches ints, floats and errors alike
     assert kinds[int] and kinds[float] and kinds["raises"]
+
+
+_NAN, _NEG_ZERO, _NEG_THREE = Lit(math.nan), Lit(-0.0), Lit(-3.0)
+_INF_TEXT = "1" + "0" * 400  # parses to inf
+
+
+@pytest.mark.parametrize("tree", [
+    # a literal zero divisor, also behind an operand that fails first
+    "n/0", "1/(n-n)", "n/(0*n)", "0/0", "(1/0)/0", Div(Var(), _NEG_ZERO),
+    # exponents that are not integers, or not finite
+    "n^2.5", "2.5^n", "(1/0)^2.5", f"2^{_INF_TEXT}", f"n^{_INF_TEXT}",
+    f"0^{_INF_TEXT}", Pow(Var(), _NAN), Pow(Lit(2.0), Neg(_NAN)),
+    # sign powers beyond 2^53, and zero bases
+    "(-1)^" + "9" * 30, "(-1)^9007199254740993", "(-1)^(-" + "9" * 25 + ")",
+    "(n-n-1)^12345678901234567", "0^(-2)", "0^2", "0^0", "(n-n)^(-1)",
+    "n^(-2)", Pow(_NEG_ZERO, _NEG_THREE), Pow(_NEG_ZERO, Lit(3.0)),
+    Pow(Var(), _NEG_THREE), Pow(Var(), _NEG_ZERO), Pow(Lit(-1.0), _NEG_THREE),
+    # overflow, of the power and of an int base
+    "10^400", "n^400", "2^(10^20)", "0.5^(10^20)", "(" + "n*" * 20 + "n)^2",
+    # the directly built literals alone and as operands
+    _NAN, _NEG_ZERO, _NEG_THREE, Neg(_NAN), Neg(_NEG_ZERO),
+    Add(_NEG_ZERO, _NEG_ZERO), Mul(Var(), _NEG_ZERO), Div(_NAN, Var()),
+    Pow(_NAN, Lit(0.0)), Pow(_NAN, Lit(2.0)), Sub(Var(), _NEG_THREE),
+    # long rules: straight-line code thousands of statements long
+    "+".join(["n"] * 2000), "+".join(["1/(n+1)^2"] * 2000),
+], ids=lambda tree: tree[:20] if isinstance(tree, str) else None)
+def test_compiled_rules_agree_with_the_reference_on_edge_cases(tree):
+    if isinstance(tree, str):
+        tree = cd.parse_rule(tree)
+    compiled = cd.rules.rule_callable(tree)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 10_000)  # the reference recurses per node
+    try:
+        for n in _PROBE_INDICES:
+            want = _outcome(lambda i: reference_eval(tree, i), n)
+            assert _outcome(lambda i: cd.eval_rule(tree, i), n) == want
+            assert _outcome(compiled, n) == want
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_rule_compilation_never_reenters_the_public_name(monkeypatch):
