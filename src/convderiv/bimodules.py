@@ -61,9 +61,12 @@ def _gap(a: np.ndarray, b: np.ndarray) -> float:
 class FiniteAlgebra:
     """Commutative associative algebra from structure constants.
 
-    Commutativity must hold exactly; associativity is checked to ``atol``
-    across all basis triples, and the largest defect found is kept as
-    ``associativity_defect``.
+    Commutativity must hold exactly; associativity is checked across all
+    basis triples, and the largest defect found is kept as
+    ``associativity_defect``.  Each defect entry is a difference of two sums
+    of d products of entries of c, so its rounding grows with d·max|c|²; the
+    defect may reach ``atol`` times that scale, and scaling c (a change of
+    basis e_i -> s·e_i) moves defect and tolerance alike.
     """
 
     def __init__(self, structure, atol: float = 1e-12):
@@ -77,9 +80,10 @@ class FiniteAlgebra:
         # block i: (e_i e_j) e_k against e_i (e_j e_k) as [j, (k, l)]
         defect = max((_gap(c[i] @ rows, (cols @ c[i]).reshape(d, d * d))
                       for i in range(d)), default=0.0)
-        if defect > atol:
+        tolerance = atol * d * float(np.abs(c).max(initial=0.0)) ** 2
+        if defect > tolerance:
             raise ValueError(f"associativity defect {defect:.3e} exceeds "
-                             f"{atol:.1e}")
+                             f"{tolerance:.1e}")
         self.associativity_defect = defect
         self.structure = c
         self.structure.setflags(write=False)
@@ -111,6 +115,10 @@ class FiniteBimodule:
 
     left[i, x, y] is the f_y coefficient of e_i . f_x, and right[i, x, y]
     that of f_x . e_i.  ``symmetric`` records exact equality of the two.
+    The axiom defects compare sums of m products of action entries with
+    sums of d products of an action entry and an entry of c, so the defect
+    may reach ``atol`` times the larger of m·a² and d·max|c|·a, where a is
+    the largest action entry.
     """
 
     def __init__(self, algebra: FiniteAlgebra, left, right, atol: float = 1e-12):
@@ -136,9 +144,12 @@ class FiniteBimodule:
                      (c[i] @ R_flat).reshape(d, m, m).transpose(1, 0, 2)),
                 _gap((R_rows @ L[i]).reshape(d, m, m).transpose(1, 0, 2),
                      (L[i] @ R_cols).reshape(m, d, m)))
-        if defect > atol:
+        a = float(max(np.abs(L).max(initial=0.0), np.abs(R).max(initial=0.0)))
+        tolerance = atol * max(m * a * a,
+                               d * float(np.abs(c).max(initial=0.0)) * a)
+        if defect > tolerance:
             raise ValueError(f"bimodule axiom defect {defect:.3e} exceeds "
-                             f"{atol:.1e}")
+                             f"{tolerance:.1e}")
         self._set(algebra, L, R)
 
     @classmethod

@@ -261,6 +261,38 @@ def test_dual_homomorphism_is_exact_at_every_scale():
         assert np.array_equal(R.matrix, np.einsum("axy,y->ax", E.left, lam))
 
 
+_SCALES = (1e-3, 1.0, 1e3, 1e6)
+
+
+def test_validation_tolerances_follow_the_scale_of_the_entries(tmp_path):
+    # c times s is the same algebra in the basis s·e_i: its rounding
+    # defect grows with s², and so must the tolerance
+    c = json.loads((GOLDEN / "rounded.json").read_text())["c"]
+    for s in (1e3, 1e6):
+        path = tmp_path / f"rounded{s:.0e}.json"
+        path.write_text(json.dumps({"dim": 2, "c": (s * np.array(c)).tolist()}))
+        A = cd.algebra_from_file(str(path))
+        assert A.associativity_defect > 1e-12
+        cd.FiniteBimodule(A, A.structure, A.structure)
+
+
+def test_validation_rejects_a_relative_perturbation_at_every_scale():
+    c = np.array(json.loads((GOLDEN / "rounded.json").read_text())["c"],
+                 dtype=complex)
+    for s in _SCALES:
+        A = cd.FiniteAlgebra(s * c)
+        for index in np.ndindex(c.shape):
+            i, j, k = index
+            bad = s * c
+            bad[i, j, k] *= 1 + 1e-6
+            bad[j, i, k] = bad[i, j, k]  # keep c commutative
+            with pytest.raises(ValueError, match="associativity"):
+                cd.FiniteAlgebra(bad)
+            for L, R in ((bad, s * c), (s * c, bad)):
+                with pytest.raises(ValueError, match="axiom"):
+                    cd.FiniteBimodule(A, L, R)
+
+
 def test_find_transfer_functional_trunc3():
     A = cd.algebra_catalog("trunc3")
     E = A.self_bimodule()
@@ -430,10 +462,13 @@ def random_commutative(rng, d):
 
 
 def assert_axiom_defect(A, L, R, expected, rel=1e-12):
-    """The module check passes just above ``expected`` and fails just below."""
-    cd.FiniteBimodule(A, L, R, atol=expected * (1 + rel))
+    """The module check passes just above ``expected`` and fails just below;
+    its tolerance is ``atol`` times the larger product scale."""
+    a = max(np.abs(L).max(), np.abs(R).max())
+    scale = max(L.shape[1] * a * a, A.dim * np.abs(A.structure).max() * a)
+    cd.FiniteBimodule(A, L, R, atol=expected * (1 + rel) / scale)
     with pytest.raises(ValueError, match="axiom"):
-        cd.FiniteBimodule(A, L, R, atol=expected * (1 - rel))
+        cd.FiniteBimodule(A, L, R, atol=expected * (1 - rel) / scale)
 
 
 def test_derived_modules_pass_the_full_check():
