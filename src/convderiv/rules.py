@@ -9,10 +9,10 @@ associate to the left:
     power  := atom ('^' atom)*
     atom   := NUMBER | 'n' | '(' expr ')'
 
-Exponents must evaluate to integers.  Printing, evaluation and *exact*
-rational-function analysis (over Fraction coefficients: how certificates
-for rational rules are derived without sampling) are three algebras of one
-fold over the parsed tree.
+Exponents must evaluate to integers.  Printing, evaluation (as generated
+straight-line Python source) and *exact* rational-function analysis (over
+Fraction coefficients: how certificates for rational rules are derived
+without sampling) are three algebras of one fold over the parsed tree.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def parse_rule(text: str) -> RuleExpr:
 
 # ---------------------------------------------------------------------------
 # printing and evaluation: two algebras of the fold, the second emitting
-# straight-line Python source
+# Python source
 # ---------------------------------------------------------------------------
 
 def _fmt_number(v: float) -> str:
@@ -251,12 +251,13 @@ class _Source:
 
     Each node appends its statements in post-order and assigns its result
     to a fresh local, so operands are evaluated left to right and no
-    expression nests.  A node folds to ``(name, value)``: the name holding
-    its result and, for a literal or a negated literal, the value itself.
-    Literals are bound as names in ``namespace``; no input text or value is
-    ever formatted into the source.  The statements are those the closures
-    of the tree-walking evaluator ran, with the same checks, messages and
-    order; only a finite integral literal exponent is specialised.
+    expression nests; the index is converted once, at its first use.  A
+    node folds to ``(name, value)``: the name holding its result and, for a
+    literal or a negated literal, the value itself.  Literals are bound as
+    names in ``namespace``; no input text or value is ever formatted into
+    the source.  Division and powers check their operands in statements of
+    their own, after evaluating both; a finite integral literal exponent
+    is specialised at compile time.
     """
 
     def __init__(self):
@@ -298,58 +299,52 @@ class _Source:
     def infix(self, op: str):
         return lambda left, right: self.assign(f"{left[0]} {op} {right[0]}")
 
+    def guard(self, condition: str, message: str):
+        # ``message`` is source text: a string literal, or an f-string of
+        # locals
+        self.lines += [f"if {condition}:",
+                       f"    raise RuleEvaluationError({message}, n)"]
+
     def divide(self, left, right):
         name, value = right
         if value is None or value == 0.0:
-            self.lines += [f"if {name} == 0.0:",
-                           "    raise RuleEvaluationError("
-                           "'division by zero', n)"]
+            self.guard(f"{name} == 0.0", "'division by zero'")
         return self.assign(f"{left[0]} / {name}")
 
     def power(self, left, right):
         base, (exponent, value) = left[0], right
+        negative = "'zero raised to a negative power'"
         if isinstance(value, float) and value.is_integer():
             # int(value) is exact, so float ** int keeps the parity of
             # (-1)^k and no zero base needs a check for k >= 0
-            k = int(value)
-            if k < 0:
-                self.lines += [f"if {base} == 0.0:",
-                               "    raise RuleEvaluationError("
-                               "'zero raised to a negative power', n)"]
-            return self.raised(base, self.literal(k)[0])
+            if value < 0:
+                self.guard(f"{base} == 0.0", negative)
+            return self.raised(base, self.literal(int(value))[0])
+        self.guard(f"{exponent} != int({exponent})",
+                   f"f'exponent {{{exponent}}} is not an integer'")
+        self.guard(f"{base} == 0.0 and {exponent} < 0", negative)
         k = self.fresh()
-        self.lines += [
-            f"if {exponent} != int({exponent}):",
-            "    raise RuleEvaluationError("
-            f"f'exponent {{{exponent}}} is not an integer', n)",
-            f"if {base} == 0.0 and {exponent} < 0:",
-            "    raise RuleEvaluationError("
-            "'zero raised to a negative power', n)",
-            f"{k} = int({exponent})",
-            # a double exponent rounds above 2^53; keep the int's parity
-            f"if {base} == -1:",
-            f"    {k} %= 2"]
+        # a double exponent rounds above 2^53; keep the int's parity
+        self.lines += [f"{k} = int({exponent})",
+                       f"if {base} == -1:", f"    {k} %= 2"]
         return self.raised(base, k)
 
     def raised(self, base: str, k: str):
         name = self.fresh()
-        self.lines += ["try:",
-                       f"    {name} = float({base}) ** {k}",
+        self.lines += ["try:", f"    {name} = float({base}) ** {k}",
                        "except OverflowError:",
                        "    raise RuleEvaluationError("
                        "'power overflows a double', n)"]
         return name, None
 
-    def function(self, result) -> Callable:
-        body = self.lines + [f"return {result[0]}"]
-        source = "def rule(n):\n" + "".join(f"    {line}\n" for line in body)
-        exec(compile(source, "<rule>", "exec"), self.namespace)
-        return self.namespace["rule"]
-
 
 def _compile(expr: RuleExpr) -> Callable:
     source = _Source()
-    return source.function(_fold(expr, source.table))
+    result, _ = _fold(expr, source.table)
+    body = source.lines + [f"return {result}"]
+    text = "def rule(n):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(text, "<rule>", "exec"), source.namespace)
+    return source.namespace["rule"]
 
 
 def eval_rule(expr: RuleExpr, n) -> float:
