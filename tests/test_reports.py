@@ -101,8 +101,9 @@ def test_render_report_is_canonical_json_on_random_reports():
     [], {}, (), [[]], [{}], {"a": []}, {"a": {}},
     [[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]], [(1.0, 2.0)],
     [[math.nan, 0.0]], [[0.0, -math.inf]], [[1, 2.0]], [[1.0, 2.0, 3.0]],
-    [[1.0]], [[True, 1.0]], [[np.float64(0.1), -0.0]], [["1.0", 2.0]],
-    [[[1.0, 2.0], [3.0, 4.0]]], [[1.0, 2.0], "tail"],
+    [[1.0]], [[1.0], [2.0, 3.0, 4.0]], [[True, 1.0]],
+    [[np.float64(0.1), -0.0]], [["1.0", 2.0]], [[[1.0, 2.0], [3.0, 4.0]]],
+    [[1.0, 2.0], "tail"],
 ])
 def test_render_report_is_canonical_json_on_edge_values(value):
     report = {"result": {"values": value}, "seed": 0}

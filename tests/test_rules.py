@@ -261,6 +261,8 @@ def test_compiled_rules_agree_with_the_reference_on_edge_cases(tree):
             want = _outcome(lambda i: reference_eval(tree, i), n)
             assert _outcome(lambda i: cd.eval_rule(tree, i), n) == want
             assert _outcome(compiled, n) == want
+            # a numpy index is read as an exact int, as the reference does
+            assert _outcome(compiled, np.int64(n)) == want
     finally:
         sys.setrecursionlimit(limit)
 
