@@ -53,6 +53,9 @@ class FiniteMap:
         return self.matrix @ np.asarray(vec, dtype=complex)
 
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+
+
 def _gap(a: np.ndarray, b: np.ndarray) -> float:
     """Largest entry modulus of a - b."""
     return float(np.abs(a - b).max(initial=0.0))
@@ -66,7 +69,8 @@ class FiniteAlgebra:
     ``associativity_defect``.  Each defect entry is a difference of two sums
     of d products of entries of c, so its rounding grows with d·max|c|²; the
     defect may reach ``atol`` times that scale, and scaling c (a change of
-    basis e_i -> s·e_i) moves defect and tolerance alike.
+    basis e_i -> s·e_i) moves defect and tolerance alike.  Below the
+    smallest normal double, rounding is absolute, so the scale stops there.
     """
 
     def __init__(self, structure, atol: float = 1e-12):
@@ -80,7 +84,8 @@ class FiniteAlgebra:
         # block i: (e_i e_j) e_k against e_i (e_j e_k) as [j, (k, l)]
         defect = max((_gap(c[i] @ rows, (cols @ c[i]).reshape(d, d * d))
                       for i in range(d)), default=0.0)
-        tolerance = atol * d * float(np.abs(c).max(initial=0.0)) ** 2
+        top = float(np.abs(c).max(initial=0.0))
+        tolerance = atol * max(d * top * top, _TINY)
         if defect > tolerance:
             raise ValueError(f"associativity defect {defect:.3e} exceeds "
                              f"{tolerance:.1e}")
@@ -146,7 +151,8 @@ class FiniteBimodule:
                      (L[i] @ R_cols).reshape(m, d, m)))
         a = float(max(np.abs(L).max(initial=0.0), np.abs(R).max(initial=0.0)))
         tolerance = atol * max(m * a * a,
-                               d * float(np.abs(c).max(initial=0.0)) * a)
+                               d * float(np.abs(c).max(initial=0.0)) * a,
+                               _TINY)
         if defect > tolerance:
             raise ValueError(f"bimodule axiom defect {defect:.3e} exceeds "
                              f"{tolerance:.1e}")

@@ -274,6 +274,10 @@ def test_validation_tolerances_follow_the_scale_of_the_entries(tmp_path):
         A = cd.algebra_from_file(str(path))
         assert A.associativity_defect > 1e-12
         cd.FiniteBimodule(A, A.structure, A.structure)
+    # products below the normal range round absolutely, not relatively
+    A = cd.FiniteAlgebra(1e-160 * np.array(c))
+    assert A.associativity_defect > 0.0
+    cd.FiniteBimodule(A, A.structure, A.structure)
 
 
 def test_validation_rejects_a_relative_perturbation_at_every_scale():
