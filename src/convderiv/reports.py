@@ -125,9 +125,9 @@ def _emit(value, newline: str, out: list) -> None:
         out.append(_float(value))
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
-        pairs = _pairs(value, newline, inner) if value else "[]"
-        if pairs is not None:
-            out.append(pairs)
+        text = _pairs(value, newline, inner) if value else "[]"
+        if text is not None:
+            out.append(text)
             return
         opening = "["
         for item in value:

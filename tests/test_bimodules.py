@@ -270,7 +270,8 @@ def test_validation_tolerances_follow_the_scale_of_the_entries(tmp_path):
     c = json.loads((GOLDEN / "rounded.json").read_text())["c"]
     for s in (1e3, 1e6):
         path = tmp_path / f"rounded{s:.0e}.json"
-        path.write_text(json.dumps({"dim": 2, "c": (s * np.array(c)).tolist()}))
+        scaled = (s * np.array(c)).tolist()
+        path.write_text(json.dumps({"dim": 2, "c": scaled}))
         A = cd.algebra_from_file(str(path))
         assert A.associativity_defect > 1e-12
         cd.FiniteBimodule(A, A.structure, A.structure)
