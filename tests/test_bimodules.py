@@ -21,10 +21,15 @@ def trunc_euler_oracle(order, coeffs):
 
 
 def test_catalog_algebras_validate():
-    for name in ("zero2", "nil1", "trunc3", "trunc4"):
+    # every catalog algebra passes the full check of the public constructor,
+    # which finds the exact defect 0.0 that the catalog records
+    for name in ["zero2", "nil1"] + [f"trunc{K}" for K in range(1, 41)]:
         A = cd.algebra_catalog(name)
         assert A.dim >= 1
-        assert A.associativity_defect == 0.0
+        checked = cd.FiniteAlgebra(A.structure)
+        assert checked.associativity_defect == 0.0
+        assert A.associativity_defect == checked.associativity_defect
+        assert np.array_equal(checked.structure, A.structure)
     with pytest.raises(KeyError):
         cd.algebra_catalog("nonsense")
 
@@ -588,3 +593,154 @@ def test_algebra_file_shape_is_checked():
         cd.algebra_from_dict({"dim": 1, "c": [[[None]]]})
     mixed = cd.algebra_from_dict({"dim": 1, "c": [[[[0.5, -2]]]]})
     assert mixed.structure[0, 0, 0] == 0.5 - 2j
+
+
+def test_derivation_terms_match_the_einsum_forms():
+    rng = np.random.default_rng(11)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def einsum_terms(M, c, L, R):
+        return (np.einsum("yk,ijk->ijy", M, c), np.einsum("xj,ixy->ijy", M, L),
+                np.einsum("xi,jxy->ijy", M, R))
+
+    for d, m in ((1, 1), (2, 3), (5, 5), (7, 4)):
+        M, c, L, R = cplx(m, d), cplx(d, d, d), cplx(d, m, m), cplx(d, m, m)
+        got = cd.bimodules._derivation_terms(M, c, L, R)
+        want = einsum_terms(M, c, L, R)
+        scale = einsum_terms(*map(np.abs, (M, c, L, R)))
+        for g, w, s in zip(got, want, scale):
+            assert g.shape == w.shape == (d, d, m)
+            assert (np.abs(g - w) <= 1e-12 * s).all()
+
+
+# -- algebra files: every parse agrees with the entry-by-entry reference ------
+
+def per_entry_algebra(payload):
+    """Reference: parse each entry of "c" on its own, then validate."""
+    d = int(payload["dim"])
+
+    def sized(items):
+        if not isinstance(items, (list, tuple)) or len(items) != d:
+            raise ValueError(f'"c" must have shape (dim, dim, dim) = '
+                             f'{(d, d, d)}')
+        return items
+
+    def entry(value):
+        try:
+            if isinstance(value, (list, tuple)):
+                if len(value) != 2:
+                    raise ValueError("complex entries are [re, im] pairs")
+                return complex(float(value[0]), float(value[1]))
+            return complex(value)
+        except TypeError:
+            raise ValueError(f"bad structure constant {value!r}") from None
+
+    c = np.array([[[entry(v) for v in sized(row)] for row in sized(plane)]
+                  for plane in sized(payload["c"])],
+                 dtype=complex).reshape(d, d, d)
+    return cd.FiniteAlgebra(c)
+
+
+def parse_outcome(load, payload):
+    """The structure's bits, or the exception's type and message."""
+    try:
+        return load(payload).structure.view(np.uint64)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def assert_parses_like_the_reference(payload):
+    got = parse_outcome(cd.algebra_from_dict, payload)
+    want = parse_outcome(per_entry_algebra, payload)
+    if isinstance(want, tuple):
+        assert got == want, payload
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want), \
+            payload
+
+
+def _cube(values, d):
+    values = iter(values)
+    return [[[next(values) for _ in range(d)] for _ in range(d)]
+            for _ in range(d)]
+
+
+_HALF = 2 ** 63 + 2 ** 10  # halfway between two doubles
+_ENTRY_CLASSES = {
+    "ints": [[[3]]], "big ints": [[[2 ** 53 + 1]]],
+    "int64 edges": _cube([2 ** 63 - 1, -(2 ** 63), 2 ** 62 + 3, 0,
+                          2 ** 53 + 1, -(2 ** 53) - 3, 7, 2 ** 63 - 1], 2),
+    "int64 trunc2": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+    "floats": [[[0.1]]], "negative zero": [[[-0.0]]],
+    "nan": [[[float("nan")]]], "inf": [[[float("inf")]]],
+    "-inf": [[[float("-inf")]]], "overflowing": [[[1e200]]],
+    "subnormal": [[[5e-324]]],
+    "floats and ints": _cube([2 ** 53 + 1, 0.5, -0.0, 3, 2 ** 60 + 129,
+                              1e-3, 0, 1], 2),
+    "floats and int64 edges": _cube([2 ** 63 - 1, 0.5, -(2 ** 63), 1.5,
+                                     2 ** 62 + 1, 2.0, 0, 1], 2),
+    "pair": [[[[1, 2]]]], "pairs": _cube([[1, 0], [0, 0.5], [0, 0], [1, 1],
+                                          [0, 0], [1, 1], [0, 0], [2, 0]], 2),
+    "mixed": json.loads((GOLDEN / "nilsquare.json").read_text())["c"],
+    "mixed pair first": _cube([[1, 2], 0, 0, 1, 0, 1, 0, 0], 2),
+    "long pair": [[[[1, 2, 3]]]], "short pair": [[[[1]]]],
+    "bool": [[[True]]], "bools": _cube([True, False] * 4, 2),
+    "bools and ints": _cube([True, 2, 0, 1, 0, 1, False, 0], 2),
+    "bools and floats": _cube([True, 0.5, 0, 1.0, 0, 1, False, 0], 2),
+    "string": [[["1+2j"]]], "bad string": [[["abc"]]],
+    "strings and ints": _cube(["1", 0, 0, 1, 0, 1, 0, 0], 2),
+    "none": [[[None]]], "none and floats": _cube([None, 0.5] * 4, 2),
+    "2^63": [[[2 ** 63]]], "2^64": [[[2 ** 64]]], "10^400": [[[10 ** 400]]],
+    "below int64": [[[-(2 ** 63) - 1]]],
+    "2^63 and negative": _cube([2 ** 63, -1, 0, 1, 0, 1, 0, 0], 2),
+    "halfway and negative": _cube([_HALF + 1, -1, 0, 1, 0, 1, _HALF, 0], 2),
+    "halfway and float": _cube([_HALF + 1, 0.5, _HALF - 1, 1, 0, 1, _HALF,
+                                0], 2),
+    "10^400 and float": _cube([10 ** 400, 0.5, 0, 1, 0, 1, 0, 0], 2),
+    "2^64 and floats": _cube([2 ** 64 + 2 ** 12 + 1, 0.5] * 4, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_CLASSES))
+def test_algebra_files_parse_like_the_entry_by_entry_reference(name):
+    c = _ENTRY_CLASSES[name]
+    dim = len(c)
+    assert_parses_like_the_reference({"dim": dim, "c": c})
+    assert_parses_like_the_reference({"dim": dim + 1, "c": c})
+
+
+@pytest.mark.parametrize("c", [
+    [[[0, 0], [0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [0, 0]],
+    [[[0, 0], [0, 0]]], [[0, 0], [0, 0]], [[[0, 0, 0], [0, 0, 0]]] * 2,
+    [[[0, [0, 1]], [0, 0]], [[0, 0], [0, 0]]], [[[[0, 1], [1, 0]]] * 2] * 2,
+    [[[0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]], [], 5, "ab",
+    {"a": 1}, [[[0.5, 0], [0, 1]], [[0, 1], 7]], [[["ab", "cd"]] * 2] * 2,
+])
+def test_ragged_and_misshapen_algebra_files_fail_like_the_reference(c):
+    for dim in (0, 1, 2, 3):
+        assert_parses_like_the_reference({"dim": dim, "c": c})
+
+
+def test_random_algebra_files_parse_like_the_reference():
+    rng = np.random.default_rng(17)
+    draws = [
+        lambda: int(rng.integers(-9, 10)),
+        lambda: int(rng.integers(-2 ** 62, 2 ** 62)) * 2 + 1,
+        lambda: 2 ** 53 + int(rng.integers(1, 2 ** 10)),
+        lambda: 2 ** 63 + int(rng.integers(-3, 3)) * 2 ** 10 + 1,
+        lambda: float(rng.standard_normal()),
+        lambda: float(rng.choice([-0.0, np.nan, np.inf, 1e300])),
+        lambda: bool(rng.integers(2)),
+        lambda: [float(rng.standard_normal()), int(rng.integers(3))],
+        lambda: str(rng.integers(9)),
+        lambda: None,
+    ]
+    for _ in range(400):
+        d = int(rng.integers(1, 4))
+        # mostly one or two entry classes, so the whole-array path is hit
+        kinds = rng.choice(len(draws), size=int(rng.integers(1, 3)),
+                           p=[.25, .15, .1, .05, .25, .05, .05, .04, .03, .03])
+        c = _cube((draws[int(rng.choice(kinds))]() for _ in range(d ** 3)), d)
+        assert_parses_like_the_reference({"dim": d, "c": c})
