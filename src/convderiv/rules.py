@@ -121,13 +121,31 @@ def _fold(expr: RuleExpr, algebra: dict):
 # parser
 # ---------------------------------------------------------------------------
 
+MAX_NESTING = 100  # open parentheses and unary minus signs at any point
+
+
 class _Parser:
+    """Recursive descent, one Python frame per unary minus and five per
+    parenthesis, so nesting is capped at ``MAX_NESTING`` levels: deeper
+    input is a syntax error, not a ``RecursionError``."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0  # 0-based cursor; reported positions are 1-based
+        self.depth = 0
 
     def error(self, message, expected):
         raise RuleSyntaxError(message, self.pos + 1, expected)
+
+    def nested(self, parse):
+        """``parse()`` one level below the '(' or '-' just read."""
+        if self.depth == MAX_NESTING:
+            raise RuleSyntaxError(f"more than {MAX_NESTING} nested "
+                                  f"parentheses and minus signs", self.pos, ())
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -158,7 +176,7 @@ class _Parser:
     def unary(self) -> RuleExpr:
         if self.peek() == "-":
             self.pos += 1
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         return self.power()
 
     def power(self) -> RuleExpr:
@@ -172,7 +190,7 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            node = self.nested(self.expr)
             if self.peek() != ")":
                 self.error("unbalanced parenthesis", ("')'",))
             self.pos += 1

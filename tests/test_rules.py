@@ -12,7 +12,7 @@ import pytest
 import convderiv as cd
 from convderiv.rules import (
     Add, Div, Lit, Mul, Neg, Pow, Sub, Var,
-    RuleEvaluationError, RuleSyntaxError,
+    MAX_NESTING, RuleEvaluationError, RuleSyntaxError,
 )
 
 
@@ -30,6 +30,21 @@ def test_parse_error_position():
     assert err.value.position == 3
     assert err.value.expected  # carries the expected-set
     assert "operand expected" in str(err.value)
+
+
+def test_parse_nesting_is_capped():
+    cap = MAX_NESTING
+    assert cd.parse_rule("(" * cap + "n" + ")" * cap) == Var()
+    tree = cd.parse_rule("-" * cap + "n")
+    for _ in range(cap):
+        tree = tree.operand
+    assert tree == Var()
+    assert cd.parse_rule("-(" * (cap // 2) + "n" + ")" * (cap // 2))
+    for text in ("(" * (cap + 1) + "n" + ")" * (cap + 1), "-" * (cap + 1) + "n",
+                 "-(" * (cap // 2) + "-n" + ")" * (cap // 2)):
+        with pytest.raises(RuleSyntaxError, match="nested") as err:
+            cd.parse_rule(text)
+        assert err.value.position == cap + 1
 
 
 def test_parse_trailing_junk():
