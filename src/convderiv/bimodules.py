@@ -54,11 +54,24 @@ class FiniteMap:
 
 
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
+_HUGE = float(np.finfo(float).max)
+
+
+def _overflow_fails():
+    """Context for the validation products: an overflow gives an inf or NaN
+    defect, which fails the check, so no warning is needed on the way."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> float:
     """Largest entry modulus of a - b."""
     return float(np.abs(a - b).max(initial=0.0))
+
+
+def _largest(gaps: list) -> float:
+    """The largest gap, NaN if any gap is NaN (Python's ``max`` would keep
+    or drop a NaN depending on its position)."""
+    return float(np.max(gaps, initial=0.0))
 
 
 class FiniteAlgebra:
@@ -71,6 +84,8 @@ class FiniteAlgebra:
     defect may reach ``atol`` times that scale, and scaling c (a change of
     basis e_i -> s·e_i) moves defect and tolerance alike.  Below the
     smallest normal double, rounding is absolute, so the scale stops there.
+    A NaN or inf defect, from a product that overflowed, fails the check.
+    The catalog's algebras are built exactly by ``_exact``.
     """
 
     def __init__(self, structure, atol: float = 1e-12):
@@ -82,13 +97,38 @@ class FiniteAlgebra:
         d = c.shape[0]
         rows, cols = c.reshape(d, d * d), c.reshape(d * d, d)
         # block i: (e_i e_j) e_k against e_i (e_j e_k) as [j, (k, l)]
-        defect = max((_gap(c[i] @ rows, (cols @ c[i]).reshape(d, d * d))
-                      for i in range(d)), default=0.0)
+        with _overflow_fails():
+            defect = _largest([_gap(c[i] @ rows,
+                                    (cols @ c[i]).reshape(d, d * d))
+                               for i in range(d)])
         top = float(np.abs(c).max(initial=0.0))
         tolerance = atol * max(d * top * top, _TINY)
-        if defect > tolerance:
+        if not defect <= min(tolerance, _HUGE):  # NaN and inf fail
             raise ValueError(f"associativity defect {defect:.3e} exceeds "
                              f"{tolerance:.1e}")
+        self._set(c, defect)
+
+    @classmethod
+    def _exact(cls, structure: np.ndarray) -> "FiniteAlgebra":
+        """An algebra whose constants are 0 or 1 with e_i e_j = e_{i+j} or 0.
+
+        No check runs here, and none is needed for the two callers:
+
+        - ``truncated_polynomials``: c[i, j, k] = [i + j = k < K] depends on
+          i + j only, so c is symmetric in i and j.  Entry [i, j, k, l] of
+          (e_i e_j) e_k is the sum over m of c[i, j, m] c[m, k, l], d
+          products of 0/1 values of which only m = i + j can be non-zero;
+          it is 1 exactly when i + j + k = l < K, and so is entry
+          [i, j, k, l] of e_i (e_j e_k) (only m = j + k).  Both sides are
+          exact, so the check in ``__init__`` computes a defect of 0.0.
+        - ``zero_product_algebra``: every product is 0, and so is every
+          entry of both sides.
+        """
+        algebra = cls.__new__(cls)
+        algebra._set(structure, 0.0)
+        return algebra
+
+    def _set(self, c: np.ndarray, defect: float):
         self.associativity_defect = defect
         self.structure = c
         self.structure.setflags(write=False)
@@ -123,7 +163,7 @@ class FiniteBimodule:
     The axiom defects compare sums of m products of action entries with
     sums of d products of an action entry and an entry of c, so the defect
     may reach ``atol`` times the larger of m·a² and d·max|c|·a, where a is
-    the largest action entry.
+    the largest action entry.  A NaN or inf defect fails the check.
     """
 
     def __init__(self, algebra: FiniteAlgebra, left, right, atol: float = 1e-12):
@@ -137,23 +177,25 @@ class FiniteBimodule:
         L_rows, R_rows = L.reshape(d * m, m), R.reshape(d * m, m)
         L_flat, R_flat = L.reshape(d, m * m), R.reshape(d, m * m)
         R_cols = R.transpose(1, 0, 2).reshape(m, d * m)  # [x, (j, z)]
-        defect = 0.0
-        for i in range(d):
-            # block i of e_i.(e_j.f) = (e_i e_j).f, (f.e_i).e_j = f.(e_i e_j)
-            # and e_i.(f.e_j) = (e_i.f).e_j, entries [j, x, z] or [x, j, z]
-            defect = max(
-                defect,
-                _gap((L_rows @ L[i]).reshape(d, m, m),
-                     (c[i] @ L_flat).reshape(d, m, m)),
-                _gap((R[i] @ R_cols).reshape(m, d, m),
-                     (c[i] @ R_flat).reshape(d, m, m).transpose(1, 0, 2)),
-                _gap((R_rows @ L[i]).reshape(d, m, m).transpose(1, 0, 2),
-                     (L[i] @ R_cols).reshape(m, d, m)))
+        gaps = []
+        with _overflow_fails():
+            for i in range(d):
+                # block i of e_i.(e_j.f) = (e_i e_j).f, (f.e_i).e_j =
+                # f.(e_i e_j) and e_i.(f.e_j) = (e_i.f).e_j, entries
+                # [j, x, z] or [x, j, z]
+                gaps += [
+                    _gap((L_rows @ L[i]).reshape(d, m, m),
+                         (c[i] @ L_flat).reshape(d, m, m)),
+                    _gap((R[i] @ R_cols).reshape(m, d, m),
+                         (c[i] @ R_flat).reshape(d, m, m).transpose(1, 0, 2)),
+                    _gap((R_rows @ L[i]).reshape(d, m, m).transpose(1, 0, 2),
+                         (L[i] @ R_cols).reshape(m, d, m))]
+        defect = _largest(gaps)
         a = float(max(np.abs(L).max(initial=0.0), np.abs(R).max(initial=0.0)))
         tolerance = atol * max(m * a * a,
                                d * float(np.abs(c).max(initial=0.0)) * a,
                                _TINY)
-        if defect > tolerance:
+        if not defect <= min(tolerance, _HUGE):  # NaN and inf fail
             raise ValueError(f"bimodule axiom defect {defect:.3e} exceeds "
                              f"{tolerance:.1e}")
         self._set(algebra, L, R)
@@ -277,9 +319,12 @@ def find_anchor(A: FiniteAlgebra) -> np.ndarray:
 
 
 def _derivation_terms(M, c, left, right):
-    # entry [i, j, y] of D(e_i e_j), e_i.D(e_j) and D(e_i).e_j at coordinate y
-    return (np.einsum("yk,ijk->ijy", M, c), np.einsum("xj,ixy->ijy", M, left),
-            np.einsum("xi,jxy->ijy", M, right))
+    # entry [i, j, y] of D(e_i e_j), e_i.D(e_j) and D(e_i).e_j at coordinate
+    # y, as matrix products: sum_k c[i, j, k] M[y, k], sum_x M[x, j]
+    # left[i, x, y] and sum_x M[x, i] right[j, x, y]
+    d, m = c.shape[0], M.shape[0]
+    return ((c.reshape(d * d, d) @ M.T).reshape(d, d, m), M.T @ left,
+            (M.T @ right).transpose(1, 0, 2))
 
 
 def derivation_defect(A: FiniteAlgebra, E: FiniteBimodule,
@@ -460,15 +505,13 @@ def truncated_polynomials(order: int) -> FiniteAlgebra:
     if order < 1:
         raise ValueError("order must be at least 1")
     c = np.zeros((order, order, order), dtype=complex)
-    for i in range(order):
-        for j in range(order):
-            if i + j < order:
-                c[i, j, i + j] = 1.0
-    return FiniteAlgebra(c)
+    i, j = np.nonzero(np.add.outer(np.arange(order), np.arange(order)) < order)
+    c[i, j, i + j] = 1.0
+    return FiniteAlgebra._exact(c)
 
 
 def zero_product_algebra(dim: int) -> FiniteAlgebra:
-    return FiniteAlgebra(np.zeros((dim, dim, dim), dtype=complex))
+    return FiniteAlgebra._exact(np.zeros((dim, dim, dim), dtype=complex))
 
 
 def euler_derivation(A: FiniteAlgebra) -> FiniteMap:
@@ -505,9 +548,30 @@ def _as_complex(entry) -> complex:
         raise ValueError(f"bad structure constant {entry!r}") from None
 
 
+def _numeric_structure(raw, d: int) -> Optional[np.ndarray]:
+    """``raw`` as a (d, d, d) complex array in one numpy call, or None.
+
+    Only an int64 or float64 array of that shape is taken: numpy builds one
+    only from numbers, and rounds each to the nearest double as ``complex``
+    does.  None sends the input entry by entry, with that path's errors:
+    [re, im] pairs, strings, bools alone, None, ints that fit no int64 and
+    meet no float, ragged nesting and wrong shapes.
+    """
+    try:
+        c = np.array(raw)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if c.dtype not in (np.int64, np.float64) or c.shape != (d, d, d):
+        return None
+    return c.astype(complex)
+
+
 def algebra_from_dict(payload: dict) -> FiniteAlgebra:
     """Structure constants from {"dim": d, "c": nested array}."""
     d = int(payload["dim"])
+    c = _numeric_structure(payload["c"], d)
+    if c is not None:
+        return FiniteAlgebra(c)
 
     def sized(items):
         if not isinstance(items, (list, tuple)) or len(items) != d:

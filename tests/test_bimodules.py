@@ -286,6 +286,25 @@ def test_validation_tolerances_follow_the_scale_of_the_entries(tmp_path):
     cd.FiniteBimodule(A, A.structure, A.structure)
 
 
+def test_validation_rejects_a_nan_defect():
+    # products near 1e320 overflow, and inf - inf is NaN: no defect is
+    # known, so the check fails wherever the NaN sits; an overflow on one
+    # side only gives an inf defect, which no tolerance covers
+    c = np.array(json.loads((GOLDEN / "rounded.json").read_text())["c"],
+                 dtype=complex)
+    late = np.zeros((2, 2, 2))
+    late[0, 0, 0] = late[0, 1, 1] = late[1, 0, 1] = 1.0
+    late[1, 1, 1] = 1e200  # block 0 is finite, block 1 NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in (1e160 * c, late):
+            with pytest.raises(ValueError, match="associativity defect nan"):
+                cd.FiniteAlgebra(bad)
+        A = cd.FiniteAlgebra(c)
+        for L, R in ((1e160 * c, 1e160 * c), (c, 1e160 * c)):
+            with pytest.raises(ValueError, match="axiom defect (nan|inf)"):
+                cd.FiniteBimodule(A, L, R)
+
+
 def test_validation_rejects_a_relative_perturbation_at_every_scale():
     c = np.array(json.loads((GOLDEN / "rounded.json").read_text())["c"],
                  dtype=complex)

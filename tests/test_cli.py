@@ -157,6 +157,17 @@ def test_overflow_is_an_input_error(capsys):
     assert "power overflows a double (at n = " in capsys.readouterr().err
 
 
+def test_deeply_nested_rules_are_an_input_error(capsys):
+    # the parser recurses per level, so nesting is capped before Python's
+    # recursion limit
+    parens = "(" * 400 + "1/(n+1)^2" + ")" * 400
+    assert run(["deriv", "norm", "--mu", parens]) == 2
+    assert run(["deriv", "norm", "--mu=" + "-" * 1200 + "1/(n+1)^2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"more than {rules.MAX_NESTING} nested parentheses "
+                     f"and minus signs at position 101") == 2
+
+
 def test_random_rules_exit_with_a_contract_code(capsys):
     # every rule gives 0, 1 or 2; an exception escaping main fails the test
     rng = np.random.default_rng(0)
@@ -282,6 +293,13 @@ def test_algebra_file_of_the_wrong_shape_is_an_input_error(tmp_path,
         assert run(["bimodule", "check", "--algebra", f"@{path}"]) == 2
         assert f"shape (dim, dim, dim) = {(dim,) * 3}" in \
             capsys.readouterr().err
+
+
+def test_algebra_file_with_a_nan_defect_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text('{"dim": 1, "c": [[[Infinity]]]}')
+    assert run(["bimodule", "check", "--algebra", f"@{path}"]) == 2
+    assert "associativity defect nan exceeds inf" in capsys.readouterr().err
 
 
 def test_bimodule_rank1_large_entries(tmp_path):
