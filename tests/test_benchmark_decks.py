@@ -39,9 +39,12 @@ def test_every_job_of_a_deck_passes_its_check(name, tmp_path):
 
 @pytest.mark.parametrize("name", worker.WORKLOADS)
 def test_a_traced_run_passes_its_required_metric_check(name):
+    # the traced half replays the untraced jobs for half the seconds; 2 s
+    # reach past the first float convolve of an algebra-ops deck, which
+    # follows norm jobs at depth 1e5-1e6 (at 0.5 s some runs stopped short)
     done = subprocess.run(
         [sys.executable, str(run.HERE / "worker.py"), "--workload", name,
-         "--seed", "1", "--seconds", "1", "--trace", "1"],
+         "--seed", "1", "--seconds", "4", "--trace", "1"],
         cwd=run.ROOT, env=run.environment(), capture_output=True, text=True,
         timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
