@@ -295,9 +295,16 @@ def test_validation_rejects_a_nan_defect():
     late = np.zeros((2, 2, 2))
     late[0, 0, 0] = late[0, 1, 1] = late[1, 0, 1] = 1.0
     late[1, 1, 1] = 1e200  # block 0 is finite, block 1 NaN
+    # (e_2 e_2) e_0 overflows, and e_2 (e_2 e_0) = 0
+    one_sided = np.zeros((3, 3, 3))
+    one_sided[0, 0, 0] = one_sided[1, 1, 1] = one_sided[2, 2, 1] = 1.0
+    one_sided[1, 2, 0] = one_sided[2, 1, 0] = 1.0
+    one_sided[0, 0, 2] = one_sided[2, 2, 0] = 1e200
     with np.errstate(over="ignore", invalid="ignore"):
-        for bad in (1e160 * c, late):
-            with pytest.raises(ValueError, match="associativity defect nan"):
+        for bad, defect in ((1e160 * c, "nan"), (late, "nan"),
+                            (one_sided, "inf")):
+            with pytest.raises(ValueError,
+                               match=f"associativity defect {defect}"):
                 cd.FiniteAlgebra(bad)
         A = cd.FiniteAlgebra(c)
         for L, R in ((1e160 * c, 1e160 * c), (c, 1e160 * c)):
