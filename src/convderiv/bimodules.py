@@ -57,21 +57,9 @@ _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 _HUGE = float(np.finfo(float).max)
 
 
-def _overflow_fails():
-    """Context for the validation products: an overflow gives an inf or NaN
-    defect, which fails the check, so no warning is needed on the way."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
 def _gap(a: np.ndarray, b: np.ndarray) -> float:
     """Largest entry modulus of a - b."""
     return float(np.abs(a - b).max(initial=0.0))
-
-
-def _largest(gaps: list) -> float:
-    """The largest gap, NaN if any gap is NaN (Python's ``max`` would keep
-    or drop a NaN depending on its position)."""
-    return float(np.max(gaps, initial=0.0))
 
 
 class FiniteAlgebra:
@@ -96,11 +84,13 @@ class FiniteAlgebra:
             raise ValueError("structure constants are not commutative")
         d = c.shape[0]
         rows, cols = c.reshape(d, d * d), c.reshape(d * d, d)
-        # block i: (e_i e_j) e_k against e_i (e_j e_k) as [j, (k, l)]
-        with _overflow_fails():
-            defect = _largest([_gap(c[i] @ rows,
-                                    (cols @ c[i]).reshape(d, d * d))
-                               for i in range(d)])
+        # block i: (e_i e_j) e_k against e_i (e_j e_k) as [j, (k, l)]; a
+        # product that overflows gives an inf or NaN gap, which np.max keeps
+        # wherever it sits and the test below fails, so it needs no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = float(np.max([_gap(c[i] @ rows,
+                                        (cols @ c[i]).reshape(d, d * d))
+                                   for i in range(d)], initial=0.0))
         top = float(np.abs(c).max(initial=0.0))
         tolerance = atol * max(d * top * top, _TINY)
         if not defect <= min(tolerance, _HUGE):  # NaN and inf fail
@@ -178,7 +168,7 @@ class FiniteBimodule:
         L_flat, R_flat = L.reshape(d, m * m), R.reshape(d, m * m)
         R_cols = R.transpose(1, 0, 2).reshape(m, d * m)  # [x, (j, z)]
         gaps = []
-        with _overflow_fails():
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the algebra
             for i in range(d):
                 # block i of e_i.(e_j.f) = (e_i e_j).f, (f.e_i).e_j =
                 # f.(e_i e_j) and e_i.(f.e_j) = (e_i.f).e_j, entries
@@ -190,7 +180,7 @@ class FiniteBimodule:
                          (c[i] @ R_flat).reshape(d, m, m).transpose(1, 0, 2)),
                     _gap((R_rows @ L[i]).reshape(d, m, m).transpose(1, 0, 2),
                          (L[i] @ R_cols).reshape(m, d, m))]
-        defect = _largest(gaps)
+        defect = float(np.max(gaps, initial=0.0))
         a = float(max(np.abs(L).max(initial=0.0), np.abs(R).max(initial=0.0)))
         tolerance = atol * max(m * a * a,
                                d * float(np.abs(c).max(initial=0.0)) * a,
