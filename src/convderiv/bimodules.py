@@ -84,9 +84,9 @@ class FiniteAlgebra:
             raise ValueError("structure constants are not commutative")
         d = c.shape[0]
         rows, cols = c.reshape(d, d * d), c.reshape(d * d, d)
-        # block i: (e_i e_j) e_k against e_i (e_j e_k) as [j, (k, l)]; a
-        # product that overflows gives an inf or NaN gap, which np.max keeps
-        # wherever it sits and the test below fails, so it needs no warning
+        # block i: (e_i e_j) e_k against e_i (e_j e_k) as [j, (k, l)].  An
+        # overflowed product gives an inf or NaN gap, np.max keeps a NaN
+        # wherever it sits, and the test below fails both: no warning needed
         with np.errstate(over="ignore", invalid="ignore"):
             defect = float(np.max([_gap(c[i] @ rows,
                                         (cols @ c[i]).reshape(d, d * d))

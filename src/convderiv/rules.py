@@ -125,7 +125,7 @@ MAX_NESTING = 100  # open parentheses and unary minus signs at any point
 
 
 class _Parser:
-    """Recursive descent, one Python frame per unary minus and five per
+    """Recursive descent, two Python frames per unary minus and six per
     parenthesis, so nesting is capped at ``MAX_NESTING`` levels: deeper
     input is a syntax error, not a ``RecursionError``."""
 
