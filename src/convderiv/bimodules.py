@@ -122,6 +122,7 @@ class FiniteAlgebra:
         self.associativity_defect = defect
         self.structure = c
         self.structure.setflags(write=False)
+        self._spans = {}  # square_span's bases, by threshold
 
     @property
     def dim(self) -> int:
@@ -281,14 +282,19 @@ def square_span(A: FiniteAlgebra, rel_threshold: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (rows) of the linear span of all products e_i e_j.
 
     Finite-dimensional subspaces are closed, so no topology is involved.
+    The basis is computed once per algebra and threshold, and is read-only.
     """
-    d = A.dim
-    products = A.structure.reshape(d * d, d)
-    if not products.any():
-        return np.zeros((0, d), dtype=complex)
-    u, s, vh = np.linalg.svd(products, full_matrices=False)
-    keep = s > rel_threshold * s[0]
-    return vh[keep]
+    if rel_threshold not in A._spans:
+        d = A.dim
+        products = A.structure.reshape(d * d, d)
+        if products.any():
+            u, s, vh = np.linalg.svd(products, full_matrices=False)
+            basis = vh[s > rel_threshold * s[0]]
+        else:
+            basis = np.zeros((0, d), dtype=complex)
+        basis.setflags(write=False)
+        A._spans[rel_threshold] = basis
+    return A._spans[rel_threshold]
 
 
 def _project_onto_rows(basis: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -264,10 +264,12 @@ def convolve(a: L1Element, b: L1Element) -> L1Element:
     When both inputs are Gaussian integers and every coefficient of the
     product is provably below 2^53 in modulus (2 min(len) max|a| max|b|
     < 2^53, with max over real and imaginary parts), the product is
-    computed in exact int64 arithmetic and stored exactly, so identities
-    that hold over the integers hold exactly here too.  Larger integer
-    inputs, such as (2^27+1)^2, take the float path and are rounded like
-    any other float product.
+    computed exactly and stored exactly, so identities that hold over the
+    integers hold exactly here too: by FFT when the bound in
+    ``_fft_product`` proves its rounding harmless, else by direct int64
+    sums.  Both give the same bits.  Larger integer inputs, such as
+    (2^27+1)^2, take the float path, a direct ``np.convolve``, and are
+    rounded like any other float product.
     """
     ca, cb = a.coeffs, b.coeffs
     if ca.size == 0 or cb.size == 0:
@@ -280,12 +282,77 @@ def convolve(a: L1Element, b: L1Element) -> L1Element:
     # comparison is too; an infinite part fails it
     if top_a is not None and top_b is not None \
             and 2 * min(ca.size, cb.size) * top_a * top_b < 2.0 ** 53:
-        ar, ai = ca.real.astype(np.int64), ca.imag.astype(np.int64)
-        br, bi = cb.real.astype(np.int64), cb.imag.astype(np.int64)
-        re = np.convolve(ar, br) - np.convolve(ai, bi)
-        im = np.convolve(ar, bi) + np.convolve(ai, br)
-        return L1Element(re + 1j * im)
+        product = _fft_product(ca, cb)
+        return L1Element(_direct_product(ca, cb) if product is None
+                         else product)
     return L1Element(np.convolve(ca, cb))
+
+
+# pocketfft's twiddle factors are within a few units of 2^-53; the bound
+# allows 2^7 of them
+_TWIDDLE_ERROR = 2.0 ** -46
+
+
+def _fft_product(ca: np.ndarray, cb: np.ndarray) -> Optional[np.ndarray]:
+    """The Gaussian-integer product by FFT, or None when not proven exact.
+
+    The caller's guard makes every part of every product coefficient an
+    integer below 2^53 in modulus.  With L = 2^k >= la + lb - 1, the cyclic
+    convolution of the inputs zero-padded to length L is their Cauchy
+    product, computed as ifft(fft(a) fft(b)).
+
+    Percival's theorem (Math. Comp. 72 (2003); Brent & Zimmermann, *Modern
+    Computer Arithmetic*, Thm 3.3.2) bounds the error of every computed
+    coefficient by ||a||_2 ||b||_2 ((1+u)^{3k} (1+sqrt(5) u)^{3k+1}
+    (1+beta)^{3k} - 1), with u = 2^-53 and beta a bound on the error of
+    each precomputed twiddle factor.  Its model is the radix-2 FFT: k
+    butterfly levels per transform, each rounding one complex addition and
+    at most one multiplication by a twiddle, and one rounded complex
+    product per frequency.  numpy's pocketfft runs a power-of-two length as
+    radix-8, radix-4 and radix-2 passes; a radix-2^r pass is r such levels
+    whose inner twiddles are +-1, +-i (exact) or (+-1 +- i)/sqrt(2) (a
+    rounded constant), and its 1/L scaling is exact.  That correspondence
+    is argued, not proven, and beta = 2^-46 (``_TWIDDLE_ERROR``), 2^7 units
+    of u where pocketfft's twiddles are within a few, is the margin for it.
+
+    As beta >= sqrt(5) u, the factor is at most (1+beta)^M - 1 <= 2 M beta
+    with M = 9k + 1, since M beta <= 1/2 for every k <= 17 the degree cap
+    allows.  The error is therefore below 1/2 when s_a s_b (M beta)^2 <
+    1/16, s = ||.||_2^2.  Each s is a float sum of 2 len squared parts;
+    every term goes through at most 2 len <= 2^18 roundings of non-negative
+    numbers, so the computed sum is at least s (1 - 2^-35).  (M beta)^2 is
+    exact, and the check below rounds twice more, so a computed value
+    below 1/32 proves s_a s_b (M beta)^2 < 1/32 / (1 - 2^-33) < 1/16.
+    Then each part of each computed coefficient lies within 1/2 of its
+    integer, ``rint`` returns that integer exactly, and + 0.0 turns the
+    -0.0 that ``rint`` gives for small negative errors into the +0.0 of
+    the direct int64 sums.
+    """
+    size = ca.size + cb.size - 1
+    k = (size - 1).bit_length()
+    m = 9 * k + 1
+    va, vb = ca.view(np.float64), cb.view(np.float64)
+    if not float(va @ va) * float(vb @ vb) * (m * m * _TWIDDLE_ERROR ** 2) \
+            < 1 / 32:
+        return None
+    length = 1 << k
+    # numpy.fft is imported on first use, so importing convderiv stays cheap
+    spectrum = np.fft.fft(ca, length) * np.fft.fft(cb, length)
+    return np.rint(np.fft.ifft(spectrum)[:size]) + 0.0
+
+
+def _direct_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """The Gaussian-integer product by int64 sums; a part that is zero
+    throughout is skipped, so real inputs cost one convolution, not four."""
+    ar, ai = ca.real.astype(np.int64), ca.imag.astype(np.int64)
+    br, bi = cb.real.astype(np.int64), cb.imag.astype(np.int64)
+    re = np.zeros(ca.size + cb.size - 1, dtype=np.int64)
+    im = np.zeros_like(re)
+    for x, y, out, sign in ((ar, br, re, 1), (ai, bi, re, -1),
+                            (ar, bi, im, 1), (ai, br, im, 1)):
+        if x.any() and y.any():
+            out += sign * np.convolve(x, y)
+    return re + 1j * im
 
 
 def l1_norm(a: L1Element) -> float:
@@ -398,8 +465,13 @@ def validate_tail(seq: DualSequence, upto: int, first_index: int = 0,
 
     Returns the values at 0..upto that were checked, so a caller needs not
     evaluate them again, or None when the tail carries no certificate to
-    check.  Raises CertificateViolationError on contradiction.  This cannot
-    prove a declaration, only catch it lying within the probe.
+    check.  Raises CertificateViolationError on contradiction, citing the
+    first violation, once every value is evaluated.  This cannot prove a
+    declaration, only catch it lying within the probe.
+
+    Values are evaluated and checked in blocks of ``_ACTION_BLOCK``
+    indices into one array, so the work space beside it stays the size of
+    a block at any depth.
     """
     tail = seq.tail
     if not isinstance(tail, ClosedForm) or tail.certificate is None:
@@ -407,36 +479,48 @@ def validate_tail(seq: DualSequence, upto: int, first_index: int = 0,
         # against their declaration at build time; nothing to probe here.
         return None
     cert = tail.certificate
-    start = max(cert.start, first_index)
-    vals = seq.values(upto)
-    # one mask of violations per kind; the first one is cited
+    # a decay step is checked at its upper index, so from start + 1 on
+    first = max(cert.start, first_index) + isinstance(cert, Decay)
+    vals = np.empty(max(upto + 1, 0), dtype=complex)
+    violation = None
+    for lo in range(0, upto + 1, _ACTION_BLOCK):
+        hi = min(lo + _ACTION_BLOCK, upto + 1)
+        vals[lo:hi] = seq.bulk(np.arange(lo, hi))
+        if violation is None and hi > first:
+            violation = _violation(cert, vals, max(lo, first), hi, atol)
+    if violation is not None:
+        raise CertificateViolationError(violation)
+    return vals
+
+
+def _violation(cert: Certificate, vals: np.ndarray, lo: int, hi: int,
+               atol: float) -> Optional[str]:
+    """The first violation of ``cert`` at an index in lo..hi-1, or None.
+    A decay step up to index n reads vals[n - 1] too, so lo >= 1 there."""
     if isinstance(cert, Constant):
         scale = max(1.0, abs(cert.value))
-        bad = np.abs(vals[start:] - cert.value) > atol * scale
+        bad = np.abs(vals[lo:hi] - cert.value) > atol * scale
+    elif isinstance(cert, Decay):
+        mags = np.abs(vals[lo - 1:hi])
+        ratio = 1.0 if cert.ratio is None else cert.ratio
+        # built in place: one temporary the size of the block, not two
+        envelope = np.multiply(mags[:-1], ratio)
+        envelope += atol
+        bad = mags[1:] > envelope
     else:
-        mags = np.abs(vals)
-        if isinstance(cert, Decay):
-            ratio = 1.0 if cert.ratio is None else cert.ratio
-            # built in place: one temporary the size of the probe, not two
-            envelope = np.multiply(mags[start:-1], ratio)
-            envelope += atol
-            bad = mags[start + 1:] > envelope
-        else:
-            bad = mags[start:] < cert.bound - atol
+        bad = np.abs(vals[lo:hi]) < cert.bound - atol
     if not bad.any():
-        return vals
-    n = start + int(bad.argmax())
+        return None
+    n = lo + int(bad.argmax())
     if isinstance(cert, Decay):
-        raise CertificateViolationError(
-            f"declared decay from {cert.start} but |value| rises "
-            f"from {mags[n]:.6e} to {mags[n + 1]:.6e} at index {n + 1}")
+        return (f"declared decay from {cert.start} but |value| rises "
+                f"from {abs(vals[n - 1]):.6e} to {abs(vals[n]):.6e} "
+                f"at index {n}")
     if isinstance(cert, Constant):
-        raise CertificateViolationError(
-            f"declared constant {cert.value} from {cert.start} but "
-            f"value at {n} is {vals[n]}")
-    raise CertificateViolationError(
-        f"declared |value| >= {cert.bound} from {cert.start} but "
-        f"|value| at {n} is {mags[n]:.6e}")
+        return (f"declared constant {cert.value} from {cert.start} but "
+                f"value at {n} is {vals[n]}")
+    return (f"declared |value| >= {cert.bound} from {cert.start} but "
+            f"|value| at {n} is {abs(vals[n]):.6e}")
 
 
 # ---------------------------------------------------------------------------

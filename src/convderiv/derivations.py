@@ -28,6 +28,7 @@ from .convolution import (
     UNDECLARED,
     Undeclared,
     ZeroTail,
+    _ACTION_BLOCK,
     _per_index,
     act_on_dual,
     index_scaled_tail,
@@ -170,7 +171,11 @@ class Derivation:
         values = validate_tail(self.mu, probe_depth, first_index=1)
         if values is None:
             values = self.mu.values(probe_depth)
-        lower = float(np.abs(values[1:]).max(initial=0.0))
+        # block by block, so |values| is never held whole; np.max keeps a
+        # NaN wherever it sits
+        lower = float(np.max([np.abs(values[lo:lo + _ACTION_BLOCK]).max()
+                              for lo in range(1, probe_depth + 1,
+                                              _ACTION_BLOCK)]))
         exact = None
         tail = self.mu.tail
         if isinstance(tail, ZeroTail) and tail.start <= probe_depth + 1:

@@ -314,6 +314,24 @@ def test_bimodule_rank1_large_entries(tmp_path):
     assert all(cert["passed"] for cert in report["certificates"])
 
 
+def test_bimodule_rank1_computes_the_square_span_once(tmp_path, monkeypatch,
+                                                     capsys):
+    # find_anchor and rank_one_derivation share one SVD of the d^2 x d
+    # product matrix
+    path = tmp_path / "ideal8.json"
+    path.write_text(json.dumps({"dim": 7, "c": ideal(8).tolist()}))
+    shapes = Counter()
+
+    def counting(M, *args, _inner=np.linalg.svd, **kwargs):
+        shapes[np.shape(M)] += 1
+        return _inner(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert run(["bimodule", "rank1", "--algebra", f"@{path}"]) == 0
+    capsys.readouterr()
+    assert shapes[(49, 7)] == 1
+
+
 def test_bimodule_rank1_rejects_unital(capsys):
     assert run(["bimodule", "rank1", "--algebra", "trunc3"]) == 2
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import convderiv as cd
+from convderiv import convolution
 
 
 def naive_convolve(a, b):
@@ -237,17 +238,6 @@ def test_scalar_rules_receive_python_ints():
 
 # -- the exact path ends where complex128 stops being exact ------------------
 
-def _python_int_product(a, b):
-    """Gaussian-integer Cauchy product in Python ints: no floating point."""
-    re = [0] * (len(a) + len(b) - 1)
-    im = [0] * len(re)
-    for i, (ar, ai) in enumerate(a):
-        for j, (br, bi) in enumerate(b):
-            re[i + j] += ar * br - ai * bi
-            im[i + j] += ar * bi + ai * br
-    return re, im
-
-
 def test_convolve_large_integer_valued_floats_take_the_float_path():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -261,13 +251,15 @@ def test_convolve_just_below_2_53_is_exact():
     # 2 * min(len) * max|a| * max|b| = 4 * (2^25 - 3) * (2^26 - 5) < 2^53
     top_a, top_b = 2 ** 25 - 3, 2 ** 26 - 5
     assert 2 ** 53 - 2 ** 31 < 4 * top_a * top_b < 2 ** 53
-    a = [(top_a, -top_a + 2), (top_a - 1, top_a)]
-    b = [(top_b, top_b - 7), (-top_b, top_b - 1)]
-    got = cd.convolve(cd.L1Element([complex(*z) for z in a]),
-                      cd.L1Element([complex(*z) for z in b])).coeffs
-    re, im = _python_int_product(a, b)
-    assert [int(z.real) for z in got] == re
-    assert [int(z.imag) for z in got] == im
+    _assert_exact([complex(top_a, -top_a + 2), complex(top_a - 1, top_a)],
+                  [complex(top_b, top_b - 7), complex(-top_b, top_b - 1)])
+    # 2 * 64 * max|a| * max|b| just below 2^53
+    top = math.isqrt(2 ** 53 // 128) - 1
+    assert 2 ** 53 - 2 ** 32 < 128 * top * top < 2 ** 53
+    rng = np.random.default_rng(8)
+    a, b = (_integer_sequence(rng, 64, top, False) for _ in range(2))
+    a[0] = b[0] = complex(top, -top)
+    _assert_exact(a, b)
 
 
 def test_convolve_above_2_53_is_the_float_product():
@@ -278,6 +270,11 @@ def test_convolve_above_2_53_is_the_float_product():
     b = np.array([1, 1, 2 ** 53], dtype=complex)
     got = cd.convolve(cd.L1Element(a), cd.L1Element(b)).coeffs
     assert _same_bits(got, np.convolve(a, b))
+    # (2^27 + 1)^2 = 2^54 + 2^28 + 1 rounds
+    big = cd.L1Element([2 ** 27 + 1])
+    got = cd.convolve(big, big).coeffs
+    assert got.tolist() == [18014398777917440]
+    assert _same_bits(got, np.convolve(big.coeffs, big.coeffs))
 
 
 def test_hash_agrees_with_equality_on_signed_zeros():
@@ -378,3 +375,237 @@ def test_validate_tail_returns_the_values_it_checked():
     # nothing to check: no values are read
     for tail in (cd.ClosedForm(), cd.UNDECLARED, cd.ZeroTail(3)):
         assert cd.validate_tail(cd.DualSequence(None, tail=tail), 40) is None
+
+
+# -- the exact path by FFT, under a proven rounding bound --------------------
+
+def _ones(size, width):
+    """sum_i 2^(8 width i) over i < size."""
+    return int.from_bytes((b"\1" + bytes(width - 1)) * size, "little")
+
+
+def _kronecker(parts, width):
+    """sum_i parts[i] 2^(8 width i) as one Python int, |part| < 2^(8 width
+    - 1): each part is biased to a non-negative digit, and the bias taken
+    off again."""
+    bias = 1 << (8 * width - 1)
+    data = b"".join((x + bias).to_bytes(width, "little") for x in parts)
+    return int.from_bytes(data, "little") - bias * _ones(len(parts), width)
+
+
+def _unkronecker(value, size, width):
+    """The size signed digits of a Kronecker-packed Python int."""
+    bias = 1 << (8 * width - 1)
+    data = (value + bias * _ones(size, width)).to_bytes(width * size,
+                                                         "little")
+    return [int.from_bytes(data[i:i + width], "little") - bias
+            for i in range(0, width * size, width)]
+
+
+def _kronecker_product(a, b):
+    """Gaussian-integer Cauchy product by Kronecker substitution: each part
+    packed into one Python int, a digit wide enough for any coefficient,
+    and multiplied as Python ints; no floating point."""
+    a = [(int(z.real), int(z.imag)) for z in a]
+    b = [(int(z.real), int(z.imag)) for z in b]
+    top = 2 * min(len(a), len(b)) * max(max(map(abs, z)) for z in a) \
+        * max(max(map(abs, z)) for z in b)
+    width = (top.bit_length() + 8) // 8
+    ar, ai = (_kronecker(part, width) for part in zip(*a))
+    br, bi = (_kronecker(part, width) for part in zip(*b))
+    size = len(a) + len(b) - 1
+    return (_unkronecker(ar * br - ai * bi, size, width),
+            _unkronecker(ar * bi + ai * br, size, width))
+
+
+def _assert_exact(a, b):
+    """convolve(a, b) is the Python-int product, with the bits the int64
+    direct method stores (re + 1j * im of int64 arrays, whether or not it
+    skips a zero part), and no -0.0."""
+    got = cd.convolve(cd.L1Element(a), cd.L1Element(b)).coeffs
+    re, im = _kronecker_product(a, b)
+    assert [int(z) for z in got.real] == re
+    assert [int(z) for z in got.imag] == im
+    assert _same_bits(got, np.array(re) + 1j * np.array(im))
+    assert not np.signbit(got.real[got.real == 0]).any()
+    assert not np.signbit(got.imag[got.imag == 0]).any()
+
+
+def _fft_accepts(a, b):
+    return convolution._fft_product(np.asarray(a, dtype=complex),
+                                    np.asarray(b, dtype=complex)) is not None
+
+
+def _integer_sequence(rng, size, top, real):
+    z = rng.integers(-top, top + 1, size) + (
+        0 if real else 1j * rng.integers(-top, top + 1, size))
+    z = np.asarray(z, dtype=complex)
+    if z[-1] == 0:  # the degree is the length asked for
+        z[-1] = 1
+    return z
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["gaussian", "real"])
+def test_fft_products_are_exact_at_every_length(real):
+    rng = np.random.default_rng(15 + real)
+    sizes = [1, 2] + [n for k in (2, 3, 7, 10, 14)
+                      for n in (2 ** k - 1, 2 ** k, 2 ** k + 1)]
+    for size in sizes:
+        a = _integer_sequence(rng, size, 9, real)
+        b = _integer_sequence(rng, int(rng.integers(1, size + 1)), 9, real)
+        assert _fft_accepts(a, b) and _fft_accepts(a, a)
+        _assert_exact(a, b)
+        _assert_exact(a, a)
+    # the largest product the benchmark deck and the degree cap allow
+    a, b = (_integer_sequence(rng, 30001, 9, real) for _ in range(2))
+    assert _fft_accepts(a, b)
+    _assert_exact(a, b)
+
+
+def test_fft_rounding_stays_inside_percival_bound():
+    # the raw FFT product, before rint, against the theorem's bound with a
+    # twiddle error of 4 units, far below the 2^7 that convolve allows
+    rng = np.random.default_rng(3)
+    u = 2.0 ** -53
+    for size, top in ((64, 2 ** 15), (1000, 2 ** 13), (4097, 2 ** 12)):
+        a, b = (_integer_sequence(rng, size, top, False) for _ in range(2))
+        assert _fft_accepts(a, b)
+        k = (2 * size - 2).bit_length()
+        length = 1 << k
+        raw = np.fft.ifft(np.fft.fft(a, length) * np.fft.fft(b, length))
+        re, im = _kronecker_product(a, b)
+        error = max(abs(complex(z) - complex(x, y))
+                    for z, x, y in zip(raw.tolist(), re, im))
+        factor = math.expm1(3 * k * math.log1p(u)
+                            + (3 * k + 1) * math.log1p(math.sqrt(5) * u)
+                            + 3 * k * math.log1p(4 * u))
+        bound = np.linalg.norm(a) * np.linalg.norm(b) * factor
+        assert 0 < error <= bound < 0.5
+
+
+def test_products_the_fft_bound_rejects_stay_exact():
+    # [2^26, 1] [2^25, 3] sits on the guard (2 * 2 * 2^26 * 2^25 = 2^53),
+    # so it is a float product, exact here because every sum is
+    on_guard = cd.convolve(cd.L1Element([2 ** 26, 1]),
+                           cd.L1Element([2 ** 25, 3])).coeffs
+    assert on_guard.tolist() == [2 ** 51, 7 * 2 ** 25, 3]
+    rng = np.random.default_rng(21)
+    cases = [([2 ** 25, 1], [2 ** 25, 3]),
+             ([2 ** 25, 1j], [3j, 2 ** 25]),
+             ([1j * 2 ** 25, 1j], [2 ** 25, 3]),
+             ([1j * 2 ** 25, -1j], [1j * 2 ** 25, 3j])]
+    for size in (1, 2, 3, 5, 8):
+        top = math.isqrt(2 ** 52 // (2 * size)) - 1
+        for real in (False, True):
+            cases.append((_integer_sequence(rng, size, top, real),
+                          _integer_sequence(rng, size, top, real)))
+    for a, b in cases:
+        assert not _fft_accepts(a, b)
+        _assert_exact(a, b)
+
+
+# -- tail validation in blocks -------------------------------------------------
+
+def _whole_probe_violation(seq, upto, first_index=0, atol=1e-9):
+    """Reference: the message of the check made on the whole probe at once,
+    as validate_tail did before it worked in blocks, or None."""
+    cert = seq.tail.certificate
+    start = max(cert.start, first_index)
+    vals = seq.values(upto)
+    mags = np.abs(vals)
+    if isinstance(cert, cd.Constant):
+        bad = np.abs(vals[start:] - cert.value) > atol * max(1.0, abs(
+            cert.value))
+    elif isinstance(cert, cd.Decay):
+        ratio = 1.0 if cert.ratio is None else cert.ratio
+        bad = mags[start + 1:] > mags[start:-1] * ratio + atol
+    else:
+        bad = mags[start:] < cert.bound - atol
+    if not bad.any():
+        return None
+    n = start + int(bad.argmax())
+    if isinstance(cert, cd.Decay):
+        return (f"declared decay from {cert.start} but |value| rises "
+                f"from {mags[n]:.6e} to {mags[n + 1]:.6e} at index {n + 1}")
+    if isinstance(cert, cd.Constant):
+        return (f"declared constant {cert.value} from {cert.start} but "
+                f"value at {n} is {vals[n]}")
+    return (f"declared |value| >= {cert.bound} from {cert.start} but "
+            f"|value| at {n} is {mags[n]:.6e}")
+
+
+def _lying(kind, start, bad):
+    """A sequence whose certificate of the given kind, from start, fails
+    at each index in bad and holds elsewhere."""
+    bad = np.asarray(bad)
+    if kind == "decay":
+        cert = cd.Decay(start, ratio=0.999 if start else None)
+        good = lambda n: 0.998 ** n  # noqa: E731
+        worse = 1.5
+    elif kind == "constant":
+        cert = cd.Constant(0.25 - 0.5j, start)
+        good = lambda n: np.full(n.shape, 0.25 - 0.5j)  # noqa: E731
+        worse = 0.25
+    else:
+        cert = cd.Floor(0.5, start)
+        good = lambda n: 0.75 * np.exp(0.1j * n)  # noqa: E731
+        worse = 0.125
+
+    def rule(n):
+        return np.where(np.isin(n, bad), worse, good(n))
+
+    return cd.DualSequence(rule, tail=cd.ClosedForm(cert), vectorized=True)
+
+
+@pytest.mark.parametrize("kind", ["decay", "constant", "floor"])
+def test_blocked_validation_cites_the_whole_probe_violation(kind):
+    block = convolution._ACTION_BLOCK
+    cases = [(0, 0, [block - 1]), (0, 0, [block]), (5, 1, [block - 1]),
+             (0, 1, [block, 3 * block + 7]), (0, 0, [block + 1, block]),
+             # the first block ends before the certificate starts
+             (block + 4464, 0, [block + 4464, block + 4470]),
+             (block + 4464, 0, [block + 4465]),
+             (block + 4464, block + 4466, [block + 4465, 2 * block])]
+    for start, first_index, bad in cases:
+        seq = _lying(kind, start, bad)
+        want = _whole_probe_violation(seq, 2 * block + 9, first_index)
+        assert want is not None
+        with pytest.raises(cd.CertificateViolationError) as caught:
+            cd.validate_tail(seq, 2 * block + 9, first_index)
+        assert str(caught.value) == want
+        honest = _lying(kind, start, [])
+        assert _whole_probe_violation(honest, 2 * block + 9,
+                                      first_index) is None
+        assert _same_bits(cd.validate_tail(honest, 2 * block + 9,
+                                           first_index),
+                          honest.values(2 * block + 9))
+
+
+def test_blocked_validation_raises_a_later_rule_error_first():
+    # every value is evaluated before a violation is raised, as when the
+    # probe was evaluated whole
+    def rule(n):
+        if n.max() >= 100_000:
+            raise ZeroDivisionError(f"at {n.max()}")
+        return np.where(n == 10, 2.0, 1.0 / (n + 1.0))
+
+    seq = cd.DualSequence(rule, tail=cd.ClosedForm(cd.Decay(0)),
+                          vectorized=True)
+    with pytest.raises(cd.CertificateViolationError):
+        cd.validate_tail(seq, 99_999)
+    with pytest.raises(ZeroDivisionError):
+        cd.validate_tail(seq, 100_000)
+
+
+def test_blocked_validation_returns_the_whole_probe_bits():
+    depth = 200_000
+    wave = cd.DualSequence(lambda n: np.exp(0.3j * n) / (n + 1.0),
+                           tail=cd.ClosedForm(cd.Decay(0)), vectorized=True)
+    scalar = cd.DualSequence(lambda n: 1.0 / (n * n + 1),
+                             tail=cd.ClosedForm(cd.Decay(0)))
+    # mu is 0 at index 0 through a masked first block
+    mu = cd.Derivation.from_mu(lambda n: 3 / (np.asarray(n, float) + 2) ** 2,
+                               tail=cd.ClosedForm(cd.Decay(1))).mu
+    for seq, first_index in ((wave, 0), (scalar, 0), (mu, 1)):
+        assert _same_bits(cd.validate_tail(seq, depth, first_index),
+                          seq.values(depth))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import convderiv as cd
+from convderiv.convolution import _ACTION_BLOCK
 
 
 def harmonic_phi():
@@ -169,6 +170,12 @@ def test_norm_finite_table_max():
     D = cd.Derivation.from_mu_values([0, 1, 5, 0])
     lower, exact = D.norm(10)
     assert lower == exact == 5.0
+    # the maximum is taken block by block; here it sits in a later block
+    for peak in (_ACTION_BLOCK - 1, _ACTION_BLOCK, 2 * _ACTION_BLOCK + 5):
+        table = np.zeros(2 * _ACTION_BLOCK + 9, dtype=complex)
+        table[1], table[peak] = 1, 5 - 5j
+        lower, exact = cd.Derivation.from_mu_values(table).norm(table.size)
+        assert lower == exact == abs(5 - 5j)
 
 
 def test_norm_peaked_examples():
@@ -500,6 +507,7 @@ def test_norm_peak_memory_at_depth_1e6():
     finally:
         tracemalloc.stop()
     assert lower == exact == 1 / 3
-    # the values are held once: measured 46.7 MB, where reading them
-    # twice with masked copies peaked at 70.6 MB
-    assert peak < 56 * 2 ** 20
+    # the values are held once and every temporary is the size of a
+    # block: measured 18.3 MB, where evaluating and checking the whole
+    # probe at once peaked at 46.7 MB
+    assert peak < 24 * 2 ** 20
