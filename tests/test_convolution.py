@@ -504,7 +504,7 @@ def test_products_the_fft_bound_rejects_stay_exact():
         _assert_exact(a, b)
 
 
-# -- tail validation in blocks -------------------------------------------------
+# -- tail validation in blocks ----------------------------------------------
 
 def _whole_probe_violation(seq, upto, first_index=0, atol=1e-9):
     """Reference: the message of the check made on the whole probe at once,
