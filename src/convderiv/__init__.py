@@ -32,7 +32,6 @@ from .convolution import (
     monomial,
     one,
     pair,
-    sup_norm_probe,
     validate_tail,
     zero,
 )

@@ -420,7 +420,7 @@ def dual_homomorphism(A: FiniteAlgebra, E: FiniteBimodule, lam) -> FiniteMap:
 def find_transfer_functional(A: FiniteAlgebra, E: FiniteBimodule, D: FiniteMap,
                              seed: int = 42, tol: float = 1e-9,
                              random_probes: int = 64):
-    """Element a0 with D(a0^2) != 0 and a functional normalised against it.
+    """Element a0 with a0 . D(a0) != 0 and a functional normalised against it.
 
     Scans basis vectors, then sums of basis pairs, then seeded random
     combinations, in that fixed order for reproducibility.  The returned
@@ -440,15 +440,10 @@ def find_transfer_functional(A: FiniteAlgebra, E: FiniteBimodule, D: FiniteMap,
     probes = 0
     for a0 in candidates:
         probes += 1
-        image = D(A.multiply(a0, a0))
-        if float(np.abs(image).max(initial=0.0)) <= tol:
-            continue
+        # lam needs w != 0; w = D(a0^2)/2 if E is symmetric and D a derivation
         w = E.act_left(a0, D(a0))
-        half = 0.5 * image
-        if float(np.abs(w - half).max(initial=0.0)) > 1e-8 * max(
-                1.0, float(np.abs(half).max())):
-            raise ValueError("a0 . D(a0) != D(a0^2)/2: the supplied map is "
-                             "not a derivation into a symmetric module")
+        if float(np.abs(w).max(initial=0.0)) <= tol / 2:
+            continue
         lam = w.conj() / float(np.vdot(w, w).real)
         return a0, lam
     raise NoSuchElementError(
@@ -471,12 +466,19 @@ def transfer(D: FiniteMap, lam, A: FiniteAlgebra, E: FiniteBimodule,
              atol: float = 1e-10) -> FiniteMap:
     """Compose D with the induced homomorphism into the dual.
 
-    The result is again a derivation (checked on all basis pairs, to
-    ``atol`` relative to ``derivation_scale``), its rank never exceeds
-    rank(D), and its operator norm is at most the product of the factors'
-    norms in the declared coordinate norms.  It also carries the
-    homomorphism, the defect, the scale and the tolerance as attributes.
+    D must be a derivation into E, and the result is again a derivation
+    into the dual: both are checked on all basis pairs, to ``atol``
+    relative to ``derivation_scale``, and a failure raises ValueError.
+    The result's rank never exceeds rank(D), and its operator norm is at
+    most the product of the factors' norms in the declared coordinate
+    norms.  It also carries the homomorphism, the defect, the scale and
+    the tolerance as attributes.
     """
+    defect = derivation_defect(A, E, D)
+    tolerance = atol * max(1.0, derivation_scale(A, E, D))
+    if not defect <= tolerance:
+        raise ValueError(f"the map to transfer is not a derivation into the "
+                         f"module: defect {defect:.3e} > {tolerance:.1e}")
     R = dual_homomorphism(A, E, lam)
     composed = _Transferred(R.matrix @ D.matrix, homomorphism=R)
     dual_of_A = A.self_bimodule().dual()

@@ -37,6 +37,7 @@ from .convolution import (
     convolve,
     l1_norm,
     tail_to_dict,
+    validate_tail,
 )
 from .derivations import (
     Derivation,
@@ -200,13 +201,16 @@ def _cmd_deriv_truncate(args) -> _Outcome:
     inputs.update(rank_cut=k, depth=args.depth)
     truncated, err = deriv.truncate(k)
     probe_to = max(args.depth, k + 1)
-    tail_probe = np.abs(deriv.mu.bulk(np.arange(k + 1, probe_to + 1)))
-    probe_sup = float(tail_probe.max(initial=0.0))
+    # read on from where truncate stopped, unless the probe ends before it
+    stop, read = truncated.probed
+    probe_sup = validate_tail(deriv.mu, probe_to, k + 1) \
+        if stop > probe_to + 1 else \
+        float(np.maximum(read, validate_tail(deriv.mu, probe_to, stop)))
     certs = [reports.certificate(
         "truncation-error-dominates-probe", probe_sup <= err + 1e-12,
         err=err, probe_sup=probe_sup, probe_to=probe_to)]
     result = {"k": k, "error": err,
-              "head": reports.complex_seq_to_json(deriv.mu.values(k))}
+              "head": reports.complex_seq_to_json(truncated.mu.values(k))}
     return _Outcome(inputs, result, certs)
 
 

@@ -460,67 +460,68 @@ class DualSequence:
 
 
 def validate_tail(seq: DualSequence, upto: int, first_index: int = 0,
-                  atol: float = 1e-9) -> Optional[np.ndarray]:
-    """Check a declared tail against every probed value up to ``upto``.
+                  atol: float = 1e-9) -> float:
+    """max |value| over first_index..upto, checking a declared tail there.
 
-    Returns the values at 0..upto that were checked, so a caller needs not
-    evaluate them again, or None when the tail carries no certificate to
-    check.  Raises CertificateViolationError on contradiction, citing the
-    first violation, once every value is evaluated.  This cannot prove a
-    declaration, only catch it lying within the probe.
-
-    Values are evaluated and checked in blocks of ``_ACTION_BLOCK``
-    indices into one array, so the work space beside it stays the size of
-    a block at any depth.
+    The one pass that reads a sequence over a range: each index is
+    evaluated once, in blocks of ``_ACTION_BLOCK`` indices, so the work
+    space is one block at any depth.  An empty range gives 0.0, and a NaN
+    wins, as in ``np.max``.  Only a closed form's certificate is checked
+    (ZeroTail values are zero by construction, tables are checked when
+    built); CertificateViolationError cites the first violation once every
+    value is evaluated.  This cannot prove a declaration, only catch it
+    lying within the probe.
     """
-    tail = seq.tail
-    if not isinstance(tail, ClosedForm) or tail.certificate is None:
-        # ZeroTail values are zero by construction and tables are checked
-        # against their declaration at build time; nothing to probe here.
-        return None
-    cert = tail.certificate
+    cert = getattr(seq.tail, "certificate", None)
     # a decay step is checked at its upper index, so from start + 1 on
-    first = max(cert.start, first_index) + isinstance(cert, Decay)
-    vals = np.empty(max(upto + 1, 0), dtype=complex)
-    violation = None
-    for lo in range(0, upto + 1, _ACTION_BLOCK):
+    first = upto + 1 if cert is None else \
+        max(cert.start, first_index) + isinstance(cert, Decay)
+    top, before, violation = np.float64(0.0), np.zeros(0), None
+    for lo in range(first_index, upto + 1, _ACTION_BLOCK):
         hi = min(lo + _ACTION_BLOCK, upto + 1)
-        vals[lo:hi] = seq.bulk(np.arange(lo, hi))
+        vals = seq.bulk(np.arange(lo, hi))
+        mags = np.abs(vals)
+        top = np.maximum(top, mags.max())
         if violation is None and hi > first:
-            violation = _violation(cert, vals, max(lo, first), hi, atol)
+            violation = _violation(cert, vals, mags, before, lo,
+                                   max(lo, first), atol)
+        before = mags[-1:]
     if violation is not None:
         raise CertificateViolationError(violation)
-    return vals
+    return float(top)
 
 
-def _violation(cert: Certificate, vals: np.ndarray, lo: int, hi: int,
+def _violation(cert: Certificate, vals: np.ndarray, mags: np.ndarray,
+               before: np.ndarray, base: int, lo: int,
                atol: float) -> Optional[str]:
-    """The first violation of ``cert`` at an index in lo..hi-1, or None.
-    A decay step up to index n reads vals[n - 1] too, so lo >= 1 there."""
+    """The first violation of ``cert`` from index lo to the end of the
+    block ``vals`` (moduli ``mags``) that starts at index ``base``, or None.
+    ``before`` is the modulus at base - 1 when read: a decay step needs it."""
     if isinstance(cert, Constant):
         scale = max(1.0, abs(cert.value))
-        bad = np.abs(vals[lo:hi] - cert.value) > atol * scale
+        bad = np.abs(vals[lo - base:] - cert.value) > atol * scale
     elif isinstance(cert, Decay):
-        mags = np.abs(vals[lo - 1:hi])
+        # steps[j] is the modulus at index lo - 1 + j
+        steps = np.concatenate((before, mags))[lo - base + before.size - 1:]
         ratio = 1.0 if cert.ratio is None else cert.ratio
         # built in place: one temporary the size of the block, not two
-        envelope = np.multiply(mags[:-1], ratio)
+        envelope = np.multiply(steps[:-1], ratio)
         envelope += atol
-        bad = mags[1:] > envelope
+        bad = steps[1:] > envelope
     else:
-        bad = np.abs(vals[lo:hi]) < cert.bound - atol
+        bad = mags[lo - base:] < cert.bound - atol
     if not bad.any():
         return None
     n = lo + int(bad.argmax())
     if isinstance(cert, Decay):
         return (f"declared decay from {cert.start} but |value| rises "
-                f"from {abs(vals[n - 1]):.6e} to {abs(vals[n]):.6e} "
+                f"from {steps[n - lo]:.6e} to {steps[n - lo + 1]:.6e} "
                 f"at index {n}")
     if isinstance(cert, Constant):
         return (f"declared constant {cert.value} from {cert.start} but "
-                f"value at {n} is {vals[n]}")
+                f"value at {n} is {vals[n - base]}")
     return (f"declared |value| >= {cert.bound} from {cert.start} but "
-            f"|value| at {n} is {abs(vals[n]):.6e}")
+            f"|value| at {n} is {mags[n - base]:.6e}")
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +571,3 @@ def act_on_dual(a: L1Element, psi: DualSequence) -> DualSequence:
         tail = ClosedForm()
     return DualSequence(rule, tail=tail, vectorized=True)
 
-
-def sup_norm_probe(phi: DualSequence, upto: int) -> float:
-    """max |phi(t^n)| over 0 <= n <= upto.
-
-    Always a lower bound for the sup norm; exact when the tail is
-    ZeroTail(M) with M <= upto + 1.
-    """
-    if upto < 0:
-        raise ValueError("probe depth must be non-negative")
-    return float(np.abs(phi.values(upto)).max(initial=0.0))

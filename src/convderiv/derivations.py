@@ -28,7 +28,6 @@ from .convolution import (
     UNDECLARED,
     Undeclared,
     ZeroTail,
-    _ACTION_BLOCK,
     _per_index,
     act_on_dual,
     index_scaled_tail,
@@ -36,6 +35,10 @@ from .convolution import (
     tail_to_dict,
     validate_tail,
 )
+
+
+# truncate refuses, before evaluating anything, to read mu past this index
+PROBE_CAP = 1 << 24
 
 
 class UnboundedDerivationError(ValueError):
@@ -96,7 +99,7 @@ class Derivation:
                 f"is unbounded and no bounded derivation has phi as its "
                 f"value at t")
         mu = _mu_sequence(lambda n: n * phi.bulk(n - 1), mu_tail)
-        if probe_depth >= 1:
+        if probe_depth >= 1 and getattr(mu_tail, "certificate", None):
             validate_tail(mu, probe_depth, first_index=1)
         return cls(mu, phi)
 
@@ -161,32 +164,19 @@ class Derivation:
     def norm(self, probe_depth: int) -> Tuple[float, Optional[float]]:
         """(lower bound, exact value or None) for the operator norm.
 
-        The lower bound is max |mu_n| over 1 <= n <= probe_depth.  The exact
-        entry is filled only when the declared tail certifies the supremum
-        is attained inside the probe: a ZeroTail inside the probe, monotone
-        decay starting inside it, or an eventually constant sequence.
+        The lower bound is max |mu_n| over 1 <= n <= probe_depth.  The norm
+        is the truncation error at k = 0, so the exact entry is filled only
+        when the tail pins that down within the probe: a ZeroTail inside the
+        probe, monotone decay starting inside it, or an eventually constant
+        sequence.
         """
         if probe_depth < 1:
             raise ValueError("probe depth must be at least 1")
-        values = validate_tail(self.mu, probe_depth, first_index=1)
-        if values is None:
-            values = self.mu.values(probe_depth)
-        # block by block, so |values| is never held whole; np.max keeps a
-        # NaN wherever it sits
-        lower = float(np.max([np.abs(values[lo:lo + _ACTION_BLOCK]).max()
-                              for lo in range(1, probe_depth + 1,
-                                              _ACTION_BLOCK)]))
-        exact = None
-        tail = self.mu.tail
-        if isinstance(tail, ZeroTail) and tail.start <= probe_depth + 1:
-            exact = lower
-        elif isinstance(tail, ClosedForm):
-            cert = tail.certificate
-            if isinstance(cert, Decay) and cert.start <= probe_depth:
-                exact = lower
-            elif isinstance(cert, Constant) and cert.start <= probe_depth + 1:
-                exact = max(lower, abs(cert.value))
-        return lower, exact
+        lower = validate_tail(self.mu, probe_depth, first_index=1)
+        cut = _tail_cut(self.mu.tail, 0)
+        if cut is None or cut[0] - 1 > probe_depth:
+            return lower, None
+        return lower, max(lower, cut[1])
 
     # -- compactness --------------------------------------------------------
 
@@ -195,7 +185,6 @@ class Derivation:
         """Certificate-backed compactness verdict; never guesses from samples."""
         if tol <= 0:
             raise ValueError("tolerance must be positive")
-        validate_tail(self.mu, probe_depth, first_index=1)
         tail = self.mu.tail
         if isinstance(tail, ZeroTail):
             return CompactnessVerdict(
@@ -212,6 +201,7 @@ class Derivation:
             return CompactnessVerdict(
                 verdict="inconclusive", tolerance=tol, tail=tail,
                 reason="closed form carries no asymptotic certificate")
+        validate_tail(self.mu, probe_depth, first_index=1)
         if isinstance(cert, Decay):
             start = max(cert.start, 1)
             decay_from = self._first_below(tol, start)
@@ -248,27 +238,26 @@ class Derivation:
         Returns (D_k, err) with err = sup_{n>k} |mu_n|, which by the
         isometry equals the operator-norm distance to the truncation.
         Requires a tail declaration that pins the tail supremum down.
+        D_k.probed is (stop, sup): err read mu over k < n < stop, where its
+        largest modulus is sup, so a longer probe can read on from stop.
         """
         if k < 1:
             raise ValueError("truncation index must be at least 1")
-        head = self.mu.values(k)
-        truncated = Derivation.from_mu_values(head, tail=ZeroTail(k + 1))
-        tail = self.mu.tail
-        cert = getattr(tail, "certificate", None)
-        # sup_{n>k} |mu_n| = max(probe of k+1..stop-1, beyond); decay never
-        # rises past its start, so its last probed value bounds the rest
-        if isinstance(tail, ZeroTail):
-            stop, beyond = tail.start, 0.0
-        elif isinstance(cert, Decay):
-            stop, beyond = max(k + 1, cert.start) + 1, 0.0
-        elif isinstance(cert, Constant):
-            stop, beyond = cert.start, abs(cert.value)
-        else:
+        cut = _tail_cut(self.mu.tail, k)
+        if cut is None:
             raise TailUnknownError(
                 "truncation error needs a declared tail (zero, decay, or "
                 "eventually constant)")
-        probe = np.abs(self.mu.bulk(np.arange(k + 1, stop)))
-        return truncated, max(beyond, float(probe.max(initial=0.0)))
+        stop, beyond = cut
+        if max(k, stop - 1) > PROBE_CAP:
+            raise ValueError(
+                f"truncation at {k} needs mu up to index {max(k, stop - 1)}, "
+                f"beyond the probe cap {PROBE_CAP}")
+        truncated = Derivation.from_mu_values(self.mu.values(k),
+                                              tail=ZeroTail(k + 1))
+        read = validate_tail(self.mu, stop - 1, k + 1)
+        truncated.probed = (max(stop, k + 1), read)
+        return truncated, max(read, beyond)
 
     # -- non-compactness witness ----------------------------------------------
 
@@ -378,6 +367,20 @@ def _mu_sequence(values: Callable, tail: Tail) -> DualSequence:
     if cert is not None and cert.start < 1:
         tail = ClosedForm(replace(cert, start=1))
     return DualSequence(rule, tail=tail, vectorized=True)
+
+
+def _tail_cut(tail: Tail, k: int) -> Optional[Tuple[int, float]]:
+    """(stop, beyond): sup_{n>k} |mu_n| = max(|mu_n| over k < n < stop,
+    beyond), or None when the tail leaves it open.  Decay never rises past
+    its start, so its first value past both k and the start bounds the rest."""
+    cert = getattr(tail, "certificate", None)
+    if isinstance(tail, ZeroTail):
+        return tail.start, 0.0
+    if isinstance(cert, Decay):
+        return max(k + 1, cert.start) + 1, 0.0
+    if isinstance(cert, Constant):
+        return cert.start, abs(cert.value)
+    return None
 
 
 def _accepts_arrays(rule: Callable) -> bool:

@@ -1,6 +1,7 @@
 """Finite-dimensional algebras, bimodules, rank-one construction, transfer."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,41 @@ def test_transfer_trunc3():
     assert complex(a0 @ composed.matrix @ a0) == pytest.approx(1.0, abs=1e-12)
     dual = E.dual()
     assert cd.derivation_defect(A, dual, composed) < 1e-10
+
+
+def test_transfer_rejects_a_map_that_is_not_a_derivation():
+    # D(e0) = 0, D(e1) = e0 + e1, D(e2) = 2 e1 + 2 e2 on trunc3.  At a0 = e1
+    # a0 . D(a0) = e1 + e2 = D(a0^2)/2, so one element cannot tell, but
+    # D(e1 e2) = 0 while e1.D(e2) + D(e1).e2 = 3 e2
+    A = cd.algebra_catalog("trunc3")
+    E = A.self_bimodule()
+    D = cd.FiniteMap(np.array([[0, 1, 0], [0, 1, 2], [0, 0, 2]],
+                              dtype=complex))
+    assert cd.derivation_defect(A, E, D) == 3.0
+    a0, lam = cd.find_transfer_functional(A, E, D)
+    assert np.array_equal(a0, [0, 1, 0])
+    R = cd.dual_homomorphism(A, E, lam)
+    composed = cd.FiniteMap(R.matrix @ D.matrix)
+    assert cd.derivation_defect(A, E.dual(), composed) == pytest.approx(1.5)
+    with pytest.raises(ValueError, match="not a derivation into the module: "
+                                         "defect 3.000e"):
+        cd.transfer(D, lam, A, E)
+
+
+def test_transfer_functional_skips_an_element_it_cannot_normalise():
+    # D(e1) = D(e2) = e2 on trunc3 is no derivation: D(e1^2) = e2, but
+    # e1 . D(e1) = e1 e2 = 0, so no lam has lam(e1 . D(e1)) = 1
+    A = cd.algebra_catalog("trunc3")
+    E = A.self_bimodule()
+    D = cd.FiniteMap(np.array([[0, 0, 0], [0, 0, 0], [0, 1, 1]],
+                              dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by zero
+        a0, lam = cd.find_transfer_functional(A, E, D)
+    assert np.array_equal(a0, [1, 1, 0])
+    assert lam @ E.act_left(a0, D(a0)) == 1
+    with pytest.raises(ValueError, match="not a derivation into the module"):
+        cd.transfer(D, lam, A, E)
 
 
 def test_transfer_trunc4():

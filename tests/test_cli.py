@@ -201,6 +201,60 @@ def test_exact_analysis_past_its_limits_stays_fast(rule):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mu", "1", "--tail", "zero:1000000000000"],
+    # the exact analysis puts the decay start near 1e11
+    ["--mu", "1/(n-100000000000.5)"]], ids=["zero", "decay"])
+def test_truncation_past_the_probe_cap_is_refused_at_once(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "convderiv.cli", "deriv", "truncate", *argv,
+         "--terms", "3"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "beyond the probe cap" in done.stderr
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["--mu", "1/(n+1)^2"], 257),
+    (["--mu", "1/n", "--tail", "zero:30"], 30),
+    (["--mu", "2"], 257)], ids=["decay", "zero", "constant"])
+def test_truncate_reads_each_index_once(monkeypatch, tmp_path, argv, unread):
+    seen = Counter()
+    compile_rule = rules.rule_callable
+
+    def counting(expr):
+        rule = compile_rule(expr)
+
+        def evaluate(n):
+            seen[n] += 1  # a scalar rule: each call is one index
+            return rule(n)
+        return evaluate
+
+    monkeypatch.setattr(rules, "rule_callable", counting)
+    code, report = run_report(
+        ["deriv", "truncate", *argv, "--terms", "10", "--depth", "256"],
+        tmp_path)
+    assert code == 0
+    # the head is read through the truncated derivation, and the
+    # certificate's probe reads on from where the truncation error stopped
+    assert seen == Counter(range(1, unread))
+
+
+def test_truncate_probe_that_ends_inside_the_truncation_read(tmp_path):
+    # mu vanishes from 1000 on, so the error reads mu up to 999, past the
+    # probe; the probe still reports its own maximum, at 256
+    code, report = run_report(
+        ["deriv", "truncate", "--mu", "n", "--tail", "zero:1000",
+         "--terms", "3"], tmp_path)
+    assert code == 0 and report["result"]["error"] == 999.0
+    assert report["certificates"][0]["details"] == {
+        "err": 999.0, "probe_sup": 256.0, "probe_to": 256}
+
+
 def test_negative_zero_tail_start_is_an_input_error(capsys):
     assert run(["deriv", "norm", "--mu", "1", "--tail", "zero:-3"]) == 2
     assert "bad zero-tail index in 'zero:-3'" in capsys.readouterr().err
@@ -347,7 +401,8 @@ def test_bimodule_transfer(tmp_path):
 
 def test_bimodule_transfer_computes_each_part_once(monkeypatch, capsys):
     # the CLI reads the homomorphism, defect and scale that transfer
-    # computed instead of computing them again
+    # computed instead of computing them again; transfer checks its input
+    # and its output, one defect and one scale each
     calls = Counter()
     for name in ("derivation_defect", "derivation_scale",
                  "dual_homomorphism"):
@@ -357,7 +412,7 @@ def test_bimodule_transfer_computes_each_part_once(monkeypatch, capsys):
         monkeypatch.setattr(bimodules, name, counting)
     assert run(["bimodule", "transfer", "--algebra", "trunc6"]) == 0
     capsys.readouterr()
-    assert calls == {"derivation_defect": 1, "derivation_scale": 1,
+    assert calls == {"derivation_defect": 2, "derivation_scale": 2,
                      "dual_homomorphism": 1}
 
 

@@ -495,10 +495,15 @@ def test_norm_evaluates_each_index_once(tail):
     assert seen == Counter(range(1, last + 1))
 
 
-def test_norm_peak_memory_at_depth_1e6():
+@pytest.mark.parametrize("tail", [
+    cd.ClosedForm(cd.Decay(1)),
+    cd.ClosedForm(),
+    cd.UNDECLARED,
+    cd.ZeroTail(2 * 10 ** 6),
+], ids=["decay", "closed-form", "undeclared", "zero"])
+def test_norm_peak_memory_at_depth_1e6(tail):
     D = cd.Derivation.from_mu(
-        lambda n: 3 / (np.asarray(n, float) + 2) ** 2,
-        tail=cd.ClosedForm(cd.Decay(1)))
+        lambda n: 3 / (np.asarray(n, float) + 2) ** 2, tail=tail)
     D.norm(10)
     tracemalloc.start()
     try:
@@ -506,8 +511,61 @@ def test_norm_peak_memory_at_depth_1e6():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lower == exact == 1 / 3
-    # the values are held once and every temporary is the size of a
-    # block: measured 18.3 MB, where evaluating and checking the whole
-    # probe at once peaked at 46.7 MB
+    assert lower == 1 / 3
+    assert exact == (lower if tail == cd.ClosedForm(cd.Decay(1)) else None)
+    # every value is read once, in blocks, and only the largest modulus is
+    # kept: holding the whole probe peaked at 18.3 MB with a Decay tail and
+    # at 46.7 MB without a certificate
     assert peak < 24 * 2 ** 20
+
+
+def _same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@pytest.mark.parametrize("depth", [
+    _ACTION_BLOCK - 1, _ACTION_BLOCK, _ACTION_BLOCK + 1,
+    2 * _ACTION_BLOCK + 9])
+@pytest.mark.parametrize("with_nan", [False, True], ids=["finite", "nan"])
+def test_norm_and_truncate_match_the_whole_probe_max(depth, with_nan):
+    peak = depth - 5
+
+    def rule(n):
+        n = np.asarray(n, float)
+        out = (2.0 + 1j * (n % 3)) / (1.0 + (n - peak) ** 2)
+        if with_nan:
+            out[n == depth] = np.nan  # in the last block
+        return out
+
+    def whole(first):
+        return np.abs(rule(np.arange(first, depth + 1))).max()
+
+    k = 3
+    for tail in (cd.ZeroTail(depth + 1), cd.ClosedForm()):
+        D = cd.Derivation.from_mu(rule, tail=tail)
+        lower, exact = D.norm(depth)
+        assert _same(lower, whole(1))
+        if isinstance(tail, cd.ZeroTail):
+            assert _same(exact, whole(1))
+            assert _same(D.truncate(k)[1], whole(k + 1))
+        else:
+            assert exact is None
+
+
+def test_truncate_past_the_probe_cap_reads_nothing():
+    def rule(n):
+        raise AssertionError(f"read mu at {n}")
+
+    cap = cd.derivations.PROBE_CAP
+    from_zero = cd.Derivation.from_mu(rule, tail=cd.ZeroTail(cap + 2))
+    with pytest.raises(ValueError, match=f"up to index {cap + 1}, beyond"):
+        from_zero.truncate(3)
+    decay = cd.Derivation.from_mu(rule, tail=cd.ClosedForm(cd.Decay(cap + 1)))
+    with pytest.raises(ValueError, match=f"up to index {cap + 1}, beyond"):
+        decay.truncate(3)
+    with pytest.raises(ValueError, match=f"up to index {cap + 1}, beyond"):
+        constant_mu(1.0).truncate(cap + 1)
+    # the longest read allowed ends at the cap
+    at_cap = cd.Derivation.from_mu(lambda n: 1.0 / np.asarray(n, float),
+                                   tail=cd.ZeroTail(cap + 1))
+    assert at_cap.truncate(3)[1] == 0.25
