@@ -28,6 +28,7 @@ from .convolution import (
     ZeroTail,
     act_on_dual,
     convolve,
+    convolve_with_radius,
     l1_norm,
     monomial,
     one,

@@ -54,12 +54,61 @@ class FiniteMap:
 
 
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
-_HUGE = float(np.finfo(float).max)
 
 
-def _gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entry modulus of a - b."""
-    return float(np.abs(a - b).max(initial=0.0))
+def _checked_defect(sides, arrays, atol: float, what: str) -> float:
+    """The largest |lhs - rhs| over the blocks ``sides(*arrays, i)``, i <
+    len(arrays[0]): each yields (lhs, rhs) pairs of the same shape.
+
+    Every entry of lhs and rhs is a sum of products of entries of
+    ``arrays``, so ``sides`` of their moduli gives the sums of the moduli
+    of those products, S, and the entry's rounding is at most gamma_n S
+    for n terms (Higham §3.1).  The check raises ValueError unless each
+    |lhs - rhs| is at most atol S, with S floored at the smallest normal
+    double (below it, rounding is absolute); it cites the entry furthest
+    above its tolerance in the first block that has one.  A block whose gaps are all zero passes without
+    its S.  Products that overflow give NaN or inf gaps, with no warning on
+    the way, and fail: a NaN compares false, and an inf gap, which needs
+    an inf S, gives an excess of inf - inf = NaN.
+    """
+    defect, mags = 0.0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(arrays[0])):
+            gaps = [np.abs(lhs - rhs) for lhs, rhs in sides(*arrays, i)]
+            tops = [g.max(initial=0.0) for g in gaps]
+            defect = max(defect, *tops)  # no NaN: that block raises below
+            if not any(tops):  # a NaN is true
+                continue
+            mags = mags or [np.abs(x) for x in arrays]
+            for gap, (lhs, rhs) in zip(gaps, sides(*mags, i)):
+                tol = atol * np.maximum(lhs + rhs, _TINY)
+                over = gap - tol
+                at = np.argmax(over)  # the first NaN, if there is one
+                if not over.flat[at] <= 0:
+                    raise ValueError(f"{what} defect {gap.flat[at]:.3e} "
+                                     f"exceeds {tol.flat[at]:.1e}")
+    return float(defect)
+
+
+def _associativity(c: np.ndarray, i: int):
+    """Block i of (e_i e_j) e_k against e_i (e_j e_k), entries [j, (k, l)]."""
+    d = len(c)
+    yield (c[i] @ c.reshape(d, d * d),
+           (c.reshape(d * d, d) @ c[i]).reshape(d, d * d))
+
+
+def _module_axioms(c: np.ndarray, L: np.ndarray, R: np.ndarray, i: int):
+    """Block i of e_i.(e_j.f) = (e_i e_j).f, (f.e_i).e_j = f.(e_i e_j) and
+    e_i.(f.e_j) = (e_i.f).e_j, entries [j, x, z] or [x, j, z]; one pair at
+    a time, so one block of one axiom is held at once."""
+    d, m = L.shape[:2]
+    R_cols = R.transpose(1, 0, 2).reshape(m, d * m)  # [x, (j, z)]
+    yield ((L.reshape(d * m, m) @ L[i]).reshape(d, m, m),
+           (c[i] @ L.reshape(d, m * m)).reshape(d, m, m))
+    yield ((R[i] @ R_cols).reshape(m, d, m),
+           (c[i] @ R.reshape(d, m * m)).reshape(d, m, m).transpose(1, 0, 2))
+    yield ((R.reshape(d * m, m) @ L[i]).reshape(d, m, m).transpose(1, 0, 2),
+           (L[i] @ R_cols).reshape(m, d, m))
 
 
 class FiniteAlgebra:
@@ -67,13 +116,14 @@ class FiniteAlgebra:
 
     Commutativity must hold exactly; associativity is checked across all
     basis triples, and the largest defect found is kept as
-    ``associativity_defect``.  Each defect entry is a difference of two sums
-    of d products of entries of c, so its rounding grows with d·max|c|²; the
-    defect may reach ``atol`` times that scale, and scaling c (a change of
-    basis e_i -> s·e_i) moves defect and tolerance alike.  Below the
-    smallest normal double, rounding is absolute, so the scale stops there.
-    A NaN or inf defect, from a product that overflowed, fails the check.
-    The catalog's algebras are built exactly by ``_exact``.
+    ``associativity_defect``.  Defect entry (i, j, k, m) is a difference of
+    two sums of d products of entries of c, so it may reach ``atol`` times
+    sum_l (|c_ijl| |c_lkm| + |c_jkl| |c_ilm|), the scale of its own
+    rounding (``_checked_defect``); scaling c (a change of basis e_i ->
+    s·e_i) moves defect and tolerance alike, and a large entry elsewhere
+    widens no other entry's tolerance.  A NaN or inf defect, from a product
+    that overflowed, fails the check.  The catalog's algebras are built
+    exactly by ``_exact``.
     """
 
     def __init__(self, structure, atol: float = 1e-12):
@@ -82,20 +132,7 @@ class FiniteAlgebra:
             raise ValueError("structure constants must form a (d, d, d) array")
         if not np.array_equal(c, c.transpose(1, 0, 2)):
             raise ValueError("structure constants are not commutative")
-        d = c.shape[0]
-        rows, cols = c.reshape(d, d * d), c.reshape(d * d, d)
-        # block i: (e_i e_j) e_k against e_i (e_j e_k) as [j, (k, l)].  An
-        # overflowed product gives an inf or NaN gap, np.max keeps a NaN
-        # wherever it sits, and the test below fails both: no warning needed
-        with np.errstate(over="ignore", invalid="ignore"):
-            defect = float(np.max([_gap(c[i] @ rows,
-                                        (cols @ c[i]).reshape(d, d * d))
-                                   for i in range(d)], initial=0.0))
-        top = float(np.abs(c).max(initial=0.0))
-        tolerance = atol * max(d * top * top, _TINY)
-        if not defect <= min(tolerance, _HUGE):  # NaN and inf fail
-            raise ValueError(f"associativity defect {defect:.3e} exceeds "
-                             f"{tolerance:.1e}")
+        defect = _checked_defect(_associativity, (c,), atol, "associativity")
         self._set(c, defect)
 
     @classmethod
@@ -152,9 +189,9 @@ class FiniteBimodule:
     left[i, x, y] is the f_y coefficient of e_i . f_x, and right[i, x, y]
     that of f_x . e_i.  ``symmetric`` records exact equality of the two.
     The axiom defects compare sums of m products of action entries with
-    sums of d products of an action entry and an entry of c, so the defect
-    may reach ``atol`` times the larger of m·a² and d·max|c|·a, where a is
-    the largest action entry.  A NaN or inf defect fails the check.
+    sums of d products of an action entry and an entry of c, so each entry
+    may reach ``atol`` times the sum of the moduli of its own products, as
+    in the algebra.  A NaN or inf defect fails the check.
     """
 
     def __init__(self, algebra: FiniteAlgebra, left, right, atol: float = 1e-12):
@@ -164,31 +201,7 @@ class FiniteBimodule:
         if L.shape != R.shape or L.ndim != 3 or L.shape[0] != d \
                 or L.shape[1] != L.shape[2]:
             raise ValueError("action tensors must have shape (dim_A, m, m)")
-        m = L.shape[1]
-        L_rows, R_rows = L.reshape(d * m, m), R.reshape(d * m, m)
-        L_flat, R_flat = L.reshape(d, m * m), R.reshape(d, m * m)
-        R_cols = R.transpose(1, 0, 2).reshape(m, d * m)  # [x, (j, z)]
-        gaps = []
-        with np.errstate(over="ignore", invalid="ignore"):  # as in the algebra
-            for i in range(d):
-                # block i of e_i.(e_j.f) = (e_i e_j).f, (f.e_i).e_j =
-                # f.(e_i e_j) and e_i.(f.e_j) = (e_i.f).e_j, entries
-                # [j, x, z] or [x, j, z]
-                gaps += [
-                    _gap((L_rows @ L[i]).reshape(d, m, m),
-                         (c[i] @ L_flat).reshape(d, m, m)),
-                    _gap((R[i] @ R_cols).reshape(m, d, m),
-                         (c[i] @ R_flat).reshape(d, m, m).transpose(1, 0, 2)),
-                    _gap((R_rows @ L[i]).reshape(d, m, m).transpose(1, 0, 2),
-                         (L[i] @ R_cols).reshape(m, d, m))]
-        defect = float(np.max(gaps, initial=0.0))
-        a = float(max(np.abs(L).max(initial=0.0), np.abs(R).max(initial=0.0)))
-        tolerance = atol * max(m * a * a,
-                               d * float(np.abs(c).max(initial=0.0)) * a,
-                               _TINY)
-        if not defect <= min(tolerance, _HUGE):  # NaN and inf fail
-            raise ValueError(f"bimodule axiom defect {defect:.3e} exceeds "
-                             f"{tolerance:.1e}")
+        _checked_defect(_module_axioms, (c, L, R), atol, "bimodule axiom")
         self._set(algebra, L, R)
 
     @classmethod

@@ -34,7 +34,8 @@ from .convolution import (
     UNDECLARED,
     UndeclaredTailError,
     ZeroTail,
-    convolve,
+    _gamma,
+    convolve_with_radius,
     l1_norm,
     tail_to_dict,
     validate_tail,
@@ -132,29 +133,34 @@ def _build_derivation(args) -> Tuple[Derivation, dict]:
 
 def _cmd_conv(args) -> _Outcome:
     a, b = _coeffs(args.a), _coeffs(args.b)
-    product = convolve(a, b)
+    product, radius, route = convolve_with_radius(a, b)
     inputs = {"a": reports.complex_seq_to_json(a.coeffs),
               "b": reports.complex_seq_to_json(b.coeffs)}
     bound = l1_norm(a) * l1_norm(b)
     value = l1_norm(product)
     # The theorem |a*b|_1 <= |a|_1 |b|_1 survives rounding as value <=
-    # bound / (1 - N u), barring underflow (Higham, Accuracy and Stability
-    # of Numerical Algorithms, 2nd ed., §3.1; u = 2^-53, gamma_k =
-    # k u/(1 - k u)).  A sum of k terms >= 0 is within gamma_(k-1), a
-    # modulus within gamma_2.  Each part of a product coefficient is a real
-    # sum of 2m products, m = min(la, lb), within gamma_2m of
+    # (bound + lp r) (1 + gamma_N), barring underflow (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., §3.1; u = 2^-53, gamma_k
+    # = k u/(1 - k u), and (1 + gamma_j)(1 + gamma_k) <= 1 + gamma_(j+k)).
+    # A sum of k terms >= 0 is within gamma_(k-1), a modulus within
+    # gamma_2.  On the direct route each part of a product coefficient is a
+    # real sum of 2m products, m = min(la, lb), within gamma_2m of
     # sum_r |a_r||b_(n-r)| as |xr yr| + |xi yi| <= |x||y|, so the
-    # coefficient is within sqrt(2) gamma_2m <= gamma_3m of it.  So value
-    # <= |a||b| (1 + gamma_p), p = lp + 1 + 3m, and bound >= |a||b| (1 -
-    # gamma_q), q = la + lb + 3; as 1/(1 - gamma_q) <= 1 + gamma_2q and
-    # 1 + gamma_N = 1/(1 - N u), N = p + 2q, plus one u for the division.
+    # coefficient is within sqrt(2) gamma_2m <= gamma_3m of it, and r = 0
+    # here.  On the exact route the coefficients are exact, and on the FFT
+    # route each is within the radius r of its value, normwise; so the
+    # computed moduli sum to at most (1 + gamma_3m)(|a||b| + lp r).  So
+    # value <= (|a||b| + lp r)(1 + gamma_p), p = lp + 1 + 3m, and bound >=
+    # |a||b| (1 - gamma_q), q = la + lb + 3, where 1/(1 - gamma_q) <= 1 +
+    # gamma_2q; N = p + 2q, plus four roundings of the right-hand side.
     la, lb, lp = a.coeffs.size, b.coeffs.size, product.coeffs.size
-    n = lp + 3 * min(la, lb) + 2 * (la + lb) + 8
+    n = lp + 3 * min(la, lb) + 2 * (la + lb) + 11
+    slack = lp * radius if route == "fft" else 0.0
     certs = [reports.certificate(
-        "submultiplicative", value <= bound / (1.0 - n * 2.0 ** -53),
+        "submultiplicative", value <= (bound + slack) * (1.0 + _gamma(n)),
         product_norm=value, factor_bound=bound)]
     result = {"coefficients": reports.complex_seq_to_json(product.coeffs),
-              "l1_norm": value}
+              "l1_norm": value, "exact": route == "exact", "radius": radius}
     return _Outcome(inputs, result, certs)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -261,22 +261,54 @@ def _largest_integer_part(arr: np.ndarray) -> Optional[float]:
 def convolve(a: L1Element, b: L1Element) -> L1Element:
     """Cauchy product: coefficient n of the result is sum_r a_r b_{n-r}.
 
-    When both inputs are Gaussian integers and every coefficient of the
-    product is provably below 2^53 in modulus (2 min(len) max|a| max|b|
-    < 2^53, with max over real and imaginary parts), the product is
-    computed exactly and stored exactly, so identities that hold over the
-    integers hold exactly here too: by FFT when the bound in
-    ``_fft_product`` proves its rounding harmless, else by direct int64
-    sums.  Both give the same bits.  Larger integer inputs, such as
-    (2^27+1)^2, take the float path, a direct ``np.convolve``, and are
-    rounded like any other float product.
+    The product of ``convolve_with_radius``, which also returns its error
+    radius: exact Gaussian-integer products (radius 0); other products with
+    la lb >= 12 L (log2 L + 2), L the FFT length, by FFT, with Percival's
+    normwise radius 2 M beta ||a||_2 ||b||_2; the rest by ``np.convolve``,
+    whose componentwise error gamma_3m sum_r |a_r||b_(n-r)| gives the
+    radius gamma_3m ||a||_2 ||b||_2.
+    """
+    return convolve_with_radius(a, b)[0]
+
+
+def convolve_with_radius(a: L1Element, b: L1Element
+                         ) -> Tuple[L1Element, float, str]:
+    """The Cauchy product, a radius r with |computed_n - exact_n| <= r for
+    every coefficient n, and the route that computed it.
+
+    - ``"exact"``, r = 0: both inputs are Gaussian integers and every
+      coefficient of the product is provably below 2^53 in modulus (2
+      min(len) max|a| max|b| < 2^53, max over real and imaginary parts).
+      The product is computed and stored exactly, so identities that hold
+      over the integers hold exactly here too: by FFT when the bound in
+      ``_fft_product`` proves its rounding harmless, else by direct int64
+      sums.  Both give the same bits.
+    - ``"fft"``: any other product with la lb >= 12 L (k + 2), L = 2^k >=
+      la + lb - 1 the FFT length (``_FFT_COST``: square inputs of length
+      384 to 512 and from 566 on), computed as ifft(fft(a) fft(b)).
+      r = 2 M beta ||a||_2 ||b||_2, from Percival's theorem as in
+      ``_fft_product``: a normwise bound, the same for every coefficient.
+      An FFT whose output is not finite (an overflow, an inf or NaN input)
+      is discarded for the direct route.
+    - ``"direct"``: ``np.convolve``, with the bits it gives.  Each part of
+      coefficient n is a sum of 2m products, m = min(la, lb), so it errs by
+      at most gamma_3m sum_r |a_r||b_(n-r)| (see ``cli._cmd_conv``), a
+      componentwise bound; r = gamma_3m ||a||_2 ||b||_2 bounds that sum by
+      Cauchy-Schwarz.  Integer inputs past the guard, such as (2^27+1)^2,
+      come this way and are rounded with a radius like any float product.
+
+    Each r is evaluated so that its own rounding cannot make it too small
+    (``_radius``).  Like Higham's gamma_k, the rounding bounds hold barring
+    underflow: an intermediate below 2^-1022 rounds absolutely, not
+    relatively, and no absolute term is added.
     """
     ca, cb = a.coeffs, b.coeffs
     if ca.size == 0 or cb.size == 0:
-        return zero()
-    if ca.size + cb.size - 1 > DEGREE_CAP + 1:
+        return zero(), 0.0, "exact"
+    size = ca.size + cb.size - 1
+    if size > DEGREE_CAP + 1:
         raise DegreeCapError(
-            f"product degree {ca.size + cb.size - 2} exceeds cap {DEGREE_CAP}")
+            f"product degree {size - 1} exceeds cap {DEGREE_CAP}")
     top_a, top_b = _largest_integer_part(ca), _largest_integer_part(cb)
     # below 2^53 the float product of these integers is exact, so the
     # comparison is too; an infinite part fails it
@@ -284,13 +316,95 @@ def convolve(a: L1Element, b: L1Element) -> L1Element:
             and 2 * min(ca.size, cb.size) * top_a * top_b < 2.0 ** 53:
         product = _fft_product(ca, cb)
         return L1Element(_direct_product(ca, cb) if product is None
-                         else product)
-    return L1Element(np.convolve(ca, cb))
+                         else product), 0.0, "exact"
+    k = (size - 1).bit_length()
+    if ca.size * cb.size >= _FFT_COST * (k + 2) << k:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            product = _cyclic_product(ca, cb)
+        if np.isfinite(product).all():
+            return L1Element(product), \
+                _radius(ca, cb, _fft_factor(size)), "fft"
+    return L1Element(np.convolve(ca, cb)), \
+        _radius(ca, cb, _gamma(3 * min(ca.size, cb.size))), "direct"
 
 
 # pocketfft's twiddle factors are within a few units of 2^-53; the bound
 # allows 2^7 of them
 _TWIDDLE_ERROR = 2.0 ** -46
+
+# An FFT product of length L = 2^k costs about as much as 12 L (k + 2)
+# multiply-adds of np.convolve: measured on complex inputs with numpy 2.4.6
+# on 2 CPUs, where square products break even near la = lb = 350 (0.08 ms)
+# and a 256 x 16384 product still favours the direct sums (2.1 ms against
+# 2.4 ms)
+_FFT_COST = 12
+
+_UNIT = 2.0 ** -53  # the unit roundoff of a double
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 (*Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., §3.1), for k u < 1/2.
+
+    k u is exact, and the subtraction and the division round once each, so
+    the quotient is at least gamma_k (1 - 2u) / (1 + u); the factor
+    1 + 2^-50 = 1 + 8u, rounded once more, lifts it back above gamma_k.
+    """
+    return k * _UNIT / (1.0 - k * _UNIT) * (1.0 + 2.0 ** -50)
+
+
+def _fft_factor(size: int) -> float:
+    """2 M beta, M = 9k + 1, for a product of ``size`` coefficients by FFT
+    at length 2^k (see ``_fft_product``); exact as a double."""
+    return 2 * (9 * (size - 1).bit_length() + 1) * _TWIDDLE_ERROR
+
+
+def _norm(coeffs: np.ndarray) -> float:
+    """||coeffs||_2 within a relative 2^-34.
+
+    The parts are scaled by the power of two that brings the largest into
+    [1/2, 1), so no square overflows and the sum is at least 1/4; the
+    squares that underflow lose less than 2^-1050 of it.  The sum has at
+    most 2 len <= 2^18 non-negative terms, each rounded once and carried
+    through fewer than 2^18 additions, so it is within gamma_(2^18) <
+    2^-35 of its value; the square root halves that and rounds once, and
+    scaling back is exact unless the norm overflows (inf) or falls below
+    2^-1022.
+    """
+    parts = coeffs.view(np.float64)
+    top = float(np.abs(parts).max())
+    if not 0.0 < top < math.inf:
+        return top  # 0, inf or NaN
+    scale = math.frexp(top)[1]
+    scaled = np.ldexp(parts, -scale)
+    try:
+        return math.ldexp(math.sqrt(float(scaled @ scaled)), scale)
+    except OverflowError:
+        return math.inf
+
+
+def _radius(ca: np.ndarray, cb: np.ndarray, factor: float) -> float:
+    """An upper bound of factor ||a||_2 ||b||_2, for an exact factor or one
+    already rounded up; inf when a norm is not finite.
+
+    The two norms are within 2^-34 each and the three products round once
+    each, so the computed value is at least the bound times
+    (1 - 2^-33)(1 - u)^3; the factor 1 + 2^-30 lifts it back above.
+    """
+    radius = factor * _norm(ca) * _norm(cb) * (1.0 + 2.0 ** -30)
+    return radius if radius <= math.inf else math.inf  # NaN: no bound
+
+
+def _cyclic_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """ifft(fft(a) fft(b)) with both inputs zero-padded to the power of two
+    L >= la + lb - 1, where the cyclic convolution is the Cauchy product;
+    its first la + lb - 1 coefficients."""
+    size = ca.size + cb.size - 1
+    length = 1 << (size - 1).bit_length()
+    # numpy.fft is imported on first use, so importing convderiv stays cheap
+    spectrum = np.fft.fft(ca, length)
+    spectrum *= np.fft.fft(cb, length)
+    return np.fft.ifft(spectrum)[:size]
 
 
 def _fft_product(ca: np.ndarray, cb: np.ndarray) -> Optional[np.ndarray]:
@@ -299,7 +413,7 @@ def _fft_product(ca: np.ndarray, cb: np.ndarray) -> Optional[np.ndarray]:
     The caller's guard makes every part of every product coefficient an
     integer below 2^53 in modulus.  With L = 2^k >= la + lb - 1, the cyclic
     convolution of the inputs zero-padded to length L is their Cauchy
-    product, computed as ifft(fft(a) fft(b)).
+    product, computed as ifft(fft(a) fft(b)) (``_cyclic_product``).
 
     Percival's theorem (Math. Comp. 72 (2003); Brent & Zimmermann, *Modern
     Computer Arithmetic*, Thm 3.3.2) bounds the error of every computed
@@ -317,28 +431,16 @@ def _fft_product(ca: np.ndarray, cb: np.ndarray) -> Optional[np.ndarray]:
 
     As beta >= sqrt(5) u, the factor is at most (1+beta)^M - 1 <= 2 M beta
     with M = 9k + 1, since M beta <= 1/2 for every k <= 17 the degree cap
-    allows.  The error is therefore below 1/2 when s_a s_b (M beta)^2 <
-    1/16, s = ||.||_2^2.  Each s is a float sum of 2 len squared parts;
-    every term goes through at most 2 len <= 2^18 roundings of non-negative
-    numbers, so the computed sum is at least s (1 - 2^-35).  (M beta)^2 is
-    exact, and the check below rounds twice more, so a computed value
-    below 1/32 proves s_a s_b (M beta)^2 < 1/32 / (1 - 2^-33) < 1/16.
-    Then each part of each computed coefficient lies within 1/2 of its
-    integer, ``rint`` returns that integer exactly, and + 0.0 turns the
-    -0.0 that ``rint`` gives for small negative errors into the +0.0 of
-    the direct int64 sums.
+    allows.  ``_radius`` evaluates 2 M beta ||a||_2 ||b||_2 from above, so
+    a computed radius below 1/2 proves each part of each computed
+    coefficient within 1/2 of its integer: ``rint`` returns that integer
+    exactly, and + 0.0 turns the -0.0 that ``rint`` gives for small
+    negative errors into the +0.0 of the direct int64 sums.
     """
     size = ca.size + cb.size - 1
-    k = (size - 1).bit_length()
-    m = 9 * k + 1
-    va, vb = ca.view(np.float64), cb.view(np.float64)
-    if not float(va @ va) * float(vb @ vb) * (m * m * _TWIDDLE_ERROR ** 2) \
-            < 1 / 32:
+    if not _radius(ca, cb, _fft_factor(size)) < 0.5:
         return None
-    length = 1 << k
-    # numpy.fft is imported on first use, so importing convderiv stays cheap
-    spectrum = np.fft.fft(ca, length) * np.fft.fft(cb, length)
-    return np.rint(np.fft.ifft(spectrum)[:size]) + 0.0
+    return np.rint(_cyclic_product(ca, cb)) + 0.0
 
 
 def _direct_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:

@@ -296,6 +296,7 @@ def test_validation_rejects_a_nan_defect():
     late = np.zeros((2, 2, 2))
     late[0, 0, 0] = late[0, 1, 1] = late[1, 0, 1] = 1.0
     late[1, 1, 1] = 1e200  # block 0 is finite, block 1 NaN
+    early = late[::-1, ::-1, ::-1]  # block 0 NaN, block 1 finite
     # (e_2 e_2) e_0 overflows, and e_2 (e_2 e_0) = 0
     one_sided = np.zeros((3, 3, 3))
     one_sided[0, 0, 0] = one_sided[1, 1, 1] = one_sided[2, 2, 1] = 1.0
@@ -303,7 +304,7 @@ def test_validation_rejects_a_nan_defect():
     one_sided[0, 0, 2] = one_sided[2, 2, 0] = 1e200
     with np.errstate(over="ignore", invalid="ignore"):
         for bad, defect in ((1e160 * c, "nan"), (late, "nan"),
-                            (one_sided, "inf")):
+                            (early, "nan"), (one_sided, "inf")):
             with pytest.raises(ValueError,
                                match=f"associativity defect {defect}"):
                 cd.FiniteAlgebra(bad)
@@ -311,6 +312,27 @@ def test_validation_rejects_a_nan_defect():
         for L, R in ((1e160 * c, 1e160 * c), (c, 1e160 * c)):
             with pytest.raises(ValueError, match="axiom defect (nan|inf)"):
                 cd.FiniteBimodule(A, L, R)
+
+
+def test_a_large_entry_widens_no_other_entry_tolerance():
+    # e1^2 = e0 and e0 e1 = e1 give (e0 e0) e1 = 0 against e0 (e0 e1) = e1,
+    # a defect of 1 whose products are 0 and 1; e2^2 = 10^6 e2 is
+    # associative, and a tolerance scaled by max|c|^2 = 10^12 let it pass
+    c = np.zeros((3, 3, 3))
+    c[1, 1, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
+    c[2, 2, 2] = 1e6
+    with pytest.raises(ValueError,
+                       match="associativity defect 1.000e.00 exceeds 1.0e-12"):
+        cd.FiniteAlgebra(c)
+    assert cd.FiniteAlgebra(c, atol=np.inf).associativity_defect == 1.0
+    # an idempotent e0 acting by [[1, 10^6], [0, 1e-7]]: the 10^6 entry is
+    # consistent, and the 1e-7 one breaks e0.(e0.f) = (e0 e0).f by about
+    # 1e-7 at entries whose products are no larger than 1e-7 or 10^6
+    A = cd.FiniteAlgebra(np.ones((1, 1, 1)))
+    act = np.array([[[1.0, 1e6], [0.0, 1e-7]]])
+    with pytest.raises(ValueError, match="bimodule axiom defect"):
+        cd.FiniteBimodule(A, act, act)
+    cd.FiniteBimodule(A, act, act, atol=1.0)
 
 
 def test_validation_rejects_a_relative_perturbation_at_every_scale():
@@ -518,14 +540,26 @@ def einsum_associativity_defect(c):
                         - np.einsum("jkm,iml->ijkl", c, c)).max(initial=0.0))
 
 
-def einsum_axiom_defect(c, L, R):
-    """Reference: the three bimodule axioms as d^2 m^2 einsum tensors."""
-    checks = (
-        np.einsum("jxy,iyz->ijxz", L, L) - np.einsum("ijm,mxz->ijxz", c, L),
-        np.einsum("ixy,jyz->ijxz", R, R) - np.einsum("ijm,mxz->ijxz", c, R),
-        np.einsum("jxy,iyz->ijxz", R, L) - np.einsum("ixy,jyz->ijxz", L, R),
+def _axiom_sides(c, L, R):
+    """The two sides of the three bimodule axioms as d^2 m^2 einsum
+    tensors."""
+    return (
+        (np.einsum("jxy,iyz->ijxz", L, L), np.einsum("ijm,mxz->ijxz", c, L)),
+        (np.einsum("ixy,jyz->ijxz", R, R), np.einsum("ijm,mxz->ijxz", c, R)),
+        (np.einsum("jxy,iyz->ijxz", R, L), np.einsum("ixy,jyz->ijxz", L, R)),
     )
-    return max(float(np.abs(t).max(initial=0.0)) for t in checks)
+
+
+def einsum_axiom_ratio(c, L, R):
+    """Reference: the largest ratio of an axiom defect entry to the sum of
+    the moduli of the products that make it."""
+    ratios = []
+    for (lhs, rhs), (ml, mr) in zip(_axiom_sides(c, L, R),
+                                    _axiom_sides(*map(np.abs, (c, L, R)))):
+        scale = ml + mr  # a zero scale has a zero defect
+        ratios.append(np.divide(np.abs(lhs - rhs), scale, where=scale > 0,
+                                out=np.zeros(scale.shape)).max(initial=0.0))
+    return float(max(ratios))
 
 
 def random_commutative(rng, d):
@@ -533,14 +567,13 @@ def random_commutative(rng, d):
     return c + c.transpose(1, 0, 2)
 
 
-def assert_axiom_defect(A, L, R, expected, rel=1e-12):
-    """The module check passes just above ``expected`` and fails just below;
-    its tolerance is ``atol`` times the larger product scale."""
-    a = max(np.abs(L).max(), np.abs(R).max())
-    scale = max(L.shape[1] * a * a, A.dim * np.abs(A.structure).max() * a)
-    cd.FiniteBimodule(A, L, R, atol=expected * (1 + rel) / scale)
+def assert_axiom_defect(A, L, R, ratio, rel=1e-12):
+    """The module check passes just above ``ratio`` and fails just below;
+    each entry's tolerance is ``atol`` times the sum of the moduli of its
+    products."""
+    cd.FiniteBimodule(A, L, R, atol=ratio * (1 + rel))
     with pytest.raises(ValueError, match="axiom"):
-        cd.FiniteBimodule(A, L, R, atol=expected * (1 - rel) / scale)
+        cd.FiniteBimodule(A, L, R, atol=ratio * (1 - rel))
 
 
 def test_derived_modules_pass_the_full_check():
@@ -568,7 +601,7 @@ def test_blocked_validation_equals_einsum_reference():
     for m in (1, 3, 6):
         L, R = (rng.standard_normal((4, m, m))
                 + 1j * rng.standard_normal((4, m, m)) for _ in range(2))
-        assert_axiom_defect(A, L, R, einsum_axiom_defect(A.structure, L, R))
+        assert_axiom_defect(A, L, R, einsum_axiom_ratio(A.structure, L, R))
 
 
 def test_blocked_validation_rejects_a_perturbed_entry_in_every_block():
@@ -589,7 +622,7 @@ def test_blocked_validation_rejects_a_perturbed_entry_in_every_block():
             (L, R)[side][i, 0, i] = 1 + eps
             with pytest.raises(ValueError, match="axiom"):
                 cd.FiniteBimodule(A, L, R)
-            assert_axiom_defect(A, L, R, einsum_axiom_defect(c, L, R),
+            assert_axiom_defect(A, L, R, einsum_axiom_ratio(c, L, R),
                                 rel=1e-9)
 
 

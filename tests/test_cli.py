@@ -119,6 +119,36 @@ def test_conv_rounding_is_no_certificate_failure(tmp_path):
     assert over > 0  # the rounding shows, and the bound absorbs it
 
 
+def test_conv_reports_how_exact_it_is(tmp_path):
+    code, report = run_report(["conv", "1,1", "1,1"], tmp_path)
+    assert (report["result"]["exact"], report["result"]["radius"]) == \
+        (True, 0.0)
+    # (2^27 + 1)^2 = 18014398777917441 rounds to ...440: not exact, and the
+    # radius covers the lost 1
+    code, report = run_report(["conv", "134217729", "134217729"], tmp_path)
+    assert code == 0
+    assert report["result"]["coefficients"] == [[18014398777917440, 0]]
+    assert report["result"]["exact"] is False
+    assert report["result"]["radius"] >= 1
+    # an FFT product: the certificate still passes, with the radius
+    terms = ",".join(["0.5"] * 600)
+    code, report = run_report(["conv", terms, terms], tmp_path)
+    assert code == 0 and report["result"]["exact"] is False
+    assert 0 < report["result"]["radius"] < 1e-8
+    assert cli.convolve_with_radius(*[cli._coeffs(terms)] * 2)[2] == "fft"
+
+
+def test_non_associative_algebra_file_is_an_input_error(tmp_path, capsys):
+    c = np.zeros((3, 3, 3))
+    c[1, 1, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
+    c[2, 2, 2] = 1e6
+    path = tmp_path / "nonassoc.json"
+    path.write_text(json.dumps({"dim": 3, "c": c.tolist()}))
+    assert run(["bimodule", "check", "--algebra", f"@{path}"]) == 2
+    assert "associativity defect 1.000e+00 exceeds 1.0e-12" in \
+        capsys.readouterr().err
+
+
 def test_parse_error_exit_code(capsys):
     assert run(["deriv", "norm", "--phi", "n*"]) == 2
     assert "operand expected at position 3" in capsys.readouterr().err
@@ -445,6 +475,8 @@ def test_reports_revalidate_from_serialized_inputs(tmp_path):
         ["cheese", "demo", "--nmax", "6", "--grid", "501"],
         ["bimodule", "check", "--algebra", "trunc4"],
         ["bimodule", "transfer", "--algebra", "trunc4"],
+        ["conv", "1+2j,0.5", "0.25,-1j,3"],
+        ["conv", "134217729", "134217729"],
     ):
         _, report = run_report(argv, tmp_path)
         assert cli.revalidate_report(report)
@@ -461,8 +493,8 @@ def _then(change):
 # patch, which breaks the numbers that certificate alone checks.
 CERTIFICATE_FAILURES = {
     "submultiplicative": (
-        ["conv", "1,1", "1,1"], cli, "convolve",
-        _then(lambda p: L1Element(p.coeffs * (1 + 1e-9)))),
+        ["conv", "1,1", "1,1"], cli, "convolve_with_radius",
+        _then(lambda p: (L1Element(p[0].coeffs * (1 + 1e-9)),) + p[1:])),
     "verdict-evidence": (
         ["deriv", "classify", "--mu", "1"], Derivation, "classify_compact",
         _then(lambda verdict: replace(verdict, floor=2 * verdict.floor))),

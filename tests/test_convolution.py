@@ -1,7 +1,9 @@
 """Algebra arithmetic: convolution, norms, pairing, dual actions."""
 
 import math
+import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -503,6 +505,115 @@ def test_products_the_fft_bound_rejects_stay_exact():
     for a, b in cases:
         assert not _fft_accepts(a, b)
         _assert_exact(a, b)
+
+
+# -- float products: the route and the radius -------------------------------
+
+def _dyadic(rng, size):
+    """Gaussian (odd k) / 2^11 parts, |k| < 2^30: float inputs whose exact
+    product is the Kronecker product of the odd integers, over 2^22, and
+    whose direct sums round."""
+    odd = 2 * rng.integers(-2 ** 29, 2 ** 29, size=(2, size)) + 1
+    return (odd[0] + 1j * odd[1]) / 2 ** 11
+
+
+def _route(a, b):
+    return cd.convolve_with_radius(cd.L1Element(a), cd.L1Element(b))[2]
+
+
+def _raiser(*args, **kwargs):
+    raise AssertionError("this route must not be taken")
+
+
+def test_float_products_route_by_size(monkeypatch):
+    rng = np.random.default_rng(40)
+    big, small = _dyadic(rng, 512), _dyadic(rng, 300)
+    want = np.convolve(small, small)
+    assert _route(big, big) == "fft" and _route(small, small) == "direct"
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "convolve", _raiser)
+        product, radius, route = cd.convolve_with_radius(cd.L1Element(big),
+                                                         cd.L1Element(big))
+    assert route == "fft" and radius > 0
+    assert np.abs(product.coeffs - np.convolve(big, big)).max() <= radius
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "fft", _raiser)
+        got = cd.convolve(cd.L1Element(small), cd.L1Element(small)).coeffs
+    assert _same_bits(got, want)
+
+
+def test_every_coefficient_lies_within_the_radius():
+    rng = np.random.default_rng(41)
+    shapes = [(n, n) for n in (200, 256, 300, 350, 384, 400, 512, 700)] + \
+        [(64, 4096), (256, 4096), (512, 4096), (3, 3000)]
+    routes = set()
+    for la, lb in shapes:
+        a, b = _dyadic(rng, la), _dyadic(rng, lb)
+        product, radius, route = cd.convolve_with_radius(cd.L1Element(a),
+                                                         cd.L1Element(b))
+        routes.add(route)
+        assert route in ("fft", "direct") and radius > 0
+        re, im = _kronecker_product(a * 2 ** 11, b * 2 ** 11)
+        bound = Fraction(radius * 2 ** 22) ** 2  # exact: a power of two
+        for z, x, y in zip(product.coeffs * 2 ** 22, re, im):
+            assert (Fraction(z.real) - x) ** 2 + (Fraction(z.imag) - y) ** 2 \
+                <= bound, (la, lb, route)
+    assert routes == {"fft", "direct"}
+    for size in (1, 5, 600):  # Gaussian integers: the exact route
+        a, b = (_integer_sequence(rng, size, 9, False) for _ in range(2))
+        assert cd.convolve_with_radius(cd.L1Element(a), cd.L1Element(b))[1:] \
+            == (0.0, "exact")
+
+
+def test_non_finite_ffts_fall_back_to_the_direct_sums():
+    rng = np.random.default_rng(42)
+    huge = 1e308 * (0.5 + rng.random(600) / 2)
+    cases = [(huge, 1e-10 * rng.standard_normal(600)),
+             (huge, rng.standard_normal(600)),
+             (huge + 1j * huge, huge[::-1])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in cases:
+            want = np.convolve(a.astype(complex), b.astype(complex))
+            product, radius, route = cd.convolve_with_radius(
+                cd.L1Element(a), cd.L1Element(b))
+            assert route == "direct" and radius > 0
+            assert _same_bits(product.coeffs, want[:product.coeffs.size])
+    with warnings.catch_warnings():
+        # an FFT that overflowed and was discarded is no warning
+        warnings.simplefilter("error")
+        assert np.isfinite(cd.convolve(cd.L1Element(cases[0][0]),
+                                       cd.L1Element(cases[0][1])).coeffs).all()
+
+
+def test_gamma_and_the_radius_round_up():
+    u = Fraction(1, 2 ** 53)
+    for k in (1, 2, 3, 7, 100, 3 * 2 ** 16, 2 ** 20 + 7, 2 ** 40 + 1):
+        assert Fraction(convolution._gamma(k)) >= k * u / (1 - k * u)
+    rng = np.random.default_rng(43)
+    for scale_a, scale_b in ((1.0, 1.0), (1e-200, 1e200), (1e150, 1e150),
+                             (3.0, 1e-160)):
+        for size in (1, 2, 33, 1000):
+            a, b = (scale * (rng.standard_normal(size)
+                             + 1j * rng.standard_normal(size))
+                    for scale in (scale_a, scale_b))
+            factor = convolution._fft_factor(2 * size - 1)
+            radius = convolution._radius(a, b, factor)
+            squares = [sum(Fraction(x) ** 2 for x in v.view(np.float64))
+                       for v in (a, b)]
+            assert Fraction(radius) ** 2 >= \
+                Fraction(factor) ** 2 * squares[0] * squares[1]
+
+
+def test_float_product_at_degree_30000_is_fast():
+    rng = np.random.default_rng(44)
+    a, b = (cd.L1Element(rng.standard_normal(30001)
+                         + 1j * rng.standard_normal(30001)) for _ in range(2))
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        cd.convolve(a, b)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.05
 
 
 # -- tail validation in blocks ----------------------------------------------
