@@ -92,17 +92,13 @@ def _build_derivation(args) -> Tuple[Derivation, dict]:
         raise ValueError("exactly one of --phi or --mu is required")
     text = args.phi if args.phi is not None else args.mu
     expr = rules.parse_rule(text)
-    scalar = rules.rule_callable(expr)
+    mu_rule = rules.block_callable(expr, from_phi=args.phi is not None)
     profile = rules.rational_profile(expr)
     if args.phi is not None:
         mu_profile = profile.compose_shift(-1).times_index() \
             if profile is not None else None
-
-        def mu_rule(n):
-            return n * scalar(n - 1)
     else:
         mu_profile = profile
-        mu_rule = scalar
     tail = getattr(args, "tail", None)
     if tail is not None:
         tail_source = "declared"
@@ -117,7 +113,7 @@ def _build_derivation(args) -> Tuple[Derivation, dict]:
     else:
         tail = ClosedForm()
         tail_source = "default (closed form, no certificate)"
-    deriv = Derivation.from_mu(mu_rule, tail=tail)
+    deriv = Derivation.from_mu(mu_rule, tail=tail, vectorized=True)
     inputs = {
         "rule": text,
         "rule_kind": "phi" if args.phi is not None else "mu",

@@ -293,14 +293,28 @@ def convolve_with_radius(a: L1Element, b: L1Element
     - ``"direct"``: ``np.convolve``, with the bits it gives.  Each part of
       coefficient n is a sum of 2m products, m = min(la, lb), so it errs by
       at most gamma_3m sum_r |a_r||b_(n-r)| (see ``cli._cmd_conv``), a
-      componentwise bound; r = gamma_3m ||a||_2 ||b||_2 bounds that sum by
-      Cauchy-Schwarz.  Integer inputs past the guard, such as (2^27+1)^2,
-      come this way and are rounded with a radius like any float product.
+      componentwise bound, barring underflow.  With gradual underflow a
+      rounded product (or fused multiply-add) is its exact value times
+      1 + delta, |delta| <= u, plus an absolute error of at most 2^-1075,
+      and a rounded sum has no absolute error.  A part then carries at
+      most 2m absolute errors, through at most 2m - 1 relative roundings,
+      which adds at most 2m (1 + gamma_2m) 2^-1075 <= 2m 2^-1074 to it,
+      and sqrt(2) 2m <= 3m to the modulus of the coefficient.  So r =
+      gamma_3m ||a||_2 ||b||_2 + 3m 2^-1074 bounds the error of every
+      coefficient, by Cauchy-Schwarz on the sum.  It is evaluated as
+      ``_radius`` + (3m + 1) 2^-1074, which is at least r: the term is
+      exact, ``_radius`` is at worst 2^-1075 short of its bound when it is
+      below 2^-1022, and the sum of two such doubles below 2^-1021 is
+      exact; above, ``_radius`` exceeds its bound by a relative 2^-31, more
+      than the sum's rounding can take back.  Integer inputs past the
+      guard, such as (2^27+1)^2, come this way and are rounded with a
+      radius like any float product.
 
     Each r is evaluated so that its own rounding cannot make it too small
-    (``_radius``).  Like Higham's gamma_k, the rounding bounds hold barring
-    underflow: an intermediate below 2^-1022 rounds absolutely, not
-    relatively, and no absolute term is added.
+    (``_radius``).  Like Higham's gamma_k, the rounding bounds of the exact
+    and FFT routes hold barring underflow: an intermediate below 2^-1022
+    rounds absolutely, not relatively, and only the direct route adds an
+    absolute term for it.
     """
     ca, cb = a.coeffs, b.coeffs
     if ca.size == 0 or cb.size == 0:
@@ -324,8 +338,9 @@ def convolve_with_radius(a: L1Element, b: L1Element
         if np.isfinite(product).all():
             return L1Element(product), \
                 _radius(ca, cb, _fft_factor(size)), "fft"
+    m = min(ca.size, cb.size)
     return L1Element(np.convolve(ca, cb)), \
-        _radius(ca, cb, _gamma(3 * min(ca.size, cb.size))), "direct"
+        _radius(ca, cb, _gamma(3 * m)) + (3 * m + 1) * _TINY, "direct"
 
 
 # pocketfft's twiddle factors are within a few units of 2^-53; the bound
@@ -340,6 +355,7 @@ _TWIDDLE_ERROR = 2.0 ** -46
 _FFT_COST = 12
 
 _UNIT = 2.0 ** -53  # the unit roundoff of a double
+_TINY = 2.0 ** -1074  # the smallest positive double
 
 
 def _gamma(k: int) -> float:
@@ -359,39 +375,44 @@ def _fft_factor(size: int) -> float:
     return 2 * (9 * (size - 1).bit_length() + 1) * _TWIDDLE_ERROR
 
 
-def _norm(coeffs: np.ndarray) -> float:
-    """||coeffs||_2 within a relative 2^-34.
+def _norm(coeffs: np.ndarray) -> Tuple[float, int]:
+    """(m, e) with ||coeffs||_2 = m 2^e within a relative 2^-34, and m in
+    [1/2, 2^9] unless the norm is 0, inf or NaN (then e = 0).
 
-    The parts are scaled by the power of two that brings the largest into
-    [1/2, 1), so no square overflows and the sum is at least 1/4; the
+    The parts are scaled by 2^-e, the power of two that brings the largest
+    into [1/2, 1), so no square overflows and the sum is at least 1/4; the
     squares that underflow lose less than 2^-1050 of it.  The sum has at
     most 2 len <= 2^18 non-negative terms, each rounded once and carried
     through fewer than 2^18 additions, so it is within gamma_(2^18) <
-    2^-35 of its value; the square root halves that and rounds once, and
-    scaling back is exact unless the norm overflows (inf) or falls below
-    2^-1022.
+    2^-35 of its value; the square root m halves that and rounds once.
     """
     parts = coeffs.view(np.float64)
     top = float(np.abs(parts).max())
     if not 0.0 < top < math.inf:
-        return top  # 0, inf or NaN
+        return top, 0  # 0, inf or NaN
     scale = math.frexp(top)[1]
     scaled = np.ldexp(parts, -scale)
-    try:
-        return math.ldexp(math.sqrt(float(scaled @ scaled)), scale)
-    except OverflowError:
-        return math.inf
+    return math.sqrt(float(scaled @ scaled)), scale
 
 
 def _radius(ca: np.ndarray, cb: np.ndarray, factor: float) -> float:
     """An upper bound of factor ||a||_2 ||b||_2, for an exact factor or one
-    already rounded up; inf when a norm is not finite.
+    already rounded up, if it is at least 2^-1022; below, at most 2^-1075
+    short of it.  inf when a norm is not finite or the bound overflows.
 
-    The two norms are within 2^-34 each and the three products round once
-    each, so the computed value is at least the bound times
-    (1 - 2^-33)(1 - u)^3; the factor 1 + 2^-30 lifts it back above.
+    The two norms are m 2^e within 2^-34 each (``_norm``), and the three
+    products of the factor, the two m and 1 + 2^-30 round once each, so
+    their product is at least 2^-(e_a + e_b) times the bound times
+    (1 - 2^-33)(1 - u)^3 (1 + 2^-30) > 1 + 2^-31.  None of these products
+    underflows, and scaling back by 2^(e_a + e_b) is exact unless the
+    result is below 2^-1022, where it rounds by at most 2^-1075.  (Scaled
+    back first, a norm below 2^-1022 could lose most of its digits.)
     """
-    radius = factor * _norm(ca) * _norm(cb) * (1.0 + 2.0 ** -30)
+    (na, ea), (nb, eb) = _norm(ca), _norm(cb)
+    try:
+        radius = math.ldexp(factor * na * nb * (1.0 + 2.0 ** -30), ea + eb)
+    except OverflowError:
+        return math.inf
     return radius if radius <= math.inf else math.inf  # NaN: no bound
 
 

@@ -104,9 +104,17 @@ class Derivation:
         return cls(mu, phi)
 
     @classmethod
-    def from_mu(cls, mu_rule: Callable, tail: Tail = UNDECLARED) -> "Derivation":
-        """Derivation from its coefficient sequence; index 0 is forced to 0."""
-        values = mu_rule if _accepts_arrays(mu_rule) else _per_index(mu_rule)
+    def from_mu(cls, mu_rule: Callable, tail: Tail = UNDECLARED,
+                vectorized: Optional[bool] = None) -> "Derivation":
+        """Derivation from its coefficient sequence; index 0 is forced to 0.
+
+        ``mu_rule`` maps an int64 index array to an array of values when
+        ``vectorized`` is True, and one Python-int index to one value when
+        it is False; None decides by calling it on the indices 1 and 2.
+        """
+        if vectorized is None:
+            vectorized = _accepts_arrays(mu_rule)
+        values = mu_rule if vectorized else _per_index(mu_rule)
         mu = _mu_sequence(values, tail)
 
         def phi_rule(n):

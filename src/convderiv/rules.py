@@ -9,19 +9,26 @@ associate to the left:
     power  := atom ('^' atom)*
     atom   := NUMBER | 'n' | '(' expr ')'
 
-Exponents must evaluate to integers.  Printing, evaluation (as generated
-straight-line Python source) and *exact* rational-function analysis (over
-Fraction coefficients: how certificates for rational rules are derived
-without sampling) are three algebras of one fold over the parsed tree.
+Exponents must evaluate to integers.  Printing, evaluation at one index
+(as generated straight-line Python source), evaluation on a block of
+indices (as generated numpy source, with the bits and errors of the first)
+and *exact* rational-function analysis (over Fraction coefficients: how
+certificates for rational rules are derived without sampling) are four
+algebras of one fold over the parsed tree.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple, Union
 
-from .convolution import Certificate, Constant, Decay, Floor, ZeroTail
+import numpy as np
+
+from .convolution import (
+    INDEX_CAP, Certificate, Constant, Decay, Floor, ZeroTail,
+)
 
 
 class RuleSyntaxError(ValueError):
@@ -95,8 +102,9 @@ RuleExpr = Union[Lit, Var, Neg, Add, Sub, Mul, Div, Pow]
 
 def _fold(expr: RuleExpr, algebra: dict):
     """The one traversal, bottom-up: ``algebra[type(node)]`` combines what
-    the operands folded to, left to right (_PRINT, _Source, _ANALYSE).  It
-    keeps its own stack, so a tree as deep as a 2,000-term sum folds too."""
+    the operands folded to, left to right (_PRINT, _Source, _BlockSource,
+    _ANALYSE).  It keeps its own stack, so a tree as deep as a 2,000-term
+    sum folds too."""
     folded, pending = [], [(expr, False)]
     while pending:
         node, operands_done = pending.pop()
@@ -381,14 +389,238 @@ def rule_callable(expr: RuleExpr) -> Callable:
     one assignment per node in post-order with the literals bound as names,
     so no input text enters the source; it is compiled with ``exec``.  It
     calls no public name, because perfbench's traced runs count each
-    callable it returns as one rule evaluation."""
+    callable it returns as one rule evaluation.  ``block_callable`` is the
+    same rule on arrays of indices, and evaluates through this callable
+    wherever it goes index by index."""
     return _compile(expr)
+
+
+# ---------------------------------------------------------------------------
+# evaluation on blocks of indices: an algebra emitting numpy source
+# ---------------------------------------------------------------------------
+
+_PER_INDEX_BELOW = 64  # indices; a smaller block costs less index by index
+_SUB_BLOCK = 1 << 12  # indices evaluated as one array
+_EXACT = 2 ** 53  # every integer up to here in modulus is a double
+
+
+class _PerIndex(Exception):
+    """A guard of the numpy source, or Python's power, failed: evaluate
+    the block index by index."""
+
+
+_PY_POW = np.frompyfunc(operator.pow, 2, 1)
+
+
+def _power(base, k):
+    # Python's float ** int, element by element: np.power rounds some
+    # powers differently.  Python converts an int exponent to a double and
+    # reads its parity from the double, so an integral double exponent
+    # gives the bits of the int, (-1)^k included, and _Source's k % 2 for
+    # a base of -1 changes nothing here.  Python raises on an overflow and
+    # on a zero base with a negative exponent.
+    try:
+        return np.asarray(_PY_POW(base, k), dtype=np.float64)
+    except (ArithmeticError, ValueError):
+        raise _PerIndex from None
+
+
+def _saturated(p):
+    # a bound of degree above 53, or with a coefficient above 2^53, passes
+    # 2^53 at n = 2 or n = 1, and so does every sum or product it enters;
+    # (2^53 + 1) n, past 2^53 from n = 1 on, stands for it and stays small
+    if len(p) > 54 or max(p) > _EXACT:
+        return (0, _EXACT + 1)
+    return p
+
+
+class _BlockSource:
+    """The numpy source of one rule on a block of indices, emitted by the
+    fold through ``table``; the source raises ``_PerIndex`` where the block
+    must be evaluated index by index instead.
+
+    It gives the bits of ``_Source`` wherever it does not raise.  In
+    ``_Source`` the index, and every + - * or negation whose operands are
+    all such integer nodes, is an exact Python int; everything else is a
+    double, with the same operations as numpy's.  Here an integer node is
+    a double too, exact while its modulus is at most 2^53.  A node folds
+    to ``(name, value, bound)``: ``value`` as in ``_Source``, and for an
+    integer node a polynomial with non-negative integer coefficients and
+    no constant term (``n`` for the index; sums for + and -, products for
+    *) that bounds its modulus at index n >= 0 by its value at n.  Such a
+    polynomial is at least 1 from n = 1 on, so the outermost integer
+    nodes, the ``roots``, bound every integer node within them, and
+    ``limit`` is the largest index at which each root is at most 2^53.
+    Negation and products add 0.0, as -(n-n) and -n*(n-n) are the int 0
+    but -0.0 as doubles.  Powers go through Python's own power
+    (``_power``).  A zero divisor, an exponent that is not an integer or
+    not finite, a zero base raised to a negative power and an overflowing
+    power raise ``_PerIndex``, where ``_Source`` checks or raises per
+    index.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.namespace = {"np": np, "power": _power, "PerIndex": _PerIndex}
+        self.roots = set()
+        self.locals = 0
+        self.indexed = False
+        self.table = {Lit: self.literal, Var: self.index, Neg: self.negate,
+                      Add: self.infix("+", _padd),
+                      Sub: self.infix("-", _padd),
+                      Mul: self.infix("*", _pmul),
+                      Div: self.divide, Pow: self.power}
+
+    def assign(self, expression: str, bound=None):
+        self.locals += 1
+        name = f"t{self.locals}"
+        self.lines.append(f"{name} = {expression}")
+        return name, None, bound
+
+    def operand(self, node) -> str:
+        # an integer node read by a double node is the root of its subtree
+        name, _, bound = node
+        if bound is not None:
+            self.roots.add(bound)
+        return name
+
+    def literal(self, value):
+        name = f"c{len(self.namespace)}"
+        self.namespace[name] = np.float64(value)
+        return name, value, None
+
+    def index(self):
+        if not self.indexed:
+            self.lines.append("i = n.astype(np.float64)")
+            self.indexed = True
+        return "i", None, (0, 1)
+
+    def negate(self, operand):
+        name, value, bound = operand
+        if value is not None:
+            return self.literal(-value)
+        return self.assign(f"-{name}" if bound is None else f"-{name} + 0.0",
+                           bound)
+
+    def infix(self, op: str, combine):
+        def node(left, right):
+            if left[2] is not None and right[2] is not None:
+                expression = f"{left[0]} {op} {right[0]}"
+                if op == "*":
+                    expression += " + 0.0"
+                return self.assign(expression,
+                                   _saturated(combine(left[2], right[2])))
+            return self.assign(
+                f"{self.operand(left)} {op} {self.operand(right)}")
+        return node
+
+    def guard(self, condition: str):
+        self.lines += [f"if ({condition}).any():", "    raise PerIndex"]
+
+    def divide(self, left, right):
+        name, value = self.operand(right), right[1]
+        if value is None or value == 0.0:
+            self.guard(f"{name} == 0.0")
+        return self.assign(f"{self.operand(left)} / {name}")
+
+    def power(self, left, right):
+        base, exponent, value = self.operand(left), self.operand(right), \
+            right[1]
+        if value is not None and value.is_integer():
+            k = f"k{len(self.namespace)}"
+            self.namespace[k] = int(value)  # the int of _Source
+            return self.assign(f"power({base}, {k})")
+        # x - trunc(x) is 0 for a finite integral x only, NaN for an
+        # infinite one
+        self.guard(f"{exponent} - np.trunc({exponent}) != 0.0")
+        return self.assign(f"power({base}, {exponent})")
+
+    def limit(self) -> int:
+        """The largest index at which every integer node is exact."""
+        if not self.indexed:
+            return INDEX_CAP
+        lo, hi = 0, INDEX_CAP + 1  # exact at lo, not at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if all(_peval(p, mid) <= _EXACT for p in self.roots):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+def _compile_block(expr: RuleExpr) -> Tuple[Callable, int]:
+    """The numpy source of ``_BlockSource``, compiled, and its limit."""
+    source = _BlockSource()
+    result = source.operand(_fold(expr, source.table))
+    body = source.lines + [f"return {result}"]
+    text = "def rule(n):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(text, "<rule block>", "exec"), source.namespace)
+    return source.namespace["rule"], source.limit()
+
+
+def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
+    """The rule on arrays of indices: a function of a one-dimensional int64
+    array, with the complex values that ``rule_callable``'s callable gives
+    index by index, bit for bit, and the error it raises first.  With
+    ``from_phi`` the rule is a functional's value phi(t^n), and the
+    function gives mu_n = n phi(t^(n-1)), as n * rule(n - 1) would per
+    index.
+
+    The array is evaluated in sub-blocks of ``_SUB_BLOCK`` indices by the
+    numpy source of ``_BlockSource``, compiled for the first sub-block
+    that needs it.  A sub-block goes index by index, through the callable
+    that ``rule_callable`` returns, when it holds fewer than
+    ``_PER_INDEX_BELOW`` indices, when the rule would read an index below
+    0 or past the limit where every integer node is exact, or when a
+    guard of the numpy source fails: then the same error names the same
+    index.  (With ``from_phi``, n * rule(n - 1) at n = 0 is the int 0 for
+    an integer value and -0.0 for a negative double, so 0 goes per index
+    too.)  So a traced run still counts each such evaluation, and every
+    index read by ``DualSequence.at`` arrives there as a Python int.
+    """
+    scalar = rule_callable(expr)  # looked up here, so a wrapper sees it
+    shift = int(from_phi)
+    compiled = []
+
+    def one(n):
+        return complex(n * scalar(n - 1) if from_phi else scalar(n))
+
+    def as_array(idx):
+        """The values of a sub-block as one array, or None."""
+        if idx.size < _PER_INDEX_BELOW or idx.min() < shift:
+            return None
+        if not compiled:
+            compiled.append(_compile_block(expr))
+        block, limit = compiled[0]
+        if idx.max() - shift > limit:
+            return None
+        try:
+            with np.errstate(all="ignore"):
+                values = block(idx - shift)
+                return idx * values if from_phi else values
+        except _PerIndex:
+            return None
+
+    def rule(n):
+        out = np.empty(n.shape, dtype=complex)
+        for lo in range(0, n.size, _SUB_BLOCK):
+            idx = n[lo:lo + _SUB_BLOCK]
+            values = as_array(idx)
+            if values is None:
+                values = np.fromiter(map(one, idx.tolist()), dtype=complex,
+                                     count=idx.size)
+            out[lo:lo + _SUB_BLOCK] = values
+        return out
+
+    return rule
 
 
 # ---------------------------------------------------------------------------
 # exact rational-function analysis
 # ---------------------------------------------------------------------------
 # Polynomials are tuples of Fractions, index = power, trailing zeros trimmed.
+# _BlockSource's bounds use _padd, _pmul and _peval on tuples of ints.
 
 def _ptrim(p):
     p = list(p)
@@ -411,7 +643,7 @@ def _pneg(p):
 def _pmul(p, q):
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -469,7 +701,7 @@ def _pderiv(p):
 
 
 def _peval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+    acc = 0
     for a in reversed(p):
         acc = acc * x + a
     return acc

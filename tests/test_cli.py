@@ -254,7 +254,7 @@ def test_truncation_past_the_probe_cap_is_refused_at_once(argv):
     (["--mu", "2"], 257)], ids=["decay", "zero", "constant"])
 def test_truncate_reads_each_index_once(monkeypatch, tmp_path, argv, unread):
     seen = Counter()
-    compile_rule = rules.rule_callable
+    compile_rule, compile_block = rules.rule_callable, rules._compile_block
 
     def counting(expr):
         rule = compile_rule(expr)
@@ -264,7 +264,17 @@ def test_truncate_reads_each_index_once(monkeypatch, tmp_path, argv, unread):
             return rule(n)
         return evaluate
 
+    def counting_block(expr):
+        block, limit = compile_block(expr)
+
+        def evaluate(n):
+            values = block(n)  # a block sent on per index raises here
+            seen.update(n.tolist())  # an array: each element is one index
+            return values
+        return evaluate, limit
+
     monkeypatch.setattr(rules, "rule_callable", counting)
+    monkeypatch.setattr(rules, "_compile_block", counting_block)
     code, report = run_report(
         ["deriv", "truncate", *argv, "--terms", "10", "--depth", "256"],
         tmp_path)
@@ -272,6 +282,51 @@ def test_truncate_reads_each_index_once(monkeypatch, tmp_path, argv, unread):
     # the head is read through the truncated derivation, and the
     # certificate's probe reads on from where the truncation error stopped
     assert seen == Counter(range(1, unread))
+
+
+def _typed_rule_calls(monkeypatch):
+    """Records the type of every index passed to a callable that
+    rules.rule_callable returns, as a traced benchmark run counts them."""
+    types = Counter()
+    compile_rule = rules.rule_callable
+
+    def counting(expr):
+        rule = compile_rule(expr)
+
+        def evaluate(n):
+            types[type(n)] += 1
+            return rule(n)
+        return evaluate
+
+    monkeypatch.setattr(rules, "rule_callable", counting)
+    return types
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--phi", "1/(n+1)", "--eps", "0.5", "--terms", "3"],
+    ["witness", "--mu", "1+2^(-n)", "--tail", "decay", "--eps", "0.5",
+     "--terms", "3"],
+    ["classify", "--mu", "1/(n+1)^2", "--depth", "5000"],
+    ["classify", "--phi", "(n+2)/(n^2+1)", "--depth", "5000"]],
+    ids=["witness-phi", "witness-mu", "classify-mu", "classify-phi"])
+def test_the_compiled_rule_sees_python_ints_only(monkeypatch, capsys, argv):
+    # a block of indices is evaluated as an array past the compiled rule;
+    # the indices read one at a time (witness indices, the first index
+    # below the tolerance, the rechecks) still reach it, as Python ints
+    types = _typed_rule_calls(monkeypatch)
+    assert run(["deriv", *argv]) == 0
+    capsys.readouterr()
+    assert types[int] > 0 and set(types) == {int}
+
+
+def test_a_rule_failing_at_its_first_index_is_an_input_error(monkeypatch,
+                                                             capsys):
+    types = _typed_rule_calls(monkeypatch)
+    for command in (["norm"], ["classify"], ["truncate", "--terms", "3"]):
+        assert run(["deriv", *command, "--mu", "1/(n-1)"]) == 2
+        assert capsys.readouterr().err == \
+            "error: division by zero (at n = 1)\n"
+    assert set(types) == {int}
 
 
 def test_truncate_probe_that_ends_inside_the_truncation_read(tmp_path):

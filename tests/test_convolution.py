@@ -565,6 +565,29 @@ def test_every_coefficient_lies_within_the_radius():
             == (0.0, "exact")
 
 
+def test_the_direct_radius_covers_products_that_underflow():
+    # 1e-200 * 3e-200 rounds to 0, and the radius still bounds the product
+    product, radius, route = cd.convolve_with_radius(
+        cd.L1Element([1e-200]), cd.L1Element([3e-200]))
+    assert route == "direct" and not product.coeffs.any()
+    assert Fraction(1e-200) * Fraction(3e-200) <= Fraction(radius)
+    # parts (odd k) 2^-566, |k| < 2^30: every product lies below 2^-1072,
+    # where it rounds absolutely, and gamma_3m ||a|| ||b|| underflows
+    rng = np.random.default_rng(45)
+    scale = Fraction(1, 2 ** 1132)
+    for la, lb in ((1, 1), (3, 7), (40, 40), (200, 5)):
+        a, b = (_dyadic(rng, size) * 2.0 ** -555 for size in (la, lb))
+        product, radius, route = cd.convolve_with_radius(cd.L1Element(a),
+                                                         cd.L1Element(b))
+        assert route == "direct"
+        re, im = _kronecker_product(a * 2.0 ** 566, b * 2.0 ** 566)
+        errors = [(Fraction(z.real) - x * scale) ** 2
+                  + (Fraction(z.imag) - y * scale) ** 2
+                  for z, x, y in zip(product.coeffs, re, im)]
+        assert max(errors) <= Fraction(radius) ** 2, (la, lb)
+        assert max(errors) > 0  # the sums did round
+
+
 def test_non_finite_ffts_fall_back_to_the_direct_sums():
     rng = np.random.default_rng(42)
     huge = 1e308 * (0.5 + rng.random(600) / 2)

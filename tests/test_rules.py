@@ -245,7 +245,7 @@ _NAN, _NEG_ZERO, _NEG_THREE = Lit(math.nan), Lit(-0.0), Lit(-3.0)
 _INF_TEXT = "1" + "0" * 400  # parses to inf
 
 
-@pytest.mark.parametrize("tree", [
+_EDGE_TREES = [
     # a literal zero divisor, also behind an operand that fails first
     "n/0", "1/(n-n)", "n/(0*n)", "0/0", "(1/0)/0", Div(Var(), _NEG_ZERO),
     # exponents that are not integers, or not finite
@@ -264,7 +264,14 @@ _INF_TEXT = "1" + "0" * 400  # parses to inf
     Pow(_NAN, Lit(0.0)), Pow(_NAN, Lit(2.0)), Sub(Var(), _NEG_THREE),
     # long rules: straight-line code thousands of statements long
     "+".join(["n"] * 2000), "+".join(["1/(n+1)^2"] * 2000),
-], ids=lambda tree: tree[:20] if isinstance(tree, str) else None)
+]
+
+
+def _edge_id(tree):
+    return tree[:20] if isinstance(tree, str) else None
+
+
+@pytest.mark.parametrize("tree", _EDGE_TREES, ids=_edge_id)
 def test_compiled_rules_agree_with_the_reference_on_edge_cases(tree):
     if isinstance(tree, str):
         tree = cd.parse_rule(tree)
@@ -280,6 +287,96 @@ def test_compiled_rules_agree_with_the_reference_on_edge_cases(tree):
             assert _outcome(compiled, np.int64(n)) == want
     finally:
         sys.setrecursionlimit(limit)
+
+
+# -- the block evaluator against the compiled rule, index by index ----------
+
+# blocks from 0, 10^3 and 2^40, and one that crosses 2^53, where the bound
+# of n itself fails; sizes on both sides of the per-index cutoff
+_BLOCK_STARTS = (0, 10 ** 3, 2 ** 40, 2 ** 53 - 100)
+_BLOCK_SIZES = (cd.rules._PER_INDEX_BELOW - 1, 300)
+
+
+def _per_index_outcome(scalar, idx, from_phi):
+    """The values the compiled rule gives index by index as bytes, or its
+    first error: type, message and cited index."""
+    try:
+        values = [complex(n * scalar(n - 1) if from_phi else scalar(n))
+                  for n in idx.tolist()]
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    return np.array(values, dtype=complex).tobytes()
+
+
+def _block_outcome(rule, idx):
+    try:
+        values = rule(idx)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    assert values.dtype == complex and values.shape == idx.shape
+    return values.tobytes()
+
+
+def _blocks_agree(tree, starts=_BLOCK_STARTS, sizes=_BLOCK_SIZES):
+    """Asserts that block_callable gives, bit for bit, what rule_callable
+    gives per index, as mu and in its phi form; returns how many blocks
+    were evaluated as arrays, counted by the compiled rule's calls."""
+    calls = Counter()
+    compiled = cd.rules.rule_callable(tree)
+
+    def scalar(n):
+        calls["scalar"] += 1
+        return compiled(n)
+
+    arrays = 0
+    for from_phi in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cd.rules, "rule_callable", lambda expr: scalar)
+            rule = cd.rules.block_callable(tree, from_phi=from_phi)
+        for start in starts:
+            for size in sizes:
+                idx = np.arange(start, start + size, dtype=np.int64)
+                want = _per_index_outcome(compiled, idx, from_phi)
+                before = calls["scalar"]
+                assert _block_outcome(rule, idx) == want, (
+                    cd.format_rule(tree), from_phi, start, size)
+                arrays += calls["scalar"] == before
+    return arrays
+
+
+def test_blocks_agree_with_the_compiled_rule_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    trees, arrays = 600, 0
+    for _ in range(trees):
+        arrays += _blocks_agree(random_expr(rng, int(rng.integers(1, 7))))
+    # a third of the blocks of 300 are evaluated as arrays; the rest fail
+    # a guard or pass the limit of the integer nodes
+    assert 3 * arrays > trees * 2 * len(_BLOCK_STARTS)
+
+
+@pytest.mark.parametrize("tree", _EDGE_TREES + [
+    # the int 0 of a negation or a product, where doubles give -0.0
+    "-n*(n-n)", "-(n-n)", "(n-n)*-n", "-(-n*(n-n))", "1/(n-n*(n-n)-n)",
+    "(-1)^n*(n-n)", "(n-2*n)*(n-n)+(-0.0)",
+    # zero bases under a varying negative exponent, and (-1)^k
+    "0^(-n)", "(n-n)^(n-5)", "(-1)^(n*n*n)", "(-1)^(-n)", "(-n)^n",
+], ids=_edge_id)
+def test_blocks_agree_with_the_compiled_rule_on_edge_cases(tree):
+    if isinstance(tree, str):
+        tree = cd.parse_rule(tree)
+    _blocks_agree(tree)
+
+
+@pytest.mark.parametrize("text", [
+    # an error in the second sub-block, past a first that evaluates as
+    # one array, and one in the first sub-block only
+    "1/(n-5000)", "1/(n-7)",
+    # the bound of n^3 fails at 208064, inside the second sub-block from
+    # 200000
+    "n*n*n+0.5", "(-1)^n*n*n*n",
+])
+def test_a_block_of_sub_blocks_agrees_with_the_compiled_rule(text):
+    _blocks_agree(cd.parse_rule(text), starts=(1, 200000), sizes=(9000,))
 
 
 def test_rule_compilation_never_reenters_the_public_name(monkeypatch):
