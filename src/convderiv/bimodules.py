@@ -66,10 +66,11 @@ def _checked_defect(sides, arrays, atol: float, what: str) -> float:
     for n terms (Higham §3.1).  The check raises ValueError unless each
     |lhs - rhs| is at most atol S, with S floored at the smallest normal
     double (below it, rounding is absolute); it cites the entry furthest
-    above its tolerance in the first block that has one.  A block whose gaps are all zero passes without
-    its S.  Products that overflow give NaN or inf gaps, with no warning on
-    the way, and fail: a NaN compares false, and an inf gap, which needs
-    an inf S, gives an excess of inf - inf = NaN.
+    above its tolerance in the first block that has one.  A block whose
+    gaps are all zero passes without its S.  Products that overflow give
+    NaN or inf gaps, with no warning on the way, and fail: a NaN compares
+    false, and an inf gap, which needs an inf S, gives an excess of inf -
+    inf = NaN.
     """
     defect, mags = 0.0, None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -159,7 +160,7 @@ class FiniteAlgebra:
         self.associativity_defect = defect
         self.structure = c
         self.structure.setflags(write=False)
-        self._spans = {}  # square_span's bases, by threshold
+        self._span = None  # square_span's basis, once computed
 
     @property
     def dim(self) -> int:
@@ -194,7 +195,8 @@ class FiniteBimodule:
     in the algebra.  A NaN or inf defect fails the check.
     """
 
-    def __init__(self, algebra: FiniteAlgebra, left, right, atol: float = 1e-12):
+    def __init__(self, algebra: FiniteAlgebra, left, right,
+                 atol: float = 1e-12):
         L = np.asarray(left, dtype=complex)
         R = np.asarray(right, dtype=complex)
         d, c = algebra.dim, algebra.structure
@@ -266,15 +268,22 @@ class FiniteBimodule:
                 f"symmetric={self.symmetric})")
 
 
-def matrix_rank(M: np.ndarray, rel_threshold: float = 1e-9) -> int:
-    """Numerical rank: singular values above rel_threshold of the largest."""
+# Relative thresholds: for the singular values a rank or a span keeps, for
+# an anchor's residual, and (halved) for the |a0 . D(a0)| a transfer needs;
+# then the seeded random elements find_transfer_functional tries.
+_RANK_THRESHOLD = _ANCHOR_TOL = _TRANSFER_TOL = 1e-9
+_RANDOM_PROBES = 64
+
+
+def matrix_rank(M: np.ndarray) -> int:
+    """Numerical rank: singular values over _RANK_THRESHOLD of the largest."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_threshold * s[0]))
+    return int(np.count_nonzero(s > _RANK_THRESHOLD * s[0]))
 
 
 def opnorm_l1_to_l1(M: np.ndarray) -> float:
@@ -291,23 +300,23 @@ def opnorm_l1_to_sup(M: np.ndarray) -> float:
     return float(np.abs(M).max(initial=0.0))
 
 
-def square_span(A: FiniteAlgebra, rel_threshold: float = 1e-9) -> np.ndarray:
+def square_span(A: FiniteAlgebra) -> np.ndarray:
     """Orthonormal basis (rows) of the linear span of all products e_i e_j.
 
     Finite-dimensional subspaces are closed, so no topology is involved.
-    The basis is computed once per algebra and threshold, and is read-only.
+    The basis is computed once per algebra, and is read-only.
     """
-    if rel_threshold not in A._spans:
+    if A._span is None:
         d = A.dim
         products = A.structure.reshape(d * d, d)
         if products.any():
             u, s, vh = np.linalg.svd(products, full_matrices=False)
-            basis = vh[s > rel_threshold * s[0]]
+            basis = vh[s > _RANK_THRESHOLD * s[0]]
         else:
             basis = np.zeros((0, d), dtype=complex)
         basis.setflags(write=False)
-        A._spans[rel_threshold] = basis
-    return A._spans[rel_threshold]
+        A._span = basis
+    return A._span
 
 
 def _project_onto_rows(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -338,7 +347,7 @@ def _derivation_terms(M, c, left, right):
 
 def derivation_defect(A: FiniteAlgebra, E: FiniteBimodule,
                       D: FiniteMap) -> float:
-    """Largest coefficient violation of D(ab) = a.D(b) + D(a).b on basis pairs."""
+    """Largest coefficient of D(ab) - a.D(b) - D(a).b over basis pairs."""
     whole, left, right = _derivation_terms(D.matrix, A.structure, E.left,
                                            E.right)
     return float(np.abs(whole - left - right).max(initial=0.0))
@@ -357,9 +366,9 @@ def derivation_scale(A: FiniteAlgebra, E: FiniteBimodule,
     return float(sum(terms).max(initial=0.0))
 
 
-def rank_one_derivation(A: FiniteAlgebra, a0,
-                        rel_tol: float = 1e-9) -> Tuple[FiniteMap, FiniteMap]:
-    """Rank-one non-inner derivation anchored at an element off the product span.
+def rank_one_derivation(A: FiniteAlgebra,
+                        a0) -> Tuple[FiniteMap, FiniteMap]:
+    """Rank-one non-inner derivation anchored off the product span.
 
     Solves the underdetermined system {lambda(v) = 0 on the product span,
     lambda(a0) = 1} by minimum-norm least squares and returns
@@ -372,7 +381,7 @@ def rank_one_derivation(A: FiniteAlgebra, a0,
     span = square_span(A)
     residual = a0 - _project_onto_rows(span, a0)
     scale = float(np.linalg.norm(a0))
-    if scale == 0.0 or np.linalg.norm(residual) <= rel_tol * scale:
+    if scale == 0.0 or np.linalg.norm(residual) <= _ANCHOR_TOL * scale:
         raise NotOutsideSquareError(
             "anchor element lies in the span of products")
     constraints = np.vstack([span, a0[None, :]])
@@ -430,9 +439,8 @@ def dual_homomorphism(A: FiniteAlgebra, E: FiniteBimodule, lam) -> FiniteMap:
                                np.asarray(lam, dtype=complex)))
 
 
-def find_transfer_functional(A: FiniteAlgebra, E: FiniteBimodule, D: FiniteMap,
-                             seed: int = 42, tol: float = 1e-9,
-                             random_probes: int = 64):
+def find_transfer_functional(A: FiniteAlgebra, E: FiniteBimodule,
+                             D: FiniteMap, seed: int = 42):
     """Element a0 with a0 . D(a0) != 0 and a functional normalised against it.
 
     Scans basis vectors, then sums of basis pairs, then seeded random
@@ -448,14 +456,14 @@ def find_transfer_functional(A: FiniteAlgebra, E: FiniteBimodule, D: FiniteMap,
     candidates = [eye[i] for i in range(d)]
     candidates += [eye[i] + eye[j] for i in range(d) for j in range(i + 1, d)]
     rng = np.random.default_rng(seed)
-    for _ in range(random_probes):
+    for _ in range(_RANDOM_PROBES):
         candidates.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
     probes = 0
     for a0 in candidates:
         probes += 1
         # lam needs w != 0; w = D(a0^2)/2 if E is symmetric and D a derivation
         w = E.act_left(a0, D(a0))
-        if float(np.abs(w).max(initial=0.0)) <= tol / 2:
+        if float(np.abs(w).max(initial=0.0)) <= _TRANSFER_TOL / 2:
             continue
         lam = w.conj() / float(np.vdot(w, w).real)
         return a0, lam

@@ -132,26 +132,37 @@ def _cmd_conv(args) -> _Outcome:
     product, radius, route = convolve_with_radius(a, b)
     inputs = {"a": reports.complex_seq_to_json(a.coeffs),
               "b": reports.complex_seq_to_json(b.coeffs)}
-    bound = l1_norm(a) * l1_norm(b)
+    alpha, beta = l1_norm(a), l1_norm(b)
+    bound = alpha * beta
     value = l1_norm(product)
     # The theorem |a*b|_1 <= |a|_1 |b|_1 survives rounding as value <=
-    # (bound + lp r) (1 + gamma_N), barring underflow (Higham, Accuracy and
-    # Stability of Numerical Algorithms, 2nd ed., §3.1; u = 2^-53, gamma_k
-    # = k u/(1 - k u), and (1 + gamma_j)(1 + gamma_k) <= 1 + gamma_(j+k)).
-    # A sum of k terms >= 0 is within gamma_(k-1), a modulus within
-    # gamma_2.  On the direct route each part of a product coefficient is a
-    # real sum of 2m products, m = min(la, lb), within gamma_2m of
-    # sum_r |a_r||b_(n-r)| as |xr yr| + |xi yi| <= |x||y|, so the
-    # coefficient is within sqrt(2) gamma_2m <= gamma_3m of it, and r = 0
-    # here.  On the exact route the coefficients are exact, and on the FFT
-    # route each is within the radius r of its value, normwise; so the
-    # computed moduli sum to at most (1 + gamma_3m)(|a||b| + lp r).  So
-    # value <= (|a||b| + lp r)(1 + gamma_p), p = lp + 1 + 3m, and bound >=
-    # |a||b| (1 - gamma_q), q = la + lb + 3, where 1/(1 - gamma_q) <= 1 +
-    # gamma_2q; N = p + 2q, plus four roundings of the right-hand side.
+    # (bound + slack)(1 + gamma_N) (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., §§2.1, 3.1; u = 2^-53, gamma_k = k u/(1
+    # - k u), (1 + gamma_j)(1 + gamma_k) <= 1 + gamma_(j+k), e = 2^-1074).
+    # A rounded product or modulus is its value times 1 + delta, |delta| <=
+    # u (gamma_2 for a modulus), plus at most e/2 with gradual underflow; a
+    # sum of k terms >= 0 is within gamma_(k-1), with no absolute error.
+    # On the direct route a part of a product coefficient is a real sum of
+    # 2m products, m = min(la, lb), within gamma_2m of sum_r |a_r||b_(n-r)|
+    # as |xr yr| + |xi yi| <= |x||y|, so the coefficient is within sqrt(2)
+    # gamma_2m <= gamma_3m of it, plus 3m e (``convolve_with_radius``).  On
+    # the exact route the coefficients are exact, and on the FFT route each
+    # is within the radius r of its value, normwise, barring underflow as r
+    # does.  So the computed moduli sum to at most (1 + gamma_p)(|a||b| + lp
+    # r + lp (3m + 1) e), p = lp + 1 + 3m, r counted on the FFT route only.
+    # The sum alpha of the moduli of a is at least (1 - gamma_(la+1)) |a| -
+    # la e/2, likewise beta, and bound >= alpha beta (1 - u) - e/2; so
+    # |a||b| <= (1 + gamma_2q)(bound + (la beta + lb alpha + 2) e/2), q = la
+    # + lb + 3, as 1/(1 - gamma_q) <= 1 + gamma_2q.  N = p + 2q, plus four
+    # roundings of the right-hand side; on the FFT route the unused
+    # gamma_3m covers a fifth, the sum of the two slack terms.  The absolute
+    # term is twice the e terms above plus 2e, which covers its own
+    # roundings and the e/2 that lp r and the last product may each lose.
     la, lb, lp = a.coeffs.size, b.coeffs.size, product.coeffs.size
-    n = lp + 3 * min(la, lb) + 2 * (la + lb) + 11
-    slack = lp * radius if route == "fft" else 0.0
+    m = min(la, lb)
+    n = lp + 3 * m + 2 * (la + lb) + 11
+    tiny = (la * beta + lb * alpha + 2 * lp * (3 * m + 1) + 4) * 2.0 ** -1074
+    slack = (lp * radius if route == "fft" else 0.0) + tiny
     certs = [reports.certificate(
         "submultiplicative", value <= (bound + slack) * (1.0 + _gamma(n)),
         product_norm=value, factor_bound=bound)]

@@ -32,7 +32,7 @@ class DegreeCapError(ValueError):
 
 
 class UndeclaredTailError(RuntimeError):
-    """An evaluation depended on values beyond a table with no declared tail."""
+    """An evaluation read past a table with no declared tail."""
 
 
 class CertificateViolationError(RuntimeError):
@@ -96,7 +96,7 @@ class ZeroTail:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """The rule is a total closed form, optionally with a certified asymptotic."""
+    """A total closed-form rule, optionally with a certified asymptotic."""
 
     certificate: Optional[Certificate] = None
 
@@ -261,12 +261,8 @@ def _largest_integer_part(arr: np.ndarray) -> Optional[float]:
 def convolve(a: L1Element, b: L1Element) -> L1Element:
     """Cauchy product: coefficient n of the result is sum_r a_r b_{n-r}.
 
-    The product of ``convolve_with_radius``, which also returns its error
-    radius: exact Gaussian-integer products (radius 0); other products with
-    la lb >= 12 L (log2 L + 2), L the FFT length, by FFT, with Percival's
-    normwise radius 2 M beta ||a||_2 ||b||_2; the rest by ``np.convolve``,
-    whose componentwise error gamma_3m sum_r |a_r||b_(n-r)| gives the
-    radius gamma_3m ||a||_2 ||b||_2.
+    The product of ``convolve_with_radius``, which also returns its route
+    and its error radius: 0 for Gaussian-integer products, which are exact.
     """
     return convolve_with_radius(a, b)[0]
 
@@ -276,45 +272,48 @@ def convolve_with_radius(a: L1Element, b: L1Element
     """The Cauchy product, a radius r with |computed_n - exact_n| <= r for
     every coefficient n, and the route that computed it.
 
-    - ``"exact"``, r = 0: both inputs are Gaussian integers and every
-      coefficient of the product is provably below 2^53 in modulus (2
-      min(len) max|a| max|b| < 2^53, max over real and imaginary parts).
-      The product is computed and stored exactly, so identities that hold
-      over the integers hold exactly here too: by FFT when the bound in
-      ``_fft_product`` proves its rounding harmless, else by direct int64
-      sums.  Both give the same bits.
-    - ``"fft"``: any other product with la lb >= 12 L (k + 2), L = 2^k >=
-      la + lb - 1 the FFT length (``_FFT_COST``: square inputs of length
-      384 to 512 and from 566 on), computed as ifft(fft(a) fft(b)).
-      r = 2 M beta ||a||_2 ||b||_2, from Percival's theorem as in
-      ``_fft_product``: a normwise bound, the same for every coefficient.
-      An FFT whose output is not finite (an overflow, an inf or NaN input)
-      is discarded for the direct route.
+    One size test picks the method for every input: a product with la lb
+    >= 12 L (k + 2), L = 2^k >= la + lb - 1 (``_FFT_COST``: square inputs
+    of length 384 to 512 and from 566 on), is an FFT (``_cyclic_product``),
+    any other ``np.convolve``.  Exactness decides only how the result is
+    rounded and which radius it reports.
+
+    - ``"exact"``, r = 0: both inputs are Gaussian integers and 2 min(la,
+      lb) max|a| max|b| < 2^53, max over real and imaginary parts.  A part
+      of a product coefficient sums at most 2 min(la, lb) integer products
+      of modulus at most max|a| max|b|, so every product and partial sum
+      is an integer below 2^53 in any order of summation, fused
+      multiply-add or split into lanes: ``np.convolve`` (on the real parts
+      alone for real inputs) returns the exact integers.  An FFT is taken
+      only when its radius (below) is under 1/2, so that ``rint`` returns
+      the integers; + 0.0 turns -0.0 into +0.0, so both store the same
+      bits, and identities over the integers hold exactly here too.
+    - ``"fft"``: any other product above the cutoff, with r = 2 M beta
+      ||a||_2 ||b||_2 from Percival's theorem (``_cyclic_product``): a
+      normwise bound, the same for every coefficient.  An FFT whose output
+      is not finite (an overflow, an inf or NaN input) is discarded for
+      the direct route.
     - ``"direct"``: ``np.convolve``, with the bits it gives.  Each part of
       coefficient n is a sum of 2m products, m = min(la, lb), so it errs by
-      at most gamma_3m sum_r |a_r||b_(n-r)| (see ``cli._cmd_conv``), a
-      componentwise bound, barring underflow.  With gradual underflow a
-      rounded product (or fused multiply-add) is its exact value times
-      1 + delta, |delta| <= u, plus an absolute error of at most 2^-1075,
-      and a rounded sum has no absolute error.  A part then carries at
-      most 2m absolute errors, through at most 2m - 1 relative roundings,
-      which adds at most 2m (1 + gamma_2m) 2^-1075 <= 2m 2^-1074 to it,
-      and sqrt(2) 2m <= 3m to the modulus of the coefficient.  So r =
-      gamma_3m ||a||_2 ||b||_2 + 3m 2^-1074 bounds the error of every
-      coefficient, by Cauchy-Schwarz on the sum.  It is evaluated as
-      ``_radius`` + (3m + 1) 2^-1074, which is at least r: the term is
-      exact, ``_radius`` is at worst 2^-1075 short of its bound when it is
-      below 2^-1022, and the sum of two such doubles below 2^-1021 is
-      exact; above, ``_radius`` exceeds its bound by a relative 2^-31, more
-      than the sum's rounding can take back.  Integer inputs past the
-      guard, such as (2^27+1)^2, come this way and are rounded with a
-      radius like any float product.
+      at most gamma_3m sum_r |a_r||b_(n-r)| (see ``cli._cmd_conv``) barring
+      underflow.  With gradual underflow a rounded product (or fused
+      multiply-add) also errs by up to 2^-1075 absolutely, and a rounded
+      sum does not; the 2m such errors of a part, carried through at most
+      2m - 1 relative roundings, add at most 2m (1 + gamma_2m) 2^-1075 <=
+      2m 2^-1074 to it, and sqrt(2) 2m <= 3m to the coefficient's modulus.
+      By Cauchy-Schwarz, r = gamma_3m ||a||_2 ||b||_2 + 3m 2^-1074 bounds
+      the error of every coefficient.  It is evaluated as ``_radius`` + (3m
+      + 1) 2^-1074 >= r: the term is exact, ``_radius`` is at worst
+      2^-1075 short of its bound when it is below 2^-1022, and the sum of
+      two such doubles below 2^-1021 is exact; above, ``_radius`` exceeds
+      its bound by a relative 2^-31, more than the sum's rounding can take
+      back.  Integer inputs past the guard, such as (2^27+1)^2, are
+      rounded with a radius like any float product.
 
     Each r is evaluated so that its own rounding cannot make it too small
-    (``_radius``).  Like Higham's gamma_k, the rounding bounds of the exact
-    and FFT routes hold barring underflow: an intermediate below 2^-1022
-    rounds absolutely, not relatively, and only the direct route adds an
-    absolute term for it.
+    (``_radius``).  Like Higham's gamma_k, the FFT's rounding bound holds
+    barring underflow: an intermediate below 2^-1022 rounds absolutely,
+    not relatively, and only the direct route adds an absolute term for it.
     """
     ca, cb = a.coeffs, b.coeffs
     if ca.size == 0 or cb.size == 0:
@@ -323,16 +322,21 @@ def convolve_with_radius(a: L1Element, b: L1Element
     if size > DEGREE_CAP + 1:
         raise DegreeCapError(
             f"product degree {size - 1} exceeds cap {DEGREE_CAP}")
+    k = (size - 1).bit_length()
+    by_fft = ca.size * cb.size >= _FFT_COST * (k + 2) << k
     top_a, top_b = _largest_integer_part(ca), _largest_integer_part(cb)
     # below 2^53 the float product of these integers is exact, so the
     # comparison is too; an infinite part fails it
     if top_a is not None and top_b is not None \
             and 2 * min(ca.size, cb.size) * top_a * top_b < 2.0 ** 53:
-        product = _fft_product(ca, cb)
-        return L1Element(_direct_product(ca, cb) if product is None
-                         else product), 0.0, "exact"
-    k = (size - 1).bit_length()
-    if ca.size * cb.size >= _FFT_COST * (k + 2) << k:
+        if by_fft and _radius(ca, cb, _fft_factor(size)) < 0.5:
+            product = np.rint(_cyclic_product(ca, cb))
+        elif ca.imag.any() or cb.imag.any():
+            product = np.convolve(ca, cb)
+        else:
+            product = np.convolve(ca.real, cb.real)
+        return L1Element(product + 0.0), 0.0, "exact"
+    if by_fft:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             product = _cyclic_product(ca, cb)
         if np.isfinite(product).all():
@@ -371,7 +375,7 @@ def _gamma(k: int) -> float:
 
 def _fft_factor(size: int) -> float:
     """2 M beta, M = 9k + 1, for a product of ``size`` coefficients by FFT
-    at length 2^k (see ``_fft_product``); exact as a double."""
+    at length 2^k (see ``_cyclic_product``); exact as a double."""
     return 2 * (9 * (size - 1).bit_length() + 1) * _TWIDDLE_ERROR
 
 
@@ -418,23 +422,8 @@ def _radius(ca: np.ndarray, cb: np.ndarray, factor: float) -> float:
 
 def _cyclic_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """ifft(fft(a) fft(b)) with both inputs zero-padded to the power of two
-    L >= la + lb - 1, where the cyclic convolution is the Cauchy product;
-    its first la + lb - 1 coefficients."""
-    size = ca.size + cb.size - 1
-    length = 1 << (size - 1).bit_length()
-    # numpy.fft is imported on first use, so importing convderiv stays cheap
-    spectrum = np.fft.fft(ca, length)
-    spectrum *= np.fft.fft(cb, length)
-    return np.fft.ifft(spectrum)[:size]
-
-
-def _fft_product(ca: np.ndarray, cb: np.ndarray) -> Optional[np.ndarray]:
-    """The Gaussian-integer product by FFT, or None when not proven exact.
-
-    The caller's guard makes every part of every product coefficient an
-    integer below 2^53 in modulus.  With L = 2^k >= la + lb - 1, the cyclic
-    convolution of the inputs zero-padded to length L is their Cauchy
-    product, computed as ifft(fft(a) fft(b)) (``_cyclic_product``).
+    L = 2^k >= la + lb - 1, where the cyclic convolution is the Cauchy
+    product; its first la + lb - 1 coefficients.
 
     Percival's theorem (Math. Comp. 72 (2003); Brent & Zimmermann, *Modern
     Computer Arithmetic*, Thm 3.3.2) bounds the error of every computed
@@ -449,33 +438,16 @@ def _fft_product(ca: np.ndarray, cb: np.ndarray) -> Optional[np.ndarray]:
     rounded constant), and its 1/L scaling is exact.  That correspondence
     is argued, not proven, and beta = 2^-46 (``_TWIDDLE_ERROR``), 2^7 units
     of u where pocketfft's twiddles are within a few, is the margin for it.
-
     As beta >= sqrt(5) u, the factor is at most (1+beta)^M - 1 <= 2 M beta
-    with M = 9k + 1, since M beta <= 1/2 for every k <= 17 the degree cap
-    allows.  ``_radius`` evaluates 2 M beta ||a||_2 ||b||_2 from above, so
-    a computed radius below 1/2 proves each part of each computed
-    coefficient within 1/2 of its integer: ``rint`` returns that integer
-    exactly, and + 0.0 turns the -0.0 that ``rint`` gives for small
-    negative errors into the +0.0 of the direct int64 sums.
+    with M = 9k + 1 (``_fft_factor``), since M beta <= 1/2 for every k <=
+    17 the degree cap allows.
     """
     size = ca.size + cb.size - 1
-    if not _radius(ca, cb, _fft_factor(size)) < 0.5:
-        return None
-    return np.rint(_cyclic_product(ca, cb)) + 0.0
-
-
-def _direct_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """The Gaussian-integer product by int64 sums; a part that is zero
-    throughout is skipped, so real inputs cost one convolution, not four."""
-    ar, ai = ca.real.astype(np.int64), ca.imag.astype(np.int64)
-    br, bi = cb.real.astype(np.int64), cb.imag.astype(np.int64)
-    re = np.zeros(ca.size + cb.size - 1, dtype=np.int64)
-    im = np.zeros_like(re)
-    for x, y, out, sign in ((ar, br, re, 1), (ai, bi, re, -1),
-                            (ar, bi, im, 1), (ai, br, im, 1)):
-        if x.any() and y.any():
-            out += sign * np.convolve(x, y)
-    return re + 1j * im
+    length = 1 << (size - 1).bit_length()
+    # numpy.fft is imported on first use, so importing convderiv stays cheap
+    spectrum = np.fft.fft(ca, length)
+    spectrum *= np.fft.fft(cb, length)
+    return np.fft.ifft(spectrum)[:size]
 
 
 def l1_norm(a: L1Element) -> float:

@@ -131,15 +131,16 @@ class Derivation:
         return cls(mu, phi)
 
     @classmethod
-    def from_mu_values(cls, values, tail: Optional[Tail] = None) -> "Derivation":
-        """Finite table of mu values; defaults to a ZeroTail at the table end."""
+    def from_mu_values(cls, values,
+                       tail: Optional[Tail] = None) -> "Derivation":
+        """Finite table of mu values; a ZeroTail at its end by default."""
         table = np.asarray(values, dtype=complex).ravel()
         if table.size and table[0] != 0:
             raise ValueError("mu_0 must be 0 for a derivation")
         if tail is None:
             tail = ZeroTail(table.size)
         seq = DualSequence.from_values(table, tail=tail)
-        return cls.from_mu(seq.bulk, tail=tail)
+        return cls.from_mu(seq.bulk, tail=tail, vectorized=True)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -190,7 +191,7 @@ class Derivation:
 
     def classify_compact(self, tol: float = 1e-9,
                          probe_depth: int = 256) -> "CompactnessVerdict":
-        """Certificate-backed compactness verdict; never guesses from samples."""
+        """Compactness verdict backed by certificates, never by samples."""
         if tol <= 0:
             raise ValueError("tolerance must be positive")
         tail = self.mu.tail

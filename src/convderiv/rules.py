@@ -208,16 +208,17 @@ class _Parser:
             return Var()
         if ch.isdigit():
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            text = self.text
+            while self.pos < len(text) and text[self.pos].isdigit():
                 self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] == ".":
+            if self.pos < len(text) and text[self.pos] == ".":
                 self.pos += 1
-                if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
+                if self.pos >= len(text) or not text[self.pos].isdigit():
                     self.error("digits expected after decimal point",
                                ("digit",))
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                while self.pos < len(text) and text[self.pos].isdigit():
                     self.pos += 1
-            return Lit(float(self.text[start:self.pos]))
+            return Lit(float(text[start:self.pos]))
         self.error("operand expected", ("number", "'n'", "'('", "'-'"))
 
 
@@ -697,7 +698,8 @@ def _pshift(p, c: Fraction):
 
 
 def _pderiv(p):
-    return _ptrim(tuple(i * a for i, a in enumerate(p)))[1:] if len(p) > 1 else ()
+    derivative = tuple(i * a for i, a in enumerate(p))
+    return _ptrim(derivative)[1:] if len(p) > 1 else ()
 
 
 def _peval(p, x: Fraction) -> Fraction:
@@ -772,8 +774,8 @@ class RationalProfile:
 
     def times_index(self) -> "RationalProfile":
         """The profile of n -> n * f(n)."""
-        return RationalProfile.make(_pmul(self.num, (Fraction(0), Fraction(1))),
-                                    self.den)
+        return RationalProfile.make(
+            _pmul(self.num, (Fraction(0), Fraction(1))), self.den)
 
     def monotone_start(self) -> int:
         """Index past every pole, zero, and critical point of the function.

@@ -119,6 +119,25 @@ def test_conv_rounding_is_no_certificate_failure(tmp_path):
     assert over > 0  # the rounding shows, and the bound absorbs it
 
 
+def test_conv_certificate_survives_underflow(tmp_path, monkeypatch):
+    # each product 2.96e-324 rounds up to 4.9e-324 while the bound
+    # 5.9e-324 rounds down; the moduli of a subnormal a lose digits that
+    # the bound multiplies by 1e300
+    for argv in (["1.72e-162,1.72e-162", "1.72e-162"],
+                 ["1e-320+1e-320j", "1e300"], ["1e-200", "3e-200"]):
+        code, report = run_report(["conv", *argv], tmp_path)
+        assert code == 0, argv
+    # the absolute term does not hide a wrong product on the direct route
+    argv = ["conv", "0.6,0.8", "5499,97"]
+    assert cli.convolve_with_radius(*map(cli._coeffs, argv[1:]))[2] \
+        == "direct"
+    monkeypatch.setattr(cli, "convolve_with_radius", _then(
+        lambda p: (L1Element(p[0].coeffs * (1 + 1e-9)),) + p[1:])(
+            cli.convolve_with_radius))
+    code, report = run_report(argv, tmp_path)
+    assert code == 1 and not report["certificates"][0]["passed"]
+
+
 def test_conv_reports_how_exact_it_is(tmp_path):
     code, report = run_report(["conv", "1,1", "1,1"], tmp_path)
     assert (report["result"]["exact"], report["result"]["radius"]) == \

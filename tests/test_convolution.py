@@ -422,9 +422,8 @@ def _kronecker_product(a, b):
 
 
 def _assert_exact(a, b):
-    """convolve(a, b) is the Python-int product, with the bits the int64
-    direct method stores (re + 1j * im of int64 arrays, whether or not it
-    skips a zero part), and no -0.0."""
+    """convolve(a, b) is the Python-int product, with the bits of re + 1j *
+    im for int64 arrays re and im, so no -0.0."""
     got = cd.convolve(cd.L1Element(a), cd.L1Element(b)).coeffs
     re, im = _kronecker_product(a, b)
     assert [int(z) for z in got.real] == re
@@ -435,8 +434,10 @@ def _assert_exact(a, b):
 
 
 def _fft_accepts(a, b):
-    return convolution._fft_product(np.asarray(a, dtype=complex),
-                                    np.asarray(b, dtype=complex)) is not None
+    """Percival's radius proves an exact product by FFT within 1/2."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    factor = convolution._fft_factor(a.size + b.size - 1)
+    return convolution._radius(a, b, factor) < 0.5
 
 
 def _integer_sequence(rng, size, top, real):
@@ -505,6 +506,41 @@ def test_products_the_fft_bound_rejects_stay_exact():
     for a, b in cases:
         assert not _fft_accepts(a, b)
         _assert_exact(a, b)
+
+
+def _guard_top(size):
+    """The largest part t with 2 size t^2 < 2^53: squares at the guard."""
+    return math.isqrt((2 ** 53 - 1) // (2 * size))
+
+
+def test_exact_products_route_by_size(monkeypatch):
+    rng = np.random.default_rng(46)
+    small, big = (_integer_sequence(rng, size, 9, False)
+                  for size in (300, 512))
+    with monkeypatch.context() as patch:  # below the cutoff: no FFT
+        patch.setattr(np.fft, "fft", _raiser)
+        _assert_exact(small, small)
+    assert _fft_accepts(big, big)
+    with monkeypatch.context() as patch:  # above it, within the bound
+        patch.setattr(np, "convolve", _raiser)
+        _assert_exact(big, big)
+    top = _guard_top(600)
+    past = [_integer_sequence(rng, 600, top, False) for _ in range(2)]
+    assert not _fft_accepts(*past) and _route(*past) == "exact"
+    with monkeypatch.context() as patch:  # past Percival's bound: no FFT
+        patch.setattr(np.fft, "fft", _raiser)
+        _assert_exact(*past)
+
+
+def test_exact_products_at_the_guard_mix_real_and_gaussian():
+    rng = np.random.default_rng(47)
+    for size in (1, 7, 300, 600):
+        top = _guard_top(size)
+        real, gaussian = (_integer_sequence(rng, size, top, real)
+                          for real in (True, False))
+        for a, b in ((real, real), (real, gaussian), (gaussian, real)):
+            assert _route(a, b) == "exact"
+            _assert_exact(a, b)
 
 
 # -- float products: the route and the radius -------------------------------

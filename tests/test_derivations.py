@@ -106,6 +106,24 @@ def test_from_mu_rejects_nonzero_start():
         cd.Derivation.from_mu_values([1, 1])
 
 
+def test_from_mu_values_reads_the_table_once_per_bulk(monkeypatch):
+    reads = []
+    build = cd.DualSequence.from_values.__func__
+
+    def counted(cls, values, tail=cd.UNDECLARED):
+        seq = build(cls, values, tail)
+        rule = seq._rule
+        seq._rule = lambda n: reads.append(n.tolist()) or rule(n)
+        return seq
+
+    monkeypatch.setattr(cd.DualSequence, "from_values", classmethod(counted))
+    # an undeclared table of two entries cannot answer a probe at 1 and 2
+    D = cd.Derivation.from_mu_values([0, 1], tail=cd.UNDECLARED)
+    assert reads == []
+    assert D.mu.bulk(np.arange(1, 2)).tolist() == [1]
+    assert reads == [[1]]
+
+
 def test_from_mu_algebraic_inverse():
     D = cd.Derivation.from_mu(lambda n: n * 2.0 ** -(n - 1),
                               tail=cd.ClosedForm(cd.Decay(1)))
