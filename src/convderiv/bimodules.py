@@ -273,6 +273,9 @@ class FiniteBimodule:
 # then the seeded random elements find_transfer_functional tries.
 _RANK_THRESHOLD = _ANCHOR_TOL = _TRANSFER_TOL = 1e-9
 _RANDOM_PROBES = 64
+# the largest residual is_inner counts as solved, and transfer's derivation
+# identity tolerance relative to derivation_scale
+_INNER_TOL, _IDENTITY_TOL = 1e-9, 1e-10
 
 
 def matrix_rank(M: np.ndarray) -> int:
@@ -407,8 +410,7 @@ class InnerFit:
     solved: bool
 
 
-def is_inner(A: FiniteAlgebra, E: FiniteBimodule, D: FiniteMap,
-             tol: float = 1e-9) -> InnerFit:
+def is_inner(A: FiniteAlgebra, E: FiniteBimodule, D: FiniteMap) -> InnerFit:
     d, m = A.dim, E.dim
     blocks = [E.left[i].T - E.right[i].T for i in range(d)]
     S = np.vstack(blocks)
@@ -418,7 +420,7 @@ def is_inner(A: FiniteAlgebra, E: FiniteBimodule, D: FiniteMap,
     defect = FiniteMap(D.matrix - delta)
     residual = float(np.abs(defect.matrix).max(initial=0.0))
     return InnerFit(element=e, defect=defect, residual=residual,
-                    solved=residual <= tol)
+                    solved=residual <= _INNER_TOL)
 
 
 def dual_homomorphism(A: FiniteAlgebra, E: FiniteBimodule, lam) -> FiniteMap:
@@ -483,12 +485,12 @@ class _Transferred(FiniteMap):
     tolerance: float = 0.0
 
 
-def transfer(D: FiniteMap, lam, A: FiniteAlgebra, E: FiniteBimodule,
-             atol: float = 1e-10) -> FiniteMap:
+def transfer(D: FiniteMap, lam, A: FiniteAlgebra,
+             E: FiniteBimodule) -> FiniteMap:
     """Compose D with the induced homomorphism into the dual.
 
     D must be a derivation into E, and the result is again a derivation
-    into the dual: both are checked on all basis pairs, to ``atol``
+    into the dual: both are checked on all basis pairs, to ``_IDENTITY_TOL``
     relative to ``derivation_scale``, and a failure raises ValueError.
     The result's rank never exceeds rank(D), and its operator norm is at
     most the product of the factors' norms in the declared coordinate
@@ -496,7 +498,7 @@ def transfer(D: FiniteMap, lam, A: FiniteAlgebra, E: FiniteBimodule,
     the tolerance as attributes.
     """
     defect = derivation_defect(A, E, D)
-    tolerance = atol * max(1.0, derivation_scale(A, E, D))
+    tolerance = _IDENTITY_TOL * max(1.0, derivation_scale(A, E, D))
     if not defect <= tolerance:
         raise ValueError(f"the map to transfer is not a derivation into the "
                          f"module: defect {defect:.3e} > {tolerance:.1e}")
@@ -505,7 +507,7 @@ def transfer(D: FiniteMap, lam, A: FiniteAlgebra, E: FiniteBimodule,
     dual_of_A = A.self_bimodule().dual()
     composed.defect = derivation_defect(A, dual_of_A, composed)
     composed.scale = derivation_scale(A, dual_of_A, composed)
-    composed.tolerance = atol * max(1.0, composed.scale)
+    composed.tolerance = _IDENTITY_TOL * max(1.0, composed.scale)
     if composed.defect > composed.tolerance:
         raise ValueError(f"transferred map violates the derivation identity "
                          f"by {composed.defect:.3e}")

@@ -26,6 +26,9 @@ INDEX_CAP = 1 << 62
 # act_on_dual reads psi on at most this many indices n + k at once.
 _ACTION_BLOCK = 1 << 16
 
+# validate_tail's absolute slack on every certificate inequality
+_TAIL_SLACK = 1e-9
+
 
 class DegreeCapError(ValueError):
     """Support of a constructed element exceeds DEGREE_CAP."""
@@ -554,8 +557,8 @@ class DualSequence:
         return f"DualSequence(tail={self.tail!r})"
 
 
-def validate_tail(seq: DualSequence, upto: int, first_index: int = 0,
-                  atol: float = 1e-9) -> float:
+def validate_tail(seq: DualSequence, upto: int,
+                  first_index: int = 0) -> float:
     """max |value| over first_index..upto, checking a declared tail there.
 
     The one pass that reads a sequence over a range: each index is
@@ -579,7 +582,7 @@ def validate_tail(seq: DualSequence, upto: int, first_index: int = 0,
         top = np.maximum(top, mags.max())
         if violation is None and hi > first:
             violation = _violation(cert, vals, mags, before, lo,
-                                   max(lo, first), atol)
+                                   max(lo, first))
         before = mags[-1:]
     if violation is not None:
         raise CertificateViolationError(violation)
@@ -587,24 +590,23 @@ def validate_tail(seq: DualSequence, upto: int, first_index: int = 0,
 
 
 def _violation(cert: Certificate, vals: np.ndarray, mags: np.ndarray,
-               before: np.ndarray, base: int, lo: int,
-               atol: float) -> Optional[str]:
+               before: np.ndarray, base: int, lo: int) -> Optional[str]:
     """The first violation of ``cert`` from index lo to the end of the
     block ``vals`` (moduli ``mags``) that starts at index ``base``, or None.
     ``before`` is the modulus at base - 1 when read: a decay step needs it."""
     if isinstance(cert, Constant):
         scale = max(1.0, abs(cert.value))
-        bad = np.abs(vals[lo - base:] - cert.value) > atol * scale
+        bad = np.abs(vals[lo - base:] - cert.value) > _TAIL_SLACK * scale
     elif isinstance(cert, Decay):
         # steps[j] is the modulus at index lo - 1 + j
         steps = np.concatenate((before, mags))[lo - base + before.size - 1:]
         ratio = 1.0 if cert.ratio is None else cert.ratio
         # built in place: one temporary the size of the block, not two
         envelope = np.multiply(steps[:-1], ratio)
-        envelope += atol
+        envelope += _TAIL_SLACK
         bad = steps[1:] > envelope
     else:
-        bad = mags[lo - base:] < cert.bound - atol
+        bad = mags[lo - base:] < cert.bound - _TAIL_SLACK
     if not bad.any():
         return None
     n = lo + int(bad.argmax())

@@ -40,6 +40,9 @@ from .convolution import (
 # truncate refuses, before evaluating anything, to read mu past this index
 PROBE_CAP = 1 << 24
 
+# the absolute slack of a recheck: CompactnessVerdict's, WitnessReport's
+_VERDICT_SLACK, _WITNESS_SLACK = 1e-9, 1e-12
+
 
 class UnboundedDerivationError(ValueError):
     """The declared tail proves sup_n n*|phi(t^{n-1})| is infinite."""
@@ -154,11 +157,11 @@ class Derivation:
             return 0j
         return j * self.phi.at(j + l - 1)
 
-    def monomial_probes(self, upto: int, at: int = 0) -> np.ndarray:
-        """D(t^k)(t^at) for k = 0..upto, batched through the phi route."""
+    def monomial_probes(self, upto: int) -> np.ndarray:
+        """D(t^k)(1) for k = 0..upto, batched through the phi route."""
         ks = np.arange(upto + 1)
         out = np.zeros(upto + 1, dtype=complex)
-        out[1:] = ks[1:] * self.phi.bulk(ks[1:] + (at - 1))
+        out[1:] = ks[1:] * self.phi.bulk(ks[1:] - 1)
         return out
 
     def apply(self, f: L1Element) -> DualSequence:
@@ -423,17 +426,17 @@ class CompactnessVerdict:
     cited_indices: Tuple[int, ...] = ()
     reason: str = ""
 
-    def recheck(self, deriv: Derivation, atol: float = 1e-9) -> bool:
+    def recheck(self, deriv: Derivation) -> bool:
         """Re-evaluate mu at the cited indices and confirm the evidence."""
         if self.verdict == "noncompact":
-            return all(abs(deriv.mu.at(n)) >= self.floor - atol
+            return all(abs(deriv.mu.at(n)) >= self.floor - _VERDICT_SLACK
                        for n in self.cited_indices)
         if self.verdict == "compact":
             if self.decay_from is None:
                 return True
             probes = [self.decay_from, self.decay_from + 1,
                       self.decay_from + 8]
-            return all(abs(deriv.mu.at(n)) < self.tolerance + atol
+            return all(abs(deriv.mu.at(n)) < self.tolerance + _VERDICT_SLACK
                        for n in probes)
         return True
 
@@ -471,18 +474,20 @@ class WitnessReport:
     gaps: Tuple[Tuple[int, int, float], ...] = field(default_factory=tuple)
     separation: float = 0.0
 
-    def recheck(self, deriv: Derivation, atol: float = 1e-12) -> bool:
+    def recheck(self, deriv: Derivation) -> bool:
         """Re-evaluate every cited probe against its claimed inequality."""
         if list(self.j) != sorted(set(self.j)):
             return False
         for j_k, l_k, diag in zip(self.j, self.l, self.diagonal):
             value = abs(deriv.monomial_probe(j_k, l_k))
-            if abs(value - diag) > atol or not value > self.epsilon / 3:
+            if abs(value - diag) > _WITNESS_SLACK \
+                    or not value > self.epsilon / 3:
                 return False
         for i, k, gap in self.gaps:
             value = abs(deriv.monomial_probe(self.j[i], self.l[k])
                         - deriv.monomial_probe(self.j[k], self.l[k]))
-            if abs(value - gap) > atol or not value > self.epsilon / 4:
+            if abs(value - gap) > _WITNESS_SLACK \
+                    or not value > self.epsilon / 4:
                 return False
         return True
 

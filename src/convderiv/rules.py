@@ -9,12 +9,12 @@ associate to the left:
     power  := atom ('^' atom)*
     atom   := NUMBER | 'n' | '(' expr ')'
 
-Exponents must evaluate to integers.  Printing, evaluation at one index
-(as generated straight-line Python source), evaluation on a block of
-indices (as generated numpy source, with the bits and errors of the first)
-and *exact* rational-function analysis (over Fraction coefficients: how
-certificates for rational rules are derived without sampling) are four
-algebras of one fold over the parsed tree.
+Exponents must evaluate to integers.  The parsed tree is walked once, into
+its post-order program.  Printing and *exact* rational-function analysis
+(over Fraction coefficients: how certificates for rational rules are
+derived without sampling) are two algebras of one fold over it;
+evaluation at one index, and on a block of indices with the bits and
+errors of the first, walk it with a value stack.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .convolution import (
-    INDEX_CAP, Certificate, Constant, Decay, Floor, ZeroTail,
+    INDEX_CAP, Certificate, Constant, Decay, Floor, ZeroTail, _per_index,
 )
 
 
@@ -100,28 +100,39 @@ class Pow:
 RuleExpr = Union[Lit, Var, Neg, Add, Sub, Mul, Div, Pow]
 
 
-def _fold(expr: RuleExpr, algebra: dict):
-    """The one traversal, bottom-up: ``algebra[type(node)]`` combines what
-    the operands folded to, left to right (_PRINT, _Source, _BlockSource,
-    _ANALYSE).  It keeps its own stack, so a tree as deep as a 2,000-term
-    sum folds too."""
-    folded, pending = [], [(expr, False)]
+def _program(expr: RuleExpr) -> list:
+    """The one traversal: the tree's nodes in post-order, each after its
+    operands and a left operand before the right one.  It keeps its own
+    stack, so a tree as deep as a 2,000-term sum is walked too."""
+    program, pending = [], [(expr, False)]
     while pending:
         node, operands_done = pending.pop()
+        kind = type(node)
+        if operands_done or kind is Lit or kind is Var:
+            program.append(node)
+        elif kind is Neg:
+            pending += [(node, True), (node.operand, False)]
+        else:
+            pending += [(node, True), (node.right, False), (node.left, False)]
+    return program
+
+
+def _fold(expr: RuleExpr, algebra: dict):
+    """Bottom-up over ``_program(expr)``: ``algebra[type(node)]`` combines
+    what the operands folded to, left to right (_PRINT, _ANALYSE).  The
+    two evaluators walk the same program with their own value stacks."""
+    folded = []
+    for node in _program(expr):
         kind = type(node)
         if kind is Lit:
             folded.append(algebra[Lit](node.value))
         elif kind is Var:
             folded.append(algebra[Var]())
-        elif operands_done:
+        else:
             arity = 1 if kind is Neg else 2
             operands = folded[-arity:]
             del folded[-arity:]
             folded.append(algebra[kind](*operands))
-        else:
-            pending.append((node, True))
-            pending.extend(((node.operand, False),) if kind is Neg else
-                           ((node.right, False), (node.left, False)))
     return folded[0]
 
 
@@ -232,8 +243,7 @@ def parse_rule(text: str) -> RuleExpr:
 
 
 # ---------------------------------------------------------------------------
-# printing and evaluation: two algebras of the fold, the second emitting
-# Python source
+# printing, an algebra of the fold, and evaluation at one index
 # ---------------------------------------------------------------------------
 
 def _fmt_number(v: float) -> str:
@@ -273,131 +283,76 @@ def format_rule(expr: RuleExpr) -> str:
     return _fold(expr, _PRINT)[0]
 
 
-class _Source:
-    """The Python source of one rule, emitted by the fold through ``table``.
-
-    Each node appends its statements in post-order and assigns its result
-    to a fresh local, so operands are evaluated left to right and no
-    expression nests; the index is converted once, at its first use.  A
-    node folds to ``(name, value)``: the name holding its result and, for a
-    literal or a negated literal, the value itself.  Literals are bound as
-    names in ``namespace``; no input text or value is ever formatted into
-    the source.  Division and powers check their operands in statements of
-    their own, after evaluating both; a finite integral literal exponent
-    is specialised at compile time.
-    """
-
-    def __init__(self):
-        self.lines = []
-        self.namespace = {"RuleEvaluationError": RuleEvaluationError}
-        self.locals = 0
-        self.indexed = False
-        self.table = {Lit: self.literal, Var: self.index, Neg: self.negate,
-                      Add: self.infix("+"), Sub: self.infix("-"),
-                      Mul: self.infix("*"), Div: self.divide,
-                      Pow: self.power}
-
-    def fresh(self) -> str:
-        self.locals += 1
-        return f"t{self.locals}"
-
-    def assign(self, expression: str):
-        name = self.fresh()
-        self.lines.append(f"{name} = {expression}")
-        return name, None
-
-    def literal(self, value):
-        name = f"c{len(self.namespace)}"
-        self.namespace[name] = value
-        return name, value
-
-    def index(self):
-        # the index stays an exact int, so (-1)^n keeps its parity
-        if not self.indexed:
-            self.lines.append("i = int(n)")
-            self.indexed = True
-        return "i", None
-
-    def negate(self, operand):
-        name, value = operand
-        return self.assign(f"-{name}") if value is None \
-            else self.literal(-value)
-
-    def infix(self, op: str):
-        return lambda left, right: self.assign(f"{left[0]} {op} {right[0]}")
-
-    def guard(self, condition: str, message: str):
-        # ``message`` is source text: a string literal, or an f-string of
-        # locals
-        self.lines += [f"if {condition}:",
-                       f"    raise RuleEvaluationError({message}, n)"]
-
-    def divide(self, left, right):
-        name, value = right
-        if value is None or value == 0.0:
-            self.guard(f"{name} == 0.0", "'division by zero'")
-        return self.assign(f"{left[0]} / {name}")
-
-    def power(self, left, right):
-        base, (exponent, value) = left[0], right
-        negative = "'zero raised to a negative power'"
-        if isinstance(value, float) and value.is_integer():
-            # int(value) is exact, so float ** int keeps the parity of
-            # (-1)^k and no zero base needs a check for k >= 0
-            if value < 0:
-                self.guard(f"{base} == 0.0", negative)
-            return self.raised(base, self.literal(int(value))[0])
-        self.guard(f"{exponent} != int({exponent})",
-                   f"f'exponent {{{exponent}}} is not an integer'")
-        self.guard(f"{base} == 0.0 and {exponent} < 0", negative)
-        k = self.fresh()
-        # a double exponent rounds above 2^53; keep the int's parity
-        self.lines += [f"{k} = int({exponent})",
-                       f"if {base} == -1:", f"    {k} %= 2"]
-        return self.raised(base, k)
-
-    def raised(self, base: str, k: str):
-        name = self.fresh()
-        self.lines += ["try:", f"    {name} = float({base}) ** {k}",
-                       "except OverflowError:",
-                       "    raise RuleEvaluationError("
-                       "'power overflows a double', n)"]
-        return name, None
-
-
 def _compile(expr: RuleExpr) -> Callable:
-    source = _Source()
-    result, _ = _fold(expr, source.table)
-    body = source.lines + [f"return {result}"]
-    text = "def rule(n):\n" + "".join(f"    {line}\n" for line in body)
-    exec(compile(text, "<rule>", "exec"), source.namespace)
-    return source.namespace["rule"]
+    # a walk of the program with a value stack, step for step the
+    # reference interpreter's: operands left to right, then the checks
+    program = [(type(node), getattr(node, "value", None))
+               for node in _program(expr)]
+
+    def rule(n):
+        stack = []
+        for kind, value in program:
+            if kind is Lit:
+                stack.append(value)
+            elif kind is Var:
+                # the index stays an exact int, so (-1)^n keeps its parity
+                stack.append(int(n))
+            elif kind is Neg:
+                stack[-1] = -stack[-1]
+            else:
+                right = stack.pop()
+                left = stack[-1]
+                if kind is Add:
+                    stack[-1] = left + right
+                elif kind is Sub:
+                    stack[-1] = left - right
+                elif kind is Mul:
+                    stack[-1] = left * right
+                elif kind is Div:
+                    if right == 0.0:
+                        raise RuleEvaluationError("division by zero", n)
+                    stack[-1] = left / right
+                else:
+                    stack[-1] = _raised(left, right, n)
+        return stack[0]
+    return rule
+
+
+def _raised(base, exponent, n):
+    if exponent != int(exponent):
+        raise RuleEvaluationError(f"exponent {exponent} is not an integer",
+                                  n)
+    if base == 0.0 and exponent < 0:
+        raise RuleEvaluationError("zero raised to a negative power", n)
+    k = int(exponent)
+    if base == -1:
+        k %= 2  # a double exponent rounds above 2^53; keep the int's parity
+    try:
+        return float(base) ** k
+    except OverflowError:
+        raise RuleEvaluationError("power overflows a double", n) from None
 
 
 def eval_rule(expr: RuleExpr, n) -> float:
     """Evaluate at a single non-negative index in double precision.  The
     index stays an exact integer, so (-1)^n is exact up to INDEX_CAP; a
     power that overflows a double raises RuleEvaluationError.  Operands are
-    evaluated left to right, so an error cites the first failing node.
-    The rule is compiled as by ``rule_callable`` on every call, so evaluate
-    many indices through ``rule_callable`` instead."""
+    evaluated left to right, so an error cites the first failing node."""
     return _compile(expr)(n)
 
 
 def rule_callable(expr: RuleExpr) -> Callable:
-    """The rule compiled once: a function of one index, with the values and
-    errors of ``eval_rule``.  The fold emits straight-line Python source,
-    one assignment per node in post-order with the literals bound as names,
-    so no input text enters the source; it is compiled with ``exec``.  It
-    calls no public name, because perfbench's traced runs count each
-    callable it returns as one rule evaluation.  ``block_callable`` is the
-    same rule on arrays of indices, and evaluates through this callable
-    wherever it goes index by index."""
+    """The rule as a function of one index, with the values and errors of
+    ``eval_rule``; the program is built once.  It calls no public name,
+    because perfbench's traced runs count each callable it returns as one
+    rule evaluation.  ``block_callable`` is the same rule on arrays of
+    indices, and evaluates through this callable wherever it goes index by
+    index."""
     return _compile(expr)
 
 
 # ---------------------------------------------------------------------------
-# evaluation on blocks of indices: an algebra emitting numpy source
+# evaluation on blocks of indices
 # ---------------------------------------------------------------------------
 
 _PER_INDEX_BELOW = 64  # indices; a smaller block costs less index by index
@@ -406,7 +361,7 @@ _EXACT = 2 ** 53  # every integer up to here in modulus is a double
 
 
 class _PerIndex(Exception):
-    """A guard of the numpy source, or Python's power, failed: evaluate
+    """A guard of the block evaluator, or Python's power, failed: evaluate
     the block index by index."""
 
 
@@ -417,9 +372,9 @@ def _power(base, k):
     # Python's float ** int, element by element: np.power rounds some
     # powers differently.  Python converts an int exponent to a double and
     # reads its parity from the double, so an integral double exponent
-    # gives the bits of the int, (-1)^k included, and _Source's k % 2 for
-    # a base of -1 changes nothing here.  Python raises on an overflow and
-    # on a zero base with a negative exponent.
+    # gives the bits of the int, (-1)^k included, and the single-index
+    # k % 2 for a base of -1 changes nothing here.  Python raises on an
+    # overflow and on a zero base with a negative exponent.
     try:
         return np.asarray(_PY_POW(base, k), dtype=np.float64)
     except (ArithmeticError, ValueError):
@@ -435,129 +390,106 @@ def _saturated(p):
     return p
 
 
-class _BlockSource:
-    """The numpy source of one rule on a block of indices, emitted by the
-    fold through ``table``; the source raises ``_PerIndex`` where the block
-    must be evaluated index by index instead.
-
-    It gives the bits of ``_Source`` wherever it does not raise.  In
-    ``_Source`` the index, and every + - * or negation whose operands are
-    all such integer nodes, is an exact Python int; everything else is a
-    double, with the same operations as numpy's.  Here an integer node is
-    a double too, exact while its modulus is at most 2^53.  A node folds
-    to ``(name, value, bound)``: ``value`` as in ``_Source``, and for an
-    integer node a polynomial with non-negative integer coefficients and
-    no constant term (``n`` for the index; sums for + and -, products for
-    *) that bounds its modulus at index n >= 0 by its value at n.  Such a
-    polynomial is at least 1 from n = 1 on, so the outermost integer
-    nodes, the ``roots``, bound every integer node within them, and
-    ``limit`` is the largest index at which each root is at most 2^53.
-    Negation and products add 0.0, as -(n-n) and -n*(n-n) are the int 0
-    but -0.0 as doubles.  Powers go through Python's own power
-    (``_power``).  A zero divisor, an exponent that is not an integer or
-    not finite, a zero base raised to a negative power and an overflowing
-    power raise ``_PerIndex``, where ``_Source`` checks or raises per
-    index.
-    """
-
-    def __init__(self):
-        self.lines = []
-        self.namespace = {"np": np, "power": _power, "PerIndex": _PerIndex}
-        self.roots = set()
-        self.locals = 0
-        self.indexed = False
-        self.table = {Lit: self.literal, Var: self.index, Neg: self.negate,
-                      Add: self.infix("+", _padd),
-                      Sub: self.infix("-", _padd),
-                      Mul: self.infix("*", _pmul),
-                      Div: self.divide, Pow: self.power}
-
-    def assign(self, expression: str, bound=None):
-        self.locals += 1
-        name = f"t{self.locals}"
-        self.lines.append(f"{name} = {expression}")
-        return name, None, bound
-
-    def operand(self, node) -> str:
-        # an integer node read by a double node is the root of its subtree
-        name, _, bound = node
-        if bound is not None:
-            self.roots.add(bound)
-        return name
-
-    def literal(self, value):
-        name = f"c{len(self.namespace)}"
-        self.namespace[name] = np.float64(value)
-        return name, value, None
-
-    def index(self):
-        if not self.indexed:
-            self.lines.append("i = n.astype(np.float64)")
-            self.indexed = True
-        return "i", None, (0, 1)
-
-    def negate(self, operand):
-        name, value, bound = operand
-        if value is not None:
-            return self.literal(-value)
-        return self.assign(f"-{name}" if bound is None else f"-{name} + 0.0",
-                           bound)
-
-    def infix(self, op: str, combine):
-        def node(left, right):
-            if left[2] is not None and right[2] is not None:
-                expression = f"{left[0]} {op} {right[0]}"
-                if op == "*":
-                    expression += " + 0.0"
-                return self.assign(expression,
-                                   _saturated(combine(left[2], right[2])))
-            return self.assign(
-                f"{self.operand(left)} {op} {self.operand(right)}")
-        return node
-
-    def guard(self, condition: str):
-        self.lines += [f"if ({condition}).any():", "    raise PerIndex"]
-
-    def divide(self, left, right):
-        name, value = self.operand(right), right[1]
-        if value is None or value == 0.0:
-            self.guard(f"{name} == 0.0")
-        return self.assign(f"{self.operand(left)} / {name}")
-
-    def power(self, left, right):
-        base, exponent, value = self.operand(left), self.operand(right), \
-            right[1]
-        if value is not None and value.is_integer():
-            k = f"k{len(self.namespace)}"
-            self.namespace[k] = int(value)  # the int of _Source
-            return self.assign(f"power({base}, {k})")
-        # x - trunc(x) is 0 for a finite integral x only, NaN for an
-        # infinite one
-        self.guard(f"{exponent} - np.trunc({exponent}) != 0.0")
-        return self.assign(f"power({base}, {exponent})")
-
-    def limit(self) -> int:
-        """The largest index at which every integer node is exact."""
-        if not self.indexed:
-            return INDEX_CAP
-        lo, hi = 0, INDEX_CAP + 1  # exact at lo, not at hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if all(_peval(p, mid) <= _EXACT for p in self.roots):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-
 def _compile_block(expr: RuleExpr) -> Tuple[Callable, int]:
-    """The numpy source of ``_BlockSource``, compiled, and its limit."""
-    source = _BlockSource()
-    result = source.operand(_fold(expr, source.table))
-    body = source.lines + [f"return {result}"]
-    text = "def rule(n):\n" + "".join(f"    {line}\n" for line in body)
-    exec(compile(text, "<rule block>", "exec"), source.namespace)
-    return source.namespace["rule"], source.limit()
+    """The rule on a block of indices: a function of an int64 array that
+    walks ``_program(expr)`` on float64 arrays, and the largest index,
+    ``limit``, up to which it may be called.  The function raises
+    ``_PerIndex`` where the block must be evaluated index by index instead.
+
+    It gives the bits of ``rule_callable`` wherever it does not raise.
+    There the index, and every + - * or negation whose operands are all
+    such integer nodes, is an exact Python int; everything else is a
+    double, with the same operations as numpy's.  Here an integer node is
+    a double too, exact while its modulus is at most 2^53.  A pass over the
+    program gives each integer node a polynomial with non-negative integer
+    coefficients and no constant term (``n`` for the index; sums for + and
+    -, products for *) that bounds its modulus at index n >= 0 by its value
+    at n.  Such a polynomial is at least 1 from n = 1 on, so the outermost
+    integer nodes, the ``roots``, bound every integer node within them,
+    and ``limit`` is the largest index at which each root is at most 2^53.
+    Negations and products of integer nodes add 0.0, as -(n-n) and
+    -n*(n-n) are the int 0 but -0.0 as doubles.  Powers go through
+    Python's own power (``_power``), an integral literal exponent as the
+    int that ``rule_callable`` raises to.  A zero divisor, an exponent
+    that is not an integer or not finite, a zero base raised to a negative
+    power and an overflowing power raise ``_PerIndex``, where
+    ``rule_callable`` checks or raises per index.
+    """
+    # steps[j] is (kind, arg) for the j-th node: a literal's np.float64,
+    # whether a negation or product adds 0.0, whether a division checks
+    # its divisor, and a power's literal int exponent (None: checked)
+    steps, roots = [], set()
+    folded = []  # (literal value or None, bound or None) per operand
+    for node in _program(expr):
+        kind = type(node)
+        value = bound = arg = None
+        if kind is Lit:
+            value, arg = node.value, np.float64(node.value)
+        elif kind is Var:
+            bound = (0, 1)
+        elif kind is Neg:
+            value, bound = folded.pop()
+            value, arg = None if value is None else -value, bound is not None
+        else:
+            (_, left), (literal, right) = folded[-2:]
+            del folded[-2:]
+            if kind in (Add, Sub, Mul) and None not in (left, right):
+                bound = _saturated((_pmul if kind is Mul else _padd)(
+                    left, right))
+                arg = kind is Mul
+            else:
+                # an integer node read by a double node is a root
+                roots.update(p for p in (left, right) if p is not None)
+                if kind is Div:
+                    arg = literal is None or literal == 0.0
+                elif kind is Pow and literal is not None \
+                        and literal.is_integer():
+                    arg = int(literal)
+        folded.append((value, bound))
+        steps.append((kind, arg))
+    if folded[0][1] is not None:
+        roots.add(folded[0][1])
+
+    def rule(n):
+        index, stack = n.astype(np.float64), []
+        for kind, arg in steps:
+            if kind is Lit:
+                stack.append(arg)
+            elif kind is Var:
+                stack.append(index)
+            elif kind is Neg:
+                stack[-1] = -stack[-1] + 0.0 if arg else -stack[-1]
+            else:
+                right = stack.pop()
+                left = stack[-1]
+                if kind is Add:
+                    stack[-1] = left + right
+                elif kind is Sub:
+                    stack[-1] = left - right
+                elif kind is Mul:
+                    stack[-1] = left * right + 0.0 if arg else left * right
+                elif kind is Div:
+                    if arg and (right == 0.0).any():
+                        raise _PerIndex
+                    stack[-1] = left / right
+                else:
+                    # x - trunc(x) is 0 for a finite integral x only, NaN
+                    # for an infinite one
+                    if arg is None and (right - np.trunc(right) != 0.0).any():
+                        raise _PerIndex
+                    stack[-1] = _power(left, right if arg is None else arg)
+        return stack[0]
+
+    # exact at lo, not at hi; a rule without n has no roots and the limit
+    # INDEX_CAP
+    lo, hi = 0, INDEX_CAP + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if all(_peval(p, mid) <= _EXACT for p in roots):
+            lo = mid
+        else:
+            hi = mid
+    return rule, lo
 
 
 def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
@@ -569,12 +501,12 @@ def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
     index.
 
     The array is evaluated in sub-blocks of ``_SUB_BLOCK`` indices by the
-    numpy source of ``_BlockSource``, compiled for the first sub-block
+    block evaluator of ``_compile_block``, built for the first sub-block
     that needs it.  A sub-block goes index by index, through the callable
     that ``rule_callable`` returns, when it holds fewer than
     ``_PER_INDEX_BELOW`` indices, when the rule would read an index below
     0 or past the limit where every integer node is exact, or when a
-    guard of the numpy source fails: then the same error names the same
+    guard of the block evaluator fails: then the same error names the same
     index.  (With ``from_phi``, n * rule(n - 1) at n = 0 is the int 0 for
     an integer value and -0.0 for a negative double, so 0 goes per index
     too.)  So a traced run still counts each such evaluation, and every
@@ -582,10 +514,9 @@ def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
     """
     scalar = rule_callable(expr)  # looked up here, so a wrapper sees it
     shift = int(from_phi)
+    per_index = _per_index(
+        (lambda n: n * scalar(n - 1)) if from_phi else scalar)
     compiled = []
-
-    def one(n):
-        return complex(n * scalar(n - 1) if from_phi else scalar(n))
 
     def as_array(idx):
         """The values of a sub-block as one array, or None."""
@@ -608,10 +539,8 @@ def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
         for lo in range(0, n.size, _SUB_BLOCK):
             idx = n[lo:lo + _SUB_BLOCK]
             values = as_array(idx)
-            if values is None:
-                values = np.fromiter(map(one, idx.tolist()), dtype=complex,
-                                     count=idx.size)
-            out[lo:lo + _SUB_BLOCK] = values
+            out[lo:lo + _SUB_BLOCK] = per_index(idx) if values is None \
+                else values
         return out
 
     return rule
@@ -621,7 +550,7 @@ def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
 # exact rational-function analysis
 # ---------------------------------------------------------------------------
 # Polynomials are tuples of Fractions, index = power, trailing zeros trimmed.
-# _BlockSource's bounds use _padd, _pmul and _peval on tuples of ints.
+# _compile_block's bounds use _padd, _pmul and _peval on tuples of ints.
 
 def _ptrim(p):
     p = list(p)

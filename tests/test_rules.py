@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import convderiv as cd
+from convderiv import cli
 from convderiv.rules import (
     Add, Div, Lit, Mul, Neg, Pow, Sub, Var,
     MAX_NESTING, RuleEvaluationError, RuleSyntaxError,
@@ -396,6 +397,28 @@ def test_rule_compilation_never_reenters_the_public_name(monkeypatch):
         assert rule(n) == reference_eval(tree, n)
         cd.eval_rule(tree, n)
     assert entered == [tree]
+
+
+_LONG_SUM = "+".join(["1/(n+1)"] * 2000)
+
+
+def test_a_long_rule_evaluates_at_the_default_recursion_limit(capsys):
+    # both evaluators walk the rule's program in a loop, so a 2,000-term
+    # sum needs no more Python frames than a short rule; the recursion
+    # limit is left as it is
+    tree = cd.parse_rule(_LONG_SUM)
+    rule = cd.rules.rule_callable(tree)
+    for n in (0, 1, 10 ** 6, 2 ** 53 + 1):
+        term = 1.0 / (n + 1.0)
+        want = term
+        for _ in range(1999):
+            want += term
+        assert struct.pack("<d", rule(n)) == struct.pack("<d", want)
+    # a block of 300 from 10^3 is evaluated as one array, bit for bit
+    assert _blocks_agree(tree, starts=(10 ** 3,), sizes=(300,)) == 2
+    assert cli.main(["deriv", "norm", "--mu", _LONG_SUM,
+                     "--tail", "decay"]) == 0
+    capsys.readouterr()
 
 
 # -- the printer and the exact analysis against the reference walks ---------

@@ -1,5 +1,7 @@
-"""The library source keeps to 79-character lines."""
+"""The library source keeps to 79-character lines, and runs no code it
+builds at run time."""
 
+import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "convderiv"
@@ -16,3 +18,17 @@ def test_source_lines_fit_the_limit():
                 path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > LIMIT]
     assert not long, "\n".join(long)
+
+
+def test_source_calls_no_exec_eval_or_compile():
+    # a rule is evaluated by walking its program, never as generated
+    # source; re.compile and other attribute calls are not these builtins
+    files = sorted(SOURCE.rglob("*.py"))
+    assert files
+    calls = [f"{path.relative_to(SOURCE)}:{node.lineno}: {node.func.id}"
+             for path in files
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id in ("exec", "eval", "compile")]
+    assert not calls, "\n".join(calls)
