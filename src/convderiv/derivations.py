@@ -195,7 +195,7 @@ class Derivation:
     def classify_compact(self, tol: float = 1e-9,
                          probe_depth: int = 256) -> "CompactnessVerdict":
         """Compactness verdict backed by certificates, never by samples."""
-        if tol <= 0:
+        if not tol > 0:  # NaN too
             raise ValueError("tolerance must be positive")
         tail = self.mu.tail
         if isinstance(tail, ZeroTail):
@@ -245,10 +245,12 @@ class Derivation:
     # -- finite-rank approximation ------------------------------------------
 
     def truncate(self, k: int) -> Tuple["Derivation", float]:
-        """Best rank-<=k tail cut: zero mu beyond index k.
+        """Tail cut: zero mu beyond index k.
 
-        Returns (D_k, err) with err = sup_{n>k} |mu_n|, which by the
-        isometry equals the operator-norm distance to the truncation.
+        Returns (D_k, err): D_k has rank <= k, and err = sup_{n>k} |mu_n|
+        = ||D - D_k|| by the isometry.  So err is an upper bound on the
+        approximation number a_{k+1}(D); D_k need not be a best rank-<=k
+        approximation.
         Requires a tail declaration that pins the tail supremum down.
         D_k.probed is (stop, sup): err read mu over k < n < stop, where its
         largest modulus is sup, so a longer probe can read on from stop.
@@ -285,8 +287,10 @@ class Derivation:
         l_k = floor(N/2), j_k = N - l_k, and verifies the claimed
         inequalities numerically instead of trusting the constants.
         """
-        if epsilon <= 0:
+        if not epsilon > 0:  # NaN too
             raise ValueError("epsilon must be positive")
+        if not growth_constant > 0:
+            raise ValueError("growth constant must be positive")
         if max_terms < 1:
             raise ValueError("at least one witness term is required")
         js: list[int] = []

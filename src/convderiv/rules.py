@@ -27,7 +27,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .convolution import (
-    INDEX_CAP, Certificate, Constant, Decay, Floor, ZeroTail, _per_index,
+    Certificate, Constant, Decay, Floor, ZeroTail, _per_index,
 )
 
 
@@ -381,32 +381,32 @@ def _power(base, k):
         raise _PerIndex from None
 
 
-def _saturated(p):
-    # a bound of degree above 53, or with a coefficient above 2^53, passes
-    # 2^53 at n = 2 or n = 1, and so does every sum or product it enters;
-    # (2^53 + 1) n, past 2^53 from n = 1 on, stands for it and stays small
-    if len(p) > 54 or max(p) > _EXACT:
-        return (0, _EXACT + 1)
-    return p
+def _exact(values):
+    # an integer node's values, exact while their moduli stay below 2^53
+    if not np.abs(values).max() < _EXACT:
+        raise _PerIndex
+    return values
 
 
-def _compile_block(expr: RuleExpr) -> Tuple[Callable, int]:
-    """The rule on a block of indices: a function of an int64 array that
-    walks ``_program(expr)`` on float64 arrays, and the largest index,
-    ``limit``, up to which it may be called.  The function raises
-    ``_PerIndex`` where the block must be evaluated index by index instead.
+def _compile_block(expr: RuleExpr) -> Callable:
+    """The rule on a block of indices: a function of an int64 array of
+    indices of at most 2^53 that walks ``_program(expr)`` on float64
+    arrays, and raises ``_PerIndex`` where the block must be evaluated
+    index by index instead.
 
     It gives the bits of ``rule_callable`` wherever it does not raise.
     There the index, and every + - * or negation whose operands are all
     such integer nodes, is an exact Python int; everything else is a
     double, with the same operations as numpy's.  Here an integer node is
-    a double too, exact while its modulus is at most 2^53.  A pass over the
-    program gives each integer node a polynomial with non-negative integer
-    coefficients and no constant term (``n`` for the index; sums for + and
-    -, products for *) that bounds its modulus at index n >= 0 by its value
-    at n.  Such a polynomial is at least 1 from n = 1 on, so the outermost
-    integer nodes, the ``roots``, bound every integer node within them,
-    and ``limit`` is the largest index at which each root is at most 2^53.
+    a double too, and it is exact:
+    - an index of at most 2^53 converts to a double exactly;
+    - + - and * of exact integers below 2^53 in modulus round once, and
+      rounding is monotone, so an exact modulus of 2^53 or more rounds to
+      at least 2^53;
+    - so an integer node whose computed modulus is below 2^53 is exact,
+      and any other raises ``_PerIndex``.  The test is strict, as an
+      exact 2^53 + 1 rounds to 2^53.  It is made at every + - and * of
+      integer nodes, as an inner node can pass 2^53 and then cancel.
     Negations and products of integer nodes add 0.0, as -(n-n) and
     -n*(n-n) are the int 0 but -0.0 as doubles.  Powers go through
     Python's own power (``_power``), an integral literal exponent as the
@@ -416,39 +416,32 @@ def _compile_block(expr: RuleExpr) -> Tuple[Callable, int]:
     ``rule_callable`` checks or raises per index.
     """
     # steps[j] is (kind, arg) for the j-th node: a literal's np.float64,
-    # whether a negation or product adds 0.0, whether a division checks
-    # its divisor, and a power's literal int exponent (None: checked)
-    steps, roots = [], set()
-    folded = []  # (literal value or None, bound or None) per operand
+    # whether a negation, sum, difference or product is of integer nodes,
+    # whether a division checks its divisor, and a power's literal int
+    # exponent (None: checked)
+    steps = []
+    folded = []  # (literal value or None, whether an integer node)
     for node in _program(expr):
         kind = type(node)
-        value = bound = arg = None
+        value, integer, arg = None, False, None
         if kind is Lit:
             value, arg = node.value, np.float64(node.value)
         elif kind is Var:
-            bound = (0, 1)
+            integer = True
         elif kind is Neg:
-            value, bound = folded.pop()
-            value, arg = None if value is None else -value, bound is not None
+            value, integer = folded.pop()
+            value, arg = None if value is None else -value, integer
         else:
             (_, left), (literal, right) = folded[-2:]
             del folded[-2:]
-            if kind in (Add, Sub, Mul) and None not in (left, right):
-                bound = _saturated((_pmul if kind is Mul else _padd)(
-                    left, right))
-                arg = kind is Mul
-            else:
-                # an integer node read by a double node is a root
-                roots.update(p for p in (left, right) if p is not None)
-                if kind is Div:
-                    arg = literal is None or literal == 0.0
-                elif kind is Pow and literal is not None \
-                        and literal.is_integer():
-                    arg = int(literal)
-        folded.append((value, bound))
+            if kind in (Add, Sub, Mul):
+                integer = arg = left and right
+            elif kind is Div:
+                arg = literal is None or literal == 0.0
+            elif literal is not None and literal.is_integer():
+                arg = int(literal)
+        folded.append((value, integer))
         steps.append((kind, arg))
-    if folded[0][1] is not None:
-        roots.add(folded[0][1])
 
     def rule(n):
         index, stack = n.astype(np.float64), []
@@ -463,11 +456,12 @@ def _compile_block(expr: RuleExpr) -> Tuple[Callable, int]:
                 right = stack.pop()
                 left = stack[-1]
                 if kind is Add:
-                    stack[-1] = left + right
+                    stack[-1] = _exact(left + right) if arg else left + right
                 elif kind is Sub:
-                    stack[-1] = left - right
+                    stack[-1] = _exact(left - right) if arg else left - right
                 elif kind is Mul:
-                    stack[-1] = left * right + 0.0 if arg else left * right
+                    stack[-1] = _exact(left * right + 0.0) if arg \
+                        else left * right
                 elif kind is Div:
                     if arg and (right == 0.0).any():
                         raise _PerIndex
@@ -479,17 +473,7 @@ def _compile_block(expr: RuleExpr) -> Tuple[Callable, int]:
                         raise _PerIndex
                     stack[-1] = _power(left, right if arg is None else arg)
         return stack[0]
-
-    # exact at lo, not at hi; a rule without n has no roots and the limit
-    # INDEX_CAP
-    lo, hi = 0, INDEX_CAP + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if all(_peval(p, mid) <= _EXACT for p in roots):
-            lo = mid
-        else:
-            hi = mid
-    return rule, lo
+    return rule
 
 
 def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
@@ -501,31 +485,27 @@ def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
     index.
 
     The array is evaluated in sub-blocks of ``_SUB_BLOCK`` indices by the
-    block evaluator of ``_compile_block``, built for the first sub-block
-    that needs it.  A sub-block goes index by index, through the callable
-    that ``rule_callable`` returns, when it holds fewer than
-    ``_PER_INDEX_BELOW`` indices, when the rule would read an index below
-    0 or past the limit where every integer node is exact, or when a
-    guard of the block evaluator fails: then the same error names the same
-    index.  (With ``from_phi``, n * rule(n - 1) at n = 0 is the int 0 for
-    an integer value and -0.0 for a negative double, so 0 goes per index
-    too.)  So a traced run still counts each such evaluation, and every
-    index read by ``DualSequence.at`` arrives there as a Python int.
+    block evaluator of ``_compile_block``, built here once.  A sub-block
+    goes index by index, through the callable that ``rule_callable``
+    returns, when it holds fewer than ``_PER_INDEX_BELOW`` indices, when
+    the rule would read an index below 0 or above 2^53, or when a guard of
+    the block evaluator fails, an integer node that leaves the exact range
+    included: then the same error names the same index.  (With
+    ``from_phi``, n * rule(n - 1) at n = 0 is the int 0 for an integer
+    value and -0.0 for a negative double, so 0 goes per index too.)  So a
+    traced run still counts each such evaluation, and every index read by
+    ``DualSequence.at`` arrives there as a Python int.
     """
     scalar = rule_callable(expr)  # looked up here, so a wrapper sees it
+    block = _compile_block(expr)
     shift = int(from_phi)
     per_index = _per_index(
         (lambda n: n * scalar(n - 1)) if from_phi else scalar)
-    compiled = []
 
     def as_array(idx):
         """The values of a sub-block as one array, or None."""
-        if idx.size < _PER_INDEX_BELOW or idx.min() < shift:
-            return None
-        if not compiled:
-            compiled.append(_compile_block(expr))
-        block, limit = compiled[0]
-        if idx.max() - shift > limit:
+        if idx.size < _PER_INDEX_BELOW or idx.min() < shift \
+                or idx.max() - shift > _EXACT:
             return None
         try:
             with np.errstate(all="ignore"):
@@ -550,7 +530,6 @@ def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
 # exact rational-function analysis
 # ---------------------------------------------------------------------------
 # Polynomials are tuples of Fractions, index = power, trailing zeros trimmed.
-# _compile_block's bounds use _padd, _pmul and _peval on tuples of ints.
 
 def _ptrim(p):
     p = list(p)

@@ -284,13 +284,13 @@ def test_truncate_reads_each_index_once(monkeypatch, tmp_path, argv, unread):
         return evaluate
 
     def counting_block(expr):
-        block, limit = compile_block(expr)
+        block = compile_block(expr)
 
         def evaluate(n):
             values = block(n)  # a block sent on per index raises here
             seen.update(n.tolist())  # an array: each element is one index
             return values
-        return evaluate, limit
+        return evaluate
 
     monkeypatch.setattr(rules, "rule_callable", counting)
     monkeypatch.setattr(rules, "_compile_block", counting_block)
@@ -362,6 +362,24 @@ def test_truncate_probe_that_ends_inside_the_truncation_read(tmp_path):
 def test_negative_zero_tail_start_is_an_input_error(capsys):
     assert run(["deriv", "norm", "--mu", "1", "--tail", "zero:-3"]) == 2
     assert "bad zero-tail index in 'zero:-3'" in capsys.readouterr().err
+
+
+_WITNESS_ONE = ["witness", "--mu", "1", "--eps", "0.5", "--terms", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--mu", "1/(n+1)^2", "--tol", "nan"],
+     "tolerance must be positive"),
+    (["classify", "--mu", "1", "--tol", "nan"], "tolerance must be positive"),
+    (_WITNESS_ONE + ["--const", "0"], "growth constant must be positive"),
+    (_WITNESS_ONE + ["--const", "-5"], "growth constant must be positive"),
+    (["witness", "--mu", "1", "--eps", "nan", "--terms", "2"],
+     "epsilon must be positive"),
+], ids=["tol-nan-decay", "tol-nan-constant", "const-zero", "const-negative",
+        "eps-nan"])
+def test_a_nan_or_non_positive_flag_is_an_input_error(capsys, argv, message):
+    assert run(["deriv", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_tail_flag_parses_to_a_tail():

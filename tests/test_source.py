@@ -1,7 +1,8 @@
-"""The library source keeps to 79-character lines, and runs no code it
-builds at run time."""
+"""The library source keeps to 79-character lines, runs no code it builds
+at run time, and imports the standard library and numpy only."""
 
 import ast
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "convderiv"
@@ -32,3 +33,24 @@ def test_source_calls_no_exec_eval_or_compile():
              and isinstance(node.func, ast.Name)
              and node.func.id in ("exec", "eval", "compile")]
     assert not calls, "\n".join(calls)
+
+
+def test_source_imports_the_standard_library_and_numpy_only():
+    # numpy is the one declared dependency; relative imports stay inside
+    # the package
+    allowed = sys.stdlib_module_names | {"numpy"}
+    files = sorted(SOURCE.rglob("*.py"))
+    assert files
+    foreign = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.relative_to(SOURCE)}:{node.lineno}: {name}"
+                        for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, "\n".join(foreign)
