@@ -197,6 +197,8 @@ class Derivation:
         """Compactness verdict backed by certificates, never by samples."""
         if not tol > 0:  # NaN too
             raise ValueError("tolerance must be positive")
+        if not math.isfinite(tol):
+            raise ValueError("tolerance must be finite")
         tail = self.mu.tail
         if isinstance(tail, ZeroTail):
             return CompactnessVerdict(
@@ -289,8 +291,12 @@ class Derivation:
         """
         if not epsilon > 0:  # NaN too
             raise ValueError("epsilon must be positive")
+        if not math.isfinite(epsilon):
+            raise ValueError("epsilon must be finite")
         if not growth_constant > 0:
             raise ValueError("growth constant must be positive")
+        if not math.isfinite(growth_constant):
+            raise ValueError("growth constant must be finite")
         if max_terms < 1:
             raise ValueError("at least one witness term is required")
         js: list[int] = []

@@ -382,6 +382,21 @@ def test_a_nan_or_non_positive_flag_is_an_input_error(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # an infinite tolerance would be written as Infinity, which is not JSON
+    (["classify", "--mu", "1/(n+1)^2", "--tol", "inf"],
+     "tolerance must be finite"),
+    (["witness", "--mu", "1", "--eps", "inf", "--terms", "2"],
+     "epsilon must be finite"),
+    (_WITNESS_ONE + ["--const", "inf"], "growth constant must be finite"),
+], ids=["tol-inf", "eps-inf", "const-inf"])
+def test_an_infinite_flag_is_an_input_error(tmp_path, capsys, argv, message):
+    path = tmp_path / "report.json"
+    assert run(["deriv", *argv, "--out", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not path.exists()
+
+
 def test_tail_flag_parses_to_a_tail():
     assert cli._tail_flag("zero:7") == ZeroTail(7)
     assert cli._tail_flag("decay") == ClosedForm(Decay(1))

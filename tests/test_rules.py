@@ -318,10 +318,9 @@ def _block_outcome(rule, idx):
     return values.tobytes()
 
 
-def _blocks_agree(tree, starts=_BLOCK_STARTS, sizes=_BLOCK_SIZES):
-    """Asserts that block_callable gives, bit for bit, what rule_callable
-    gives per index, as mu and in its phi form; returns how many blocks
-    were evaluated as arrays, counted by the compiled rule's calls."""
+def _counting_block(tree, from_phi=False):
+    """block_callable(tree, from_phi) and a Counter of the evaluations it
+    makes index by index."""
     calls = Counter()
     compiled = cd.rules.rule_callable(tree)
 
@@ -329,11 +328,19 @@ def _blocks_agree(tree, starts=_BLOCK_STARTS, sizes=_BLOCK_SIZES):
         calls["scalar"] += 1
         return compiled(n)
 
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cd.rules, "rule_callable", lambda expr: scalar)
+        return cd.rules.block_callable(tree, from_phi=from_phi), calls
+
+
+def _blocks_agree(tree, starts=_BLOCK_STARTS, sizes=_BLOCK_SIZES):
+    """Asserts that block_callable gives, bit for bit, what rule_callable
+    gives per index, as mu and in its phi form; returns how many blocks
+    were evaluated as arrays, counted by the compiled rule's calls."""
+    compiled = cd.rules.rule_callable(tree)
     arrays = 0
     for from_phi in (False, True):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cd.rules, "rule_callable", lambda expr: scalar)
-            rule = cd.rules.block_callable(tree, from_phi=from_phi)
+        rule, calls = _counting_block(tree, from_phi)
         for start in starts:
             for size in sizes:
                 idx = np.arange(start, start + size, dtype=np.int64)
@@ -361,6 +368,14 @@ def test_blocks_agree_with_the_compiled_rule_bit_for_bit():
     "(-1)^n*(n-n)", "(n-2*n)*(n-n)+(-0.0)",
     # zero bases under a varying negative exponent, and (-1)^k
     "0^(-n)", "(n-n)^(n-5)", "(-1)^(n*n*n)", "(-1)^(-n)", "(-n)^n",
+    # integral bases to a literal k >= 0, multiplied out; n^4 passes 2^53
+    # at n = 9742, so the blocks from 2^40 go through Python's power
+    "(n+7)^3", "(-n)^3", "n^4", "(n-n)^0", "(n-n)^3", "1^n",
+    # powers of two by exponent: from 10^3 they cross 2^-1074, and
+    # 4^(n-600) overflows, inside the block
+    "2^(-n)", "0.5^n", "4^(n-600)",
+    # exponents that are not integral everywhere, and bases off the routes
+    "2^(n/2)", "(-1)^(n*n)", "(-2)^n", "8^(n*n)",
 ], ids=_edge_id)
 def test_blocks_agree_with_the_compiled_rule_on_edge_cases(tree):
     if isinstance(tree, str):
@@ -374,11 +389,58 @@ def test_blocks_agree_with_the_compiled_rule_on_edge_cases(tree):
     "1/(n-5000)", "1/(n-7)",
     # n^3 leaves the exact range at 208064, inside the second sub-block
     # from 200000; in the last it does so and cancels, and float64 alone
-    # would differ from 208065 on
-    "n*n*n+0.5", "(-1)^n*n*n*n", "(n*n*n+n)-n*n*n",
+    # would differ from 208065 on; as a power, float64 alone would differ
+    # from 208069 on, and (n+7)^3 from 208062 on
+    "n*n*n+0.5", "(-1)^n*n*n*n", "(n*n*n+n)-n*n*n", "n^3", "(n+7)^3",
 ])
 def test_a_block_of_sub_blocks_agrees_with_the_compiled_rule(text):
     _blocks_agree(cd.parse_rule(text), starts=(1, 200000), sizes=(9000,))
+
+
+@pytest.mark.parametrize("j", range(-3, 6))
+def test_powers_of_two_are_exact_on_blocks(j):
+    # (2^j)^k for every k in [-1300, 1300] short of overflow, as one
+    # block: subnormal and zero powers included, bit for bit Python's
+    base = 2.0 ** j
+    tree = cd.parse_rule(f"{cd.rules._fmt_number(base)}^(n-1300)")
+    rule, calls = _counting_block(tree)
+    ks = [k for k in range(-1300, 1301) if j * k < 1024]
+    idx = np.array(ks, dtype=np.int64) + 1300
+    assert idx.size >= cd.rules._PER_INDEX_BELOW
+    want = np.array([base ** k for k in ks], dtype=complex)
+    assert rule(idx).tobytes() == want.tobytes()
+    assert calls["scalar"] == 0
+    if j == 0:
+        return
+    # with the first overflowing exponent in it, the block goes per index
+    # and names the index that the compiled rule names
+    first = -(-1024 // j) if j > 0 else 1024 // j
+    idx = np.sort(np.append(idx, first + 1300))
+    want = _per_index_outcome(cd.rules.rule_callable(tree), idx, False)
+    assert want[0] is RuleEvaluationError and want[2] == first + 1300
+    assert _block_outcome(rule, idx) == want
+    assert calls["scalar"] > 0
+
+
+@pytest.mark.parametrize("text, python_powers", [
+    ("1/(n+1)^2", False), ("(n+3)/(2*n^2+5)", False), ("2^(-n)", False),
+    ("n*2^(1-n)", False), ("3+(-1)^n", False),
+    # a base that is not a power of two needs the C library's pow
+    ("5^(-n)", True),
+])
+def test_block_powers_call_python_only_off_the_exact_routes(
+        text, python_powers, monkeypatch):
+    calls = Counter()
+    py_pow = cd.rules._PY_POW
+
+    def counting(base, k):
+        calls["pow"] += 1
+        return py_pow(base, k)
+
+    monkeypatch.setattr(cd.rules, "_PY_POW", counting)
+    rule = cd.rules.block_callable(cd.parse_rule(text))
+    rule(np.arange(1, 4097, dtype=np.int64))
+    assert bool(calls["pow"]) == python_powers
 
 
 def test_rule_compilation_never_reenters_the_public_name(monkeypatch):
