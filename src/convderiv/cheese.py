@@ -134,12 +134,15 @@ class CheeseSet:
         if np.any(s0 <= 0.0):
             raise OnBoundaryError("a point is not interior to the unit disc")
         total = self.r0 / s0 ** 2
-        for j in range(1, self.n_max + 1):
-            disc = self.disc(j)
-            s = np.abs(xs - disc.center) - disc.radius
+        # one complex and one real buffer serve every disc
+        diff = np.empty(xs.shape, dtype=complex)
+        s = np.empty(xs.shape)
+        for j, disc in enumerate(self.discs, 1):
+            np.abs(np.subtract(xs, disc.center, out=diff), out=s)
+            s -= disc.radius
             if np.any(s <= 0.0):
                 raise OnBoundaryError(f"a point touches removed disc {j}")
-            total = total + disc.radius / s ** 2
+            total += np.divide(disc.radius, np.square(s, out=s), out=s)
         return total, total + 2.0 ** -(self.n_max + 1)
 
     def to_dict(self) -> dict:
@@ -307,29 +310,107 @@ def interval_grid(points: int) -> np.ndarray:
     return np.linspace(INTERVAL[0], INTERVAL[1], points)
 
 
+# Relative rounding allowance of the two screens below, times the
+# cancellation factor y/(y - r) in the per-term screen.  Rounding Re a +- w
+# needs none: rounding is monotone and the grid points are doubles.
+_SCREEN = 2.0 ** -40
+
+
+def _within(radii, floor):
+    """sqrt(r / floor): r / d^2 >= floor exactly when d <= this (inf at
+    floor 0)."""
+    with np.errstate(divide="ignore"):
+        return np.sqrt(radii / floor)
+
+
+def _window(xs, centers, reach):
+    """Index ranges [lo, hi) of the sorted real points xs covering every x
+    with |x - a| <= reach, that is |x - Re a| <= sqrt(reach^2 - (Im a)^2),
+    one range per centre a."""
+    half = np.sqrt(np.maximum(reach * reach - centers.imag ** 2, 0.0))
+    return (np.searchsorted(xs, centers.real - half),
+            np.searchsorted(xs, centers.real + half, "right"))
+
+
+def _derivative_window(xs, centers, radii, tau):
+    """[lo, hi) per probe: the grid points where the computed |f_k'| can
+    reach tau (see ``noncompact_report``)."""
+    return _window(xs, centers, _within(radii, tau * (1.0 - _SCREEN)))
+
+
+def _term_window(xs, centers, radii, floor):
+    """[lo, hi) per disc: the grid points where the computed term can reach
+    floor (see ``verify_cheese``)."""
+    kappa = centers.imag / (centers.imag - radii)
+    theta = np.maximum(floor * (1.0 - _SCREEN * kappa), 0.0)
+    return _window(xs, centers, radii + _within(radii, theta))
+
+
+def _terms(points, centers, radii):
+    """r / s^2 with s = |x - a| - r: the bound sum's term at each point."""
+    s = np.abs(points - centers) - radii
+    return radii / s ** 2
+
+
 def verify_cheese(X: CheeseSet, grid: int = 2001) -> CheeseVerification:
     """Re-certify geometry, the per-term dyadic bounds, and the full sum.
 
     The per-term check r_n / s_n(x)^2 < 2^-(n+1) runs over every grid
     point outside disc n's landing interval; on the landing interval the
     term is instead covered by the uniform bound below 2, which the
-    admissibility of the height guarantees.
+    admissibility of the height guarantees.  The full sum is one sweep of
+    the grid (``bound_sum_grid``).
+
+    The per-term margin is 2^-(n+1) minus the largest computed term t off
+    I_n (rounding is monotone, so this is the least computed difference),
+    and that largest term is found by evaluating only screened points.  F,
+    the larger computed term at the two outside grid points next to I_n,
+    bounds it from below.  With u = 2^-53 and, barring underflow: the
+    subtraction x - a rounds only its real part, by at most u|x - a|; the
+    modulus adds at most 4u; since |x - a| >= y > r, s = |x - a| - r
+    loses no more than the factor kappa = y/(y - r) of that, so s carries a
+    relative error below 6.1 kappa u, and squaring and dividing bring t
+    within 15 kappa u of the true term T.  So t >= F only where
+    T >= F(1 - delta/2), delta = 2^-40 kappa.  T is decreasing in
+    |x - a|, and T >= theta = F(1 - delta) exactly where
+    |x - a| <= r + sqrt(r/theta), an interval around Re a.  The other half
+    of delta covers the rounding of that radius and of the half-width
+    sqrt(radius^2 - y^2) (whose cancellation costs at most 8u radius^2,
+    against a margin above 2^-41 radius^2).  Rounding Re a +- w cannot drop
+    a grid point: rounding is monotone and the points are doubles.  Every
+    point where t can reach F is in the interval, so its largest t is the
+    largest over all outside points.
     """
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
     xs = interval_grid(grid)
     sums, certified = X.bound_sum_grid(xs)
-    per_term_margin = math.inf
-    for n in range(1, X.n_max + 1):
-        disc = X.disc(n)
-        lo, hi = landing_interval(n)
-        outside = (xs < lo) | (xs >= hi)
-        s = np.abs(xs[outside] - disc.center) - disc.radius
-        terms = disc.radius / s ** 2
-        margin = float((2.0 ** -(n + 1) - terms).min())
-        per_term_margin = min(per_term_margin, margin)
+    centers = np.array([d.center for d in X.discs], dtype=complex)
+    radii = np.array([d.radius for d in X.discs], dtype=float)
+    bounds = np.array([landing_interval(n) for n in range(1, X.n_max + 1)])
+    # off I_n the grid is xs[:left] and xs[right:]; right < grid, since
+    # every I_n ends below 1/2 = xs[-1]
+    left, right = np.searchsorted(xs, bounds.reshape(-1, 2).T)
+    beside = np.stack([np.where(left > 0, left - 1, right), right])
+    floor = _terms(xs[beside], centers, radii).max(0)
+    lo, hi = _term_window(xs, centers, radii, floor)
+    # candidate ranges, left then right of each I_n, each holding the
+    # points beside it; every disc's right range is non-empty
+    starts = np.stack([np.minimum(lo, np.maximum(left - 1, 0)), right], 1)
+    stops = np.stack([left, np.maximum(hi, right + 1)], 1)
+    counts = (stops - starts).ravel()
+    first = np.cumsum(counts) - counts
+    index = np.arange(counts.sum()) + np.repeat(starts.ravel() - first,
+                                                counts)
+    disc = np.repeat(np.arange(X.n_max), counts[0::2] + counts[1::2])
+    terms = _terms(xs[index], centers[disc], radii[disc])
+    largest = np.maximum.reduceat(terms, first[0::2])
+    margins = np.ldexp(1.0, -np.arange(2, X.n_max + 2)) - largest
     return CheeseVerification(
         n_max=X.n_max, grid=grid, margins=X.margins,
         max_sum=float(sums.max()), max_certified=float(certified.max()),
-        per_term_margin=per_term_margin, sums=sums, certified=certified)
+        per_term_margin=float(margins.min(initial=math.inf)), sums=sums,
+        certified=certified)
 
 
 @dataclass
@@ -374,6 +455,21 @@ class NoncompactnessReport:
                 "passed": self.passed}
 
 
+def _probe_derivatives(centers, radii, points):
+    """[k, p]: f_k'(points[p]) = -r_k / (points[p] - a_k)^2, in one
+    buffer."""
+    values = points[None, :] - centers[:, None]
+    return np.divide(-radii[:, None], np.square(values, out=values),
+                     out=values)
+
+
+def _spread(values, k):
+    """[i]: the largest computed |values[i] - values[k]| over the columns
+    of a scratch array (0 when it has none)."""
+    values -= values[k].copy()
+    return np.abs(values).max(1, initial=0.0)
+
+
 def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
                       grid: int = 2001) -> NoncompactnessReport:
     """Evaluate the probe derivatives pairwise and certify their separation.
@@ -388,26 +484,40 @@ def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
     points.  The computed h at x_i and at x_j bound pair (i, j)'s maximum
     from below; L is the least of these bounds over all pairs.  With
     tau = L/2 (1 - 1e-9), S_k is the set of points where the computed
-    |v_k| >= tau, and pair (i, j) is swept over S_i and S_j.  Let p* be
-    where the computed h is largest.  If p* lay outside S_i and S_j, then,
-    with eps = 2^-53 covering the rounding of the subtraction and of the
-    three moduli, and barring underflow,
+    |v_k| >= tau, and pair (i, j) is swept over supersets of S_i and of
+    S_j.  Let p* be where the computed h is largest.  If p* lay outside
+    S_i and S_j, then, with eps = 2^-53 covering the rounding of the
+    subtraction and of the three moduli, and barring underflow,
 
         h(p*) <= (|v_i| + |v_j|)(1 + 8 eps) < 2 tau (1 + 8 eps) < L <= h(p*),
 
-    a contradiction.  So p* is a candidate, and the result is the same
-    maximum of the same computed numbers.  When L is 0, tau is 0 and every
-    point is a candidate: the full sweep.
+    a contradiction.  So p* is a candidate, every candidate is an
+    evaluation point, and the result is the same maximum of the same
+    computed numbers.
+
+    The ground points of S_k are read off the n x n ground values.  Its
+    grid points are located by geometry, and only there are the probes
+    evaluated.  With u = 2^-53, the computed |v_k(x)| is within 18u of the
+    true r/|x - a|^2, barring underflow: the subtraction x - a rounds only
+    its real part (2u on |x - a|^2), squaring a complex number errs by at
+    most 3u|z|^2 whatever the cancellation in its real part, numpy's
+    quotient of the real -r by the square adds at most 8u, and the modulus
+    4u.  So a point of S_k has true r/|x - a|^2 >= tau(1 - delta/2),
+    delta = 2^-40, and r/|x - a|^2 >= theta = tau(1 - delta) exactly where
+    |x - Re a| <= w = sqrt(r/theta - y^2).  The other half of delta covers
+    the rounding of w (that of r/theta - y^2 is at most 6u r/theta,
+    against a margin of delta/2 r/theta), and rounding Re a +- w cannot
+    drop a grid point, since rounding is monotone and the points are
+    doubles.  So the grid points in [Re a - w, Re a + w], found by binary
+    search on the sorted grid, hold S_k's.  When L is 0, tau is 0 and
+    every point is a candidate: the full sweep.
     """
     n_hi = X.n_max if n_hi is None else n_hi
     if not 1 <= n_hi <= X.n_max:
         raise ValueError("n_hi must lie in 1..n_max")
-    centers = np.array([X.disc(n).center for n in range(1, n_hi + 1)])
-    radii = np.array([X.disc(n).radius for n in range(1, n_hi + 1)])
-    points = np.concatenate([interval_grid(grid), centers.real])
-    # complex derivative values: row n is probe n at every evaluation point
-    values = -radii[:, None] / (points[None, :] - centers[:, None]) ** 2
-    ground = values[:, grid:]
+    centers = np.array([d.center for d in X.discs[:n_hi]])
+    radii = np.array([d.radius for d in X.discs[:n_hi]])
+    ground = _probe_derivatives(centers, radii, centers.real)
     matrix = np.abs(ground)  # rows n, columns m: |f_n'(x_m)|
     stable_diag = radii / centers.imag ** 2
     diag_error = float(np.abs(np.diagonal(matrix) - 1.0).max())
@@ -417,12 +527,14 @@ def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
     at_ground = np.abs(ground - np.diagonal(ground))
     lower = np.maximum(at_ground, at_ground.T)[off_diag].min(initial=math.inf)
     tau = 0.5 * lower * (1.0 - 1e-9)
-    # [k, i]: the largest computed |f_i' - f_k'| over S_k
+    xs = interval_grid(grid)
+    lo, hi = _derivative_window(xs, centers, radii, tau)
+    # [k, i]: the largest computed |f_i' - f_k'| over S_k's candidates
     reach = np.empty((n_hi, n_hi))
     for k in range(n_hi):
-        near = np.flatnonzero(np.abs(values[k]) >= tau)
-        reach[k] = np.abs(values[:, near] - values[k, near]).max(
-            1, initial=0.0)
+        near = _probe_derivatives(centers, radii, xs[lo[k]:hi[k]])
+        reach[k] = np.maximum(_spread(near, k),
+                              _spread(ground[:, matrix[k] >= tau], k))
     separations = np.maximum(reach, reach.T)
     min_separation = float(separations[off_diag].min(initial=math.inf))
     return NoncompactnessReport(

@@ -245,10 +245,17 @@ def _cmd_cheese_build(args) -> _Outcome:
     return _Outcome({"nmax": args.nmax}, result, [])
 
 
+def _grid_inputs(args) -> dict:
+    # a single grid point has no interval to sweep
+    if args.grid < 2:
+        raise ValueError("grid must be at least 2")
+    return {"nmax": args.nmax, "grid": args.grid}
+
+
 def _cmd_cheese_verify(args) -> _Outcome:
+    inputs = _grid_inputs(args)
     X = cheese.build_cheese(args.nmax)
     verification = cheese.verify_cheese(X, grid=args.grid)
-    inputs = {"nmax": args.nmax, "grid": args.grid}
     certs = [
         reports.certificate("per-term-dyadic-bound",
                             verification.per_term_ok,
@@ -268,9 +275,13 @@ def _cmd_cheese_verify(args) -> _Outcome:
 
 
 def _cmd_cheese_demo(args) -> _Outcome:
+    inputs = _grid_inputs(args)
+    # one disc has no pair to separate, and its minimum separation would
+    # be written as Infinity, which is not JSON
+    if args.nmax < 2:
+        raise ValueError("demo needs at least two discs")
     X = cheese.build_cheese(args.nmax)
     report = cheese.noncompact_report(X, grid=args.grid)
-    inputs = {"nmax": args.nmax, "grid": args.grid}
     certs = [
         reports.certificate("unit-diagonal", report.diagonal_ok,
                             diag_error=report.diag_error,

@@ -125,7 +125,8 @@ def _emit(value, newline: str, out: list) -> None:
         out.append(_float(value))
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
-        text = _pairs(value, newline, inner) if value else "[]"
+        text = (_floats(value, newline, inner)
+                or _pairs(value, newline, inner)) if value else "[]"
         if text is not None:
             out.append(text)
             return
@@ -160,6 +161,20 @@ def _float(value: float) -> str:
     if value == -math.inf:
         return "-Infinity"
     return float.__repr__(value)
+
+
+def _floats(items, newline: str, inner: str):
+    """A list of floats, as a matrix row, rendered with one formatting
+    pass; None for anything else."""
+    if not isinstance(items[0], float):
+        return None
+    try:
+        text = ("," + inner).join(map(float.__repr__, items))
+    except TypeError:  # an entry that is not a float
+        return None
+    # float.__repr__ writes nan and inf where json writes NaN and Infinity;
+    # no other character of the text is an "n"
+    return None if "n" in text else "[" + inner + text + newline + "]"
 
 
 def _pairs(items, newline: str, inner: str):

@@ -1,11 +1,13 @@
 """Swiss-cheese construction: geometry, bound certificates, non-compactness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import convderiv as cd
+from convderiv import cheese
 
 
 def descent_oracle(n):
@@ -284,3 +286,110 @@ def test_separations_match_the_reference_when_two_probes_nearly_meet():
     X = _family((0.25, 0.25, 0.0625), (0.25, 0.125, 0.0156),
                 (0.4, 0.05, 0.0025))
     assert_matches_reference(X, grid=2001)
+
+
+def _stretched_radii():
+    """The constructed centres with radii that are not y^2, from y/2 up to
+    a disc whose cancellation factor y/(y - r) passes 2^40."""
+    X = cd.build_cheese(10)
+    factors = (0.5, 0.1, 0.9, 1.0 - 1e-13, 0.25, 0.75, 0.99, 0.3, 0.6, 0.05)
+    return _family(*[(d.center.real, d.center.imag, d.center.imag * f)
+                     for d, f in zip(X.discs, factors)])
+
+
+@pytest.mark.parametrize("grid", [2, 101, 2001, 20001])
+def test_separations_match_the_reference_for_radii_not_y_squared(grid):
+    assert_matches_reference(_stretched_radii(), grid=grid)
+
+
+# -- pinned per-term margins and bound sums -----------------------------------
+
+def reference_verification(X, grid):
+    """The two sweeps ``verify_cheese`` once ran, kept as the reference: the
+    bound sum with fresh arrays per disc, then every term at every grid
+    point off each landing interval.
+
+    Returns (sums, certified, per_term_margin).
+    """
+    xs = cd.interval_grid(grid)
+    total = X.r0 / (1.0 - np.abs(xs)) ** 2
+    for disc in X.discs:
+        total = total + disc.radius / (np.abs(xs - disc.center)
+                                       - disc.radius) ** 2
+    per_term_margin = math.inf
+    for n, disc in enumerate(X.discs, 1):
+        lo, hi = cd.landing_interval(n)
+        outside = (xs < lo) | (xs >= hi)
+        s = np.abs(xs[outside] - disc.center) - disc.radius
+        margin = float((2.0 ** -(n + 1) - disc.radius / s ** 2).min())
+        per_term_margin = min(per_term_margin, margin)
+    return total, total + 2.0 ** -(X.n_max + 1), per_term_margin
+
+
+def assert_verification_matches_reference(X, grid):
+    verification = cd.verify_cheese(X, grid=grid)
+    sums, certified, per_term_margin = reference_verification(X, grid)
+    assert verification.sums.tobytes() == sums.tobytes()
+    assert verification.certified.tobytes() == certified.tobytes()
+    assert verification.max_sum == float(sums.max())
+    assert verification.max_certified == float(certified.max())
+    assert repr(verification.per_term_margin) == repr(per_term_margin)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 101, 2001, 2002, 20001, 100001])
+@pytest.mark.parametrize("n_max", [1, 2, 8, 16, 25])
+def test_verification_matches_the_two_sweep_reference(n_max, grid):
+    assert_verification_matches_reference(cd.build_cheese(n_max), grid)
+
+
+@pytest.mark.parametrize("grid", [2, 101, 2001, 20001])
+def test_verification_matches_the_reference_for_radii_not_y_squared(grid):
+    assert_verification_matches_reference(_stretched_radii(), grid)
+
+
+def test_verification_rejects_a_grid_without_an_interval():
+    with pytest.raises(ValueError, match="grid must be at least 2"):
+        cd.verify_cheese(cd.build_cheese(3), grid=1)
+
+
+# -- the screens hold every point that can reach their threshold -------------
+
+def _screen_cases():
+    for X in (cd.build_cheese(25), _stretched_radii()):
+        centers = np.array([d.center for d in X.discs])
+        radii = np.array([d.radius for d in X.discs])
+        # every (disc, point) pair over a grid refined around each ground
+        # point, down to neighbouring doubles
+        near = np.concatenate([np.arange(-64, 65) * 2.0 ** -54,
+                               np.geomspace(1e-15, 1e-2, 60),
+                               -np.geomspace(1e-15, 1e-2, 60)])
+        xs = np.unique(np.concatenate([cd.interval_grid(2001),
+                                       (centers.real[:, None] + near).ravel()]))
+        k, p = (a.ravel() for a in np.indices((len(radii), len(xs))))
+        yield xs, centers[k], radii[k], p
+
+
+def test_derivative_screen_holds_each_point_at_its_own_modulus():
+    for xs, centers, radii, p in _screen_cases():
+        tau = np.abs(-radii / (xs[p] - centers) ** 2)
+        lo, hi = cheese._derivative_window(xs, centers, radii, tau)
+        assert ((lo <= p) & (p < hi)).all()
+
+
+def test_term_screen_holds_each_point_at_its_own_term():
+    for xs, centers, radii, p in _screen_cases():
+        floor = radii / (np.abs(xs[p] - centers) - radii) ** 2
+        lo, hi = cheese._term_window(xs, centers, radii, floor)
+        assert ((lo <= p) & (p < hi)).all()
+
+
+def test_demo_sweep_memory_stays_near_the_screened_points():
+    # the dense n x (grid + n) sweep peaked at 77 MB here
+    X = cd.build_cheese(25)
+    tracemalloc.start()
+    try:
+        cd.noncompact_report(X, grid=100001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6

@@ -431,6 +431,34 @@ def test_cheese_verify_csv_sweeps_the_grid_once(tmp_path, monkeypatch,
     assert calls == {"bound_sum_grid": 1}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--grid", "0"], "grid must be at least 2"),
+    (["verify", "--grid", "1"], "grid must be at least 2"),
+    (["verify", "--grid", "-3"], "grid must be at least 2"),
+    (["demo", "--grid", "0"], "grid must be at least 2"),
+    (["demo", "--grid", "1"], "grid must be at least 2"),
+    (["demo", "--grid", "-3"], "grid must be at least 2"),
+    # one disc has no pair, and its separation would be written Infinity
+    (["demo", "--nmax", "1"], "demo needs at least two discs"),
+    (["demo", "--nmax", "0"], "demo needs at least two discs"),
+], ids=["verify-grid-0", "verify-grid-1", "verify-grid-negative",
+        "demo-grid-0", "demo-grid-1", "demo-grid-negative", "demo-nmax-1",
+        "demo-nmax-0"])
+def test_a_cheese_input_without_a_sweep_is_an_input_error(
+        tmp_path, capsys, argv, message):
+    path = tmp_path / "report.json"
+    assert run(["cheese", *argv, "--out", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not path.exists()
+
+
+def test_cheese_demo_on_two_discs_and_two_grid_points(tmp_path):
+    code, report = run_report(
+        ["cheese", "demo", "--nmax", "2", "--grid", "2"], tmp_path)
+    assert code == 0
+    assert report["result"]["passed"] is True
+
+
 def test_cheese_demo(tmp_path):
     csv_path = tmp_path / "matrix.csv"
     code, report = run_report(

@@ -117,3 +117,26 @@ def test_render_report_is_canonical_json_on_edge_values(value):
 ])
 def test_render_report_gives_the_stdlib_output_or_error(report):
     assert outcome(reports.render_report, report) == outcome(canonical, report)
+
+
+# -- float rows ---------------------------------------------------------------
+
+@pytest.mark.parametrize("rows", [
+    [[-0.0, 5e-324, 1e16, 0.1]],
+    [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+    [[1.0, math.nan, 2.0]], [[math.inf, 1.0, 2.0]], [[1.0, 2.0, -math.inf]],
+    [[np.float64(0.1), 2.0, np.float64(-3e-300)]],
+    [[1, 2.0, 3.0]], [[1.0, 2, 3.0]], [[1.0, 2.0, True]], [[1.0, "2.0"]],
+    [[], [1.0, 2.0, 3.0], [[]], [[], []]],
+    [[1.0, [2.0, 3.0]]], [[1.0, None]],
+], ids=["edge-floats", "matrix", "nan", "inf", "minus-inf", "np-float64",
+        "int-first", "int-inside", "bool", "string", "empty-rows", "nested",
+        "null"])
+def test_float_rows_render_as_canonical_json(rows):
+    report = {"result": {"matrix": rows, "row": rows[0]}, "seed": 0}
+    assert reports.render_report(report) == canonical(report)
+
+
+def test_a_row_with_a_numpy_integer_gives_the_stdlib_error():
+    report = {"a": [1.0, np.int64(3), 2.0]}
+    assert outcome(reports.render_report, report) == outcome(canonical, report)
