@@ -423,9 +423,29 @@ def _two_power(j, k):
     return np.ldexp(1.0, np.maximum(exponent, -1100.0).astype(np.int64))
 
 
+def _cut_power(literal, checked) -> Callable:
+    # route (d) of _compile_block: the cut is signed like log2 |b|, and an
+    # exponent k is past it where k <= -cut for |b| > 1, k >= -cut for
+    # |b| < 1
+    cut = 1100.0 * (1.0 + 2.0 ** -20) / math.log2(abs(literal))
+
+    def step(left, right):
+        k = checked(right)
+        live = k > -cut if cut > 0 else k < -cut
+        if live.all():
+            return _power(left, k)
+        out = 0.0 * _sign_power(k) if literal < 0 else np.zeros(np.shape(k))
+        if live.any():
+            out[live] = _power(left, k[live])
+        return out
+    return step
+
+
 def _power_step(base, exponent) -> Callable:
     """A power node of the block evaluator, as a function of its operands'
-    values, from what they folded to (see ``_compile_block``)."""
+    values, from what they folded to: route (a), (b), (c) or (d) of
+    ``_compile_block``, or Python's power on every element.  Route (d)'s
+    cut is fixed here, once per node."""
     (literal, _, integral), (k, k_integer, _) = base, exponent
     if k is not None and k.is_integer():
         k = int(k)
@@ -435,12 +455,14 @@ def _power_step(base, exponent) -> Callable:
     # an integer node is an exact integer already; a literal that is not
     # integral fails the check
     checked = (lambda right: right) if k_integer else _integral
+    if literal is None or literal == 0.0 or not math.isfinite(literal):
+        return lambda left, right: _power(left, checked(right))
     if literal == -1.0:
         return lambda left, right: _sign_power(checked(right))
-    mantissa, j = math.frexp(0.0 if literal is None else literal)
+    mantissa, j = math.frexp(literal)
     if mantissa == 0.5:  # a positive power of two, 2^(j-1)
         return lambda left, right: _two_power(j - 1, checked(right))
-    return lambda left, right: _power(left, checked(right))
+    return _cut_power(literal, checked)
 
 
 def _exact(values):
@@ -473,11 +495,11 @@ def _compile_block(expr: RuleExpr) -> Callable:
     -n*(n-n) are the int 0 but -0.0 as doubles.
 
     Powers go through Python's own power (``_power``), an integral literal
-    exponent as the int that ``rule_callable`` raises to, except on three
-    routes, chosen per node from its operands, that give the exact power.
-    It is a double, and Python's float ** int is the C library's pow,
-    which returns such a power exactly: glibc's errs by far less than the
-    distance to a rounding midpoint.  The routes are
+    exponent as the int that ``rule_callable`` raises to, except on four
+    routes, chosen per node from its operands.  Routes (a)-(c) give the
+    exact power.  It is a double, and Python's float ** int is the C
+    library's pow, which returns such a power exactly: glibc's errs by far
+    less than the distance to a rounding midpoint.  The routes are
     - (a) an integral node (an integral literal, the index, or a + - *
       or negation of such nodes, whose doubles are integers wherever
       they are finite) to a literal k >= 0, multiplied out in float64 by
@@ -492,7 +514,19 @@ def _compile_block(expr: RuleExpr) -> Callable:
       parity of each double, as ``rule_callable``'s k % 2 reads it;
     - (c) a literal 2^j > 0 to an integral exponent array: 2^(j*k) by
       ``np.ldexp``, exact down to 2^-1074 and 0 below it, as pow is; from
-      2^1024 on Python overflows and the block raises ``_PerIndex``.
+      2^1024 on Python overflows and the block raises ``_PerIndex``;
+    - (d) any other finite literal b != 0 to an integral exponent array:
+      ``_power`` on the elements short of a cut fixed at compile time, and
+      0.0 past it, where |b|^k <= 2^-1100 holds exactly.  Below 2^-1075
+      the correctly rounded power is 0, and 2^-1074, the nearest other
+      double, is (1 - 2^-26) ulp away, so a pow that errs by less than
+      that (glibc's by 0.52 ulp) returns 0, as (c) assumes.  |b|^k is
+      monotone in k, so the cut need only give |k| |log2 |b|| >= 1100 at
+      itself: it is 1100 (1 + 2^-20) / log2 |b|, whose two roundings and
+      the error of ``math.log2``, far below 2^-21 relatively (glibc's
+      under one ulp), leave that margin.  Python's power takes |b| and
+      negates the result for an odd exponent, so the zero is -0.0 for
+      b < 0 and a k that is odd as (b) reads it.
     An exponent that is an integer node is integral; any other exponent
     array is checked.  A zero divisor, an exponent that is not an integer
     or not finite, a zero base raised to a negative power and an

@@ -37,6 +37,9 @@ CASES = {
                       "--tail", "none", "--depth", "50"],
     "norm_mu_closed_form": ["deriv", "norm", "--mu", "3^(-n)*n",
                             "--depth", "64"],
+    # literal-base powers far past their underflow to zero
+    "norm_phi_power_cut": ["deriv", "norm", "--phi", "(-3)^(-n)",
+                           "--tail", "decay", "--depth", "2000"],
     "classify_constant": ["deriv", "classify", "--mu", "1"],
     "classify_decay": ["deriv", "classify", "--mu", "n*2^(1-n)",
                        "--tail", "decay"],
@@ -47,6 +50,8 @@ CASES = {
                            "--f", "0,0,1", "--depth", "8"],
     "apply_mu_decay": ["deriv", "apply", "--mu", "2^(1-n)", "--tail",
                        "decay", "--f", "1,2,3,0.5j", "--depth", "40"],
+    "apply_mu_power_cut": ["deriv", "apply", "--mu", "5^(-n)", "--tail",
+                           "decay", "--f", "1,2", "--depth", "800"],
     "apply_phi_rational": ["deriv", "apply", "--phi", "1/(n+1)^2",
                            "--f", "0.3,-1.7,2.2+1j,0,4", "--depth", "64"],
     "apply_mu_zero": ["deriv", "apply", "--mu", "1/n", "--tail", "zero:20",

@@ -376,6 +376,8 @@ def test_blocks_agree_with_the_compiled_rule_bit_for_bit():
     "2^(-n)", "0.5^n", "4^(n-600)",
     # exponents that are not integral everywhere, and bases off the routes
     "2^(n/2)", "(-1)^(n*n)", "(-2)^n", "8^(n*n)",
+    # a literal base to an exponent that is one number, past its cut
+    "3^(0-800)+n", "(-3)^(0-801)*n", "n*(-0.5)^(1101-0)",
 ], ids=_edge_id)
 def test_blocks_agree_with_the_compiled_rule_on_edge_cases(tree):
     if isinstance(tree, str):
@@ -422,6 +424,21 @@ def test_powers_of_two_are_exact_on_blocks(j):
     assert calls["scalar"] > 0
 
 
+def _counting_pow(monkeypatch):
+    """A Counter of the calls to Python's power on blocks, and of the
+    elements they take."""
+    counts = Counter()
+    py_pow = cd.rules._PY_POW
+
+    def counting(base, k):
+        counts["calls"] += 1
+        counts["elements"] += np.broadcast(base, k).size
+        return py_pow(base, k)
+
+    monkeypatch.setattr(cd.rules, "_PY_POW", counting)
+    return counts
+
+
 @pytest.mark.parametrize("text, python_powers", [
     ("1/(n+1)^2", False), ("(n+3)/(2*n^2+5)", False), ("2^(-n)", False),
     ("n*2^(1-n)", False), ("3+(-1)^n", False),
@@ -430,17 +447,100 @@ def test_powers_of_two_are_exact_on_blocks(j):
 ])
 def test_block_powers_call_python_only_off_the_exact_routes(
         text, python_powers, monkeypatch):
-    calls = Counter()
-    py_pow = cd.rules._PY_POW
-
-    def counting(base, k):
-        calls["pow"] += 1
-        return py_pow(base, k)
-
-    monkeypatch.setattr(cd.rules, "_PY_POW", counting)
+    counts = _counting_pow(monkeypatch)
     rule = cd.rules.block_callable(cd.parse_rule(text))
     rule(np.arange(1, 4097, dtype=np.int64))
-    assert bool(calls["pow"]) == python_powers
+    assert bool(counts["calls"]) == python_powers
+
+
+def test_block_powers_call_python_only_short_of_the_cut(monkeypatch):
+    counts = _counting_pow(monkeypatch)
+    rule = cd.rules.block_callable(cd.parse_rule("3^(-n)"))
+    # a block wholly past the cut: every value is 0.0, and no pow runs
+    assert not rule(np.arange(10 ** 4, 10 ** 4 + 4096, dtype=np.int64)).any()
+    assert counts["elements"] == 0
+    # from 1: pow runs on every non-zero value, and on no element where
+    # 3^-n <= 2^-1101, past the cut's margin
+    idx = np.arange(1, 4097, dtype=np.int64)
+    assert rule(idx).tobytes() == np.array(
+        [3.0 ** -n for n in idx.tolist()], dtype=complex).tobytes()
+    nonzero = sum(3.0 ** -n != 0.0 for n in idx.tolist())
+    live = sum(3 ** n < 2 ** 1101 for n in idx.tolist())
+    assert 0 < nonzero <= counts["elements"] <= live < 700
+    # a base that is no literal has no cut: pow runs on every element
+    counts.clear()
+    cd.rules.block_callable(cd.parse_rule("(1/(n+1))^3"))(idx)
+    assert counts["elements"] == idx.size
+
+
+_CUT_EXPONENTS = ("-n", "1-n", "n", "2*n", "-n*n", "n-700")
+
+
+def _zero_edges(scalar, stop=4000):
+    """The indices below ``stop`` where the compiled rule's value turns to
+    or from zero; an error counts as non-zero."""
+    def zero(n):
+        try:
+            return scalar(n) == 0.0
+        except RuleEvaluationError:
+            return False
+    zeros = [zero(n) for n in range(stop)]
+    return [n for n in range(1, stop) if zeros[n] != zeros[n - 1]]
+
+
+@pytest.mark.parametrize("base, literal", [
+    ("3", True), ("5", True), ("9", True), ("10", True), ("1.5", True),
+    ("0.3", True), ("(-3)", True), ("(-0.5)", True), ("(-2)", True),
+    # a quotient is not a literal: no cut, pow on every element
+    ("(1/3)", False),
+])
+def test_powers_past_the_cut_agree_on_blocks(base, literal, monkeypatch):
+    # blocks of 300 from 0, 10^3 and 10^4, and from 150 below each index
+    # where the values turn to or from zero, so that blocks straddle the
+    # cut and lie wholly past it; bit for bit the compiled rule's values,
+    # -0.0 at odd exponents of a negative base included, as mu and phi
+    counts, seen = _counting_pow(monkeypatch), Counter()
+    for exponent in _CUT_EXPONENTS:
+        tree = cd.parse_rule(f"{base}^({exponent})")
+        compiled = cd.rules.rule_callable(tree)
+        starts = {0, 10 ** 3, 10 ** 4}
+        starts |= {max(0, n - 150) for n in _zero_edges(compiled)}
+        for from_phi in (False, True):
+            rule, calls = _counting_block(tree, from_phi)
+            for start in sorted(starts):
+                idx = np.arange(start, start + 300, dtype=np.int64)
+                want = _per_index_outcome(compiled, idx, from_phi)
+                before, elements = calls["scalar"], counts["elements"]
+                assert _block_outcome(rule, idx) == want, (
+                    exponent, from_phi, start)
+                if calls["scalar"] != before:
+                    continue  # evaluated index by index
+                elements = counts["elements"] - elements
+                seen["past" if elements == 0 else "live"
+                     if elements == idx.size else "straddles"] += 1
+                values = np.frombuffer(want, dtype=complex).real
+                seen["-0.0"] += np.signbit(values[values == 0.0]).any()
+    assert bool(seen["past"]) == bool(seen["straddles"]) == literal
+    assert bool(seen["-0.0"]) == base.startswith("(-")
+
+
+from ruletrees import random_power_rule
+
+
+def test_power_leaning_rules_agree_on_blocks_across_the_cut():
+    # seeded literal-base powers, with one more block start just below
+    # the index where the first of them reaches its cut
+    rng = np.random.default_rng(2427)
+    trees, cuts, arrays = 120, 0, 0
+    for _ in range(trees):
+        tree, cut = random_power_rule(rng)
+        _blocks_agree(tree)
+        if cut is not None:
+            cuts += 1
+            arrays += _blocks_agree(tree, starts=(max(0, cut - 100),))
+    # most first powers fall to their cut, and a quarter of the blocks
+    # there, mu and phi, are evaluated as arrays
+    assert 2 * cuts > trees and 4 * arrays > 2 * cuts
 
 
 def test_rule_compilation_never_reenters_the_public_name(monkeypatch):
