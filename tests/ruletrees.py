@@ -31,21 +31,22 @@ _POWER_BASES = (3.0, 5.0, 6.0, 7.0, 9.0, 10.0, 1.5, 2.5, 0.3, 0.75, 0.1,
                 1e-5, 1e20, 2.0, 0.25, 1.0, 0.0)
 
 
-def random_power_rule(rng, terms=3):
-    """A seeded rule that leans on powers: one to ``terms`` literal bases,
+def random_power_rule(rng):
+    """A seeded rule that leans on powers: one to three literal bases,
     negative at times and of modulus below 1 at times, each to an exponent
     built from n, joined by + - * or /.  Returns the rule and an index
     near which its first power falls to 2^-1100 (None when that power does
     not fall), where the block evaluator's power routes change."""
     expr, cut = None, None
-    for _ in range(int(rng.integers(1, terms + 1))):
+    for _ in range(int(rng.integers(1, 4))):
         base = float(rng.choice(_POWER_BASES))
         if rng.random() < 0.3:
             base = round(float(rng.uniform(0.05, 20.0)), 3)
         a, c = int(rng.integers(1, 4)), int(rng.integers(0, 800))
-        # the exponent falls with n where |base| > 1, rises where it is
-        # below 1, for four powers in five: a power that falls to zero
-        falls = (abs(base) > 1.0) == (rng.random() < 0.8)
+        # four powers in five fall towards zero: their exponent falls with
+        # n where |base| > 1 and rises where |base| < 1
+        decays = rng.random() < 0.8
+        falls = decays == (abs(base) > 1.0)
         form = rng.integers(0, 4)
         if form == 0:  # c - a*n or a*n - c
             exponent = Mul(Lit(float(a)), Var())
@@ -63,11 +64,12 @@ def random_power_rule(rng, terms=3):
         power = Pow(literal, exponent)
         if expr is None:
             expr = power
-            if falls and abs(base) not in (0.0, 1.0):
+            if decays and abs(base) not in (0.0, 1.0):
                 # where |exponent| reaches 1100 / |log2 |base||
                 reach = 1100.0 / abs(math.log2(abs(base)))
                 cut = int({0: (reach + c) / a, 1: math.sqrt(reach),
-                           2: 2 * reach, 3: reach + c}[int(form)])
+                           2: 2 * reach,
+                           3: reach + c if falls else reach}[int(form)])
         else:
             expr = [Add, Sub, Mul, Div][int(rng.integers(0, 4))](expr, power)
     return expr, cut
