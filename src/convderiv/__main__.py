@@ -1,0 +1,6 @@
+"""``python -m convderiv``: the ``convderiv`` command."""
+
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

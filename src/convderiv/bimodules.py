@@ -16,6 +16,7 @@ only the bounded-transfer inequality carries content here.)
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -56,6 +57,25 @@ class FiniteMap:
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
+def _exact_reals(arrays):
+    """Contiguous float64 copies of the real parts of the complex
+    ``arrays``, when every entry is an integer of modulus below
+    sqrt(2^53 / n) with imaginary part ±0, n the largest dimension of any
+    of them; None otherwise, NaN and inf included."""
+    n = max(max(a.shape, default=0) for a in arrays)
+    limit = math.isqrt((2 ** 53 - 1) // max(n, 1))  # x <= limit: n x^2 < 2^53
+    reals = []
+    for a in arrays:
+        if a.imag.any():
+            return None
+        real = np.ascontiguousarray(a.real)
+        if not (np.abs(real).max(initial=0.0) <= limit
+                and np.array_equal(real, np.rint(real))):
+            return None
+        reals.append(real)
+    return reals
+
+
 def _checked_defect(sides, arrays, atol: float, what: str) -> float:
     """The largest |lhs - rhs| over the blocks ``sides(*arrays, i)``, i <
     len(arrays[0]): each yields (lhs, rhs) pairs of the same shape.
@@ -71,7 +91,20 @@ def _checked_defect(sides, arrays, atol: float, what: str) -> float:
     NaN or inf gaps, with no warning on the way, and fail: a NaN compares
     false, and an inf gap, which needs an inf S, gives an excess of inf -
     inf = NaN.
+
+    Integer data runs in float64 (``_exact_reals``), with the same bits.
+    Each entry of lhs and rhs sums at most n products (n the largest
+    dimension: every matmul in ``sides`` contracts over d or m), each an
+    integer below 2^53 / n in modulus, so every product and partial sum
+    is an integer below 2^53, exact in any order and with or without FMA
+    (Higham §2.1).  Complex arithmetic forms the same real parts, while
+    the imaginary parts are sums of ±0; hypot(x, ±0) = |x|, so the gaps
+    agree, and the moduli of the inputs, hence S and every later step,
+    are the same float64 arrays.  The defect and each error message keep
+    their bits.  Other data stays complex: dgemm and zgemm may sum inexact
+    products in different orders.
     """
+    arrays = _exact_reals(arrays) or arrays
     defect, mags = 0.0, None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(arrays[0])):
@@ -441,6 +474,18 @@ def dual_homomorphism(A: FiniteAlgebra, E: FiniteBimodule, lam) -> FiniteMap:
                                np.asarray(lam, dtype=complex)))
 
 
+def _transfer_candidates(d: int, seed: int):
+    """The elements ``find_transfer_functional`` scans, made as needed."""
+    eye = np.eye(d, dtype=complex)
+    yield from eye
+    for i in range(d):
+        for j in range(i + 1, d):
+            yield eye[i] + eye[j]
+    rng = np.random.default_rng(seed)
+    for _ in range(_RANDOM_PROBES):
+        yield rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+
 def find_transfer_functional(A: FiniteAlgebra, E: FiniteBimodule,
                              D: FiniteMap, seed: int = 42):
     """Element a0 with a0 . D(a0) != 0 and a functional normalised against it.
@@ -454,15 +499,7 @@ def find_transfer_functional(A: FiniteAlgebra, E: FiniteBimodule,
     if square_span(A).shape[0] != d:
         raise ValueError("the product span must be the whole algebra for "
                          "the transfer construction")
-    eye = np.eye(d, dtype=complex)
-    candidates = [eye[i] for i in range(d)]
-    candidates += [eye[i] + eye[j] for i in range(d) for j in range(i + 1, d)]
-    rng = np.random.default_rng(seed)
-    for _ in range(_RANDOM_PROBES):
-        candidates.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    probes = 0
-    for a0 in candidates:
-        probes += 1
+    for probes, a0 in enumerate(_transfer_candidates(d, seed), 1):
         # lam needs w != 0; w = D(a0^2)/2 if E is symmetric and D a derivation
         w = E.act_left(a0, D(a0))
         if float(np.abs(w).max(initial=0.0)) <= _TRANSFER_TOL / 2:

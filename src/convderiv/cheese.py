@@ -338,6 +338,19 @@ def _derivative_window(xs, centers, radii, tau):
     return _window(xs, centers, _within(radii, tau * (1.0 - _SCREEN)))
 
 
+def _overlapping_runs(lo, hi):
+    """[start, stop, ks]: the windows [lo[k], hi[k]) merged where they
+    overlap, in order of lo; ks lists the probes of each run."""
+    runs = []
+    for k in np.argsort(lo, kind="stable"):
+        if runs and lo[k] < runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi[k])
+            runs[-1][2].append(k)
+        else:
+            runs.append([lo[k], hi[k], [k]])
+    return runs
+
+
 def _term_window(xs, centers, radii, floor):
     """[lo, hi) per disc: the grid points where the computed term can reach
     floor (see ``verify_cheese``)."""
@@ -510,7 +523,9 @@ def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
     drop a grid point, since rounding is monotone and the points are
     doubles.  So the grid points in [Re a - w, Re a + w], found by binary
     search on the sorted grid, hold S_k's.  When L is 0, tau is 0 and
-    every point is a candidate: the full sweep.
+    every point is a candidate: the full sweep.  Windows that overlap, as
+    there, are evaluated once per merged run, and each probe of such a
+    run sweeps its own copy of its slice.
     """
     n_hi = X.n_max if n_hi is None else n_hi
     if not 1 <= n_hi <= X.n_max:
@@ -531,10 +546,13 @@ def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
     lo, hi = _derivative_window(xs, centers, radii, tau)
     # [k, i]: the largest computed |f_i' - f_k'| over S_k's candidates
     reach = np.empty((n_hi, n_hi))
-    for k in range(n_hi):
-        near = _probe_derivatives(centers, radii, xs[lo[k]:hi[k]])
-        reach[k] = np.maximum(_spread(near, k),
-                              _spread(ground[:, matrix[k] >= tau], k))
+    for start, stop, run in _overlapping_runs(lo, hi):
+        near = _probe_derivatives(centers, radii, xs[start:stop])
+        for k in run:
+            part = near[:, lo[k] - start:hi[k] - start]
+            part = part.copy() if len(run) > 1 else part
+            reach[k] = np.maximum(_spread(part, k),
+                                  _spread(ground[:, matrix[k] >= tau], k))
     separations = np.maximum(reach, reach.T)
     min_separation = float(separations[off_diag].min(initial=math.inf))
     return NoncompactnessReport(

@@ -355,13 +355,14 @@ def _cmd_bimodule_transfer(args) -> _Outcome:
     norm_D = bimodules.opnorm_l1_to_l1(D.matrix)
     norm_R = bimodules.opnorm_l1_to_sup(composed.homomorphism.matrix)
     norm_composed = bimodules.opnorm_l1_to_sup(composed.matrix)
+    rank_before, rank_after = D.rank, composed.rank  # one SVD each
     # transfer raises unless composed.defect <= composed.tolerance
     certs = [
         reports.certificate("anchor-pairing",
                             abs(anchor_value - 1) <= 1e-12,
                             value=reports.complex_to_json(anchor_value)),
-        reports.certificate("rank-monotone", composed.rank <= D.rank,
-                            rank_before=D.rank, rank_after=composed.rank),
+        reports.certificate("rank-monotone", rank_after <= rank_before,
+                            rank_before=rank_before, rank_after=rank_after),
         reports.certificate("norm-product-bound",
                             norm_composed <= norm_R * norm_D + 1e-12,
                             norm_composed=norm_composed,
@@ -371,7 +372,7 @@ def _cmd_bimodule_transfer(args) -> _Outcome:
         "anchor": reports.complex_seq_to_json(a0),
         "functional": reports.complex_seq_to_json(lam),
         "matrix": reports.complex_matrix_to_json(composed.matrix),
-        "rank": composed.rank,
+        "rank": rank_after,
         "defect": composed.defect,
         "tolerance": composed.tolerance,
     }

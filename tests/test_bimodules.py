@@ -1,6 +1,8 @@
 """Finite-dimensional algebras, bimodules, rank-one construction, transfer."""
 
 import json
+import math
+import re
 import warnings
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import convderiv as cd
+from convderiv import bimodules
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -441,6 +444,62 @@ def test_transfer_functional_skips_an_element_it_cannot_normalise():
         cd.transfer(D, lam, A, E)
 
 
+def eager_transfer_functional(A, E, D, seed=42):
+    """Reference: the scan that built every candidate before trying the
+    first.  Returns (a0, lam), or the number of candidates if none
+    works."""
+    d = A.dim
+    eye = np.eye(d, dtype=complex)
+    candidates = [eye[i] for i in range(d)]
+    candidates += [eye[i] + eye[j] for i in range(d) for j in range(i + 1, d)]
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        candidates.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    for a0 in candidates:
+        w = E.act_left(a0, D(a0))
+        if float(np.abs(w).max(initial=0.0)) > 1e-9 / 2:
+            return a0, w.conj() / float(np.vdot(w, w).real)
+    return len(candidates)
+
+
+def test_the_transfer_scan_makes_candidates_only_as_it_reaches_them(
+        monkeypatch):
+    A = cd.algebra_catalog("trunc24")
+    E, D = A.self_bimodule(), cd.euler_derivation(A)
+    a0, lam = eager_transfer_functional(A, E, D)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the random probes were built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.random, "default_rng", no_rng)
+        got = cd.find_transfer_functional(A, E, D)
+    assert got[0].tobytes() == a0.tobytes()
+    assert got[1].tobytes() == lam.tobytes()
+    # D = s t d/dt with w below 5e-10 at every basis vector and pair sum:
+    # the seeded random probes decide, in the same stream
+    for K, s, seed in ((3, 1e-10, 42), (4, 5e-11, 7)):
+        A = cd.algebra_catalog(f"trunc{K}")
+        E = A.self_bimodule()
+        D = cd.FiniteMap(s * cd.euler_derivation(A).matrix)
+        a0, lam = eager_transfer_functional(A, E, D, seed)
+        got = cd.find_transfer_functional(A, E, D, seed)
+        assert np.abs(a0.imag).max() > 0  # a random probe
+        assert got[0].tobytes() == a0.tobytes()
+        assert got[1].tobytes() == lam.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 24])
+def test_the_transfer_scan_counts_every_probe_it_tried(d):
+    A = cd.algebra_catalog(f"trunc{d}")
+    zero = cd.FiniteMap(np.zeros((d, d)))
+    probes = d + d * (d - 1) // 2 + 64
+    assert eager_transfer_functional(A, A.self_bimodule(), zero) == probes
+    with pytest.raises(cd.NoSuchElementError,
+                       match=f"squares of all {probes} probed elements$"):
+        cd.find_transfer_functional(A, A.self_bimodule(), zero)
+
+
 def test_transfer_trunc4():
     A = cd.algebra_catalog("trunc4")
     E = A.self_bimodule()
@@ -510,18 +569,23 @@ def test_boundedness_transfers_with_norm_product():
 
 # -- validation at the trust boundary -----------------------------------------
 
-def change_basis(c, power, seed):
-    """Structure constants in the basis given by the columns of Q (I+S)^power,
-    with S the shift and Q a seeded signed permutation: integer data, entries
-    growing with the power."""
-    d = c.shape[0]
+def basis_change_matrix(d, power, seed):
+    """Q (I+S)^power, with S the shift and Q a seeded signed permutation."""
     rng = np.random.default_rng(seed)
     step = np.eye(d) + np.eye(d, k=1)
     Q = np.zeros((d, d))
     Q[np.arange(d), rng.permutation(d)] = rng.choice([-1, 1], size=d)
-    P = Q @ np.linalg.matrix_power(step, power)
+    return Q @ np.linalg.matrix_power(step, power)
+
+
+def change_basis(c, power, seed):
+    """Structure constants in the basis given by the columns of Q (I+S)^power,
+    with S the shift and Q a seeded signed permutation: integer data, entries
+    growing with the power."""
+    P = basis_change_matrix(c.shape[0], power, seed)
     P_inv = np.rint(np.linalg.inv(P))
-    return np.rint(np.einsum("ai,bj,abm,km->ijk", P, P, c, P_inv))
+    return np.rint(np.einsum("ai,bj,abm,km->ijk", P, P, c, P_inv,
+                             optimize=True))
 
 
 def ideal(K):
@@ -639,6 +703,239 @@ def test_validation_allocates_no_fourth_power_intermediate():
         tracemalloc.stop()
     assert 40 ** 4 * 16 > 40e6  # one d^4 complex tensor would be 41 MB
     assert peak < 8e6
+
+
+# -- integer data is validated in float64, with the complex path's bits -------
+
+def validation(build):
+    """Bytes of the defect ``build`` returns, or the type and message of
+    the error it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.float64(build()).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_paths_agree(monkeypatch, build, exact):
+    """``build`` gives the same defect bytes, or the same error, as with
+    the float64 path switched off, and takes that path exactly when
+    ``exact``."""
+    taken = []
+    real_path = bimodules._exact_reals
+
+    def spy(arrays):
+        reals = real_path(arrays)
+        taken.append(reals is not None)
+        return reals
+
+    monkeypatch.setattr(bimodules, "_exact_reals", spy)
+    default = validation(build)
+    monkeypatch.setattr(bimodules, "_exact_reals", lambda arrays: None)
+    assert validation(build) == default
+    monkeypatch.setattr(bimodules, "_exact_reals", real_path)
+    assert taken and set(taken) == {exact}
+    return default
+
+
+def algebra_defect(c, atol=1e-12):
+    return lambda: cd.FiniteAlgebra(c, atol=atol).associativity_defect
+
+
+def module_defect(A, L, R, atol=1e-12):
+    """The module check, then the defect it computed (``FiniteBimodule``
+    keeps none)."""
+    def build():
+        cd.FiniteBimodule(A, L, R, atol=atol)
+        return bimodules._checked_defect(
+            bimodules._module_axioms,
+            (A.structure, np.asarray(L, complex), np.asarray(R, complex)),
+            atol, "bimodule axiom")
+    return build
+
+
+def exactly_integral(n, *arrays):
+    """Whether n x^2 < 2^53 for every entry x, all integers, in exact
+    arithmetic."""
+    top = max(int(np.abs(a).max(initial=0)) for a in arrays)
+    return top * top * n < 2 ** 53
+
+
+def perturbed(c, seed):
+    """c with one seeded entry and its mirror moved by 1: still integer
+    and commutative, no longer associative."""
+    rng = np.random.default_rng(seed)
+    i, j, k = rng.integers(0, len(c), size=3)
+    bad = c.copy()
+    bad[i, j, k] += 1
+    bad[j, i, k] = bad[i, j, k]
+    return bad
+
+
+@pytest.mark.parametrize("kind", ["trunc", "ideal"])
+def test_integer_basis_changes_keep_their_bits(kind, monkeypatch, tmp_path):
+    # the bimodule benchmark's files: Q (I+S)^p of truncK and of the ideal
+    # t.k[t]/t^K, written as JSON integers and read back
+    path = str(tmp_path / "c.json")
+    for K in range(2, 31):
+        for power in (1, 4):
+            base = cd.algebra_catalog(f"trunc{K}").structure.real \
+                if kind == "trunc" else ideal(K)
+            c = change_basis(base, power, seed=K).astype(np.int64)
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump({"dim": len(c), "c": c.tolist()}, handle)
+            assert exactly_integral(len(c), c)
+            assert assert_paths_agree(
+                monkeypatch,
+                lambda: cd.algebra_from_file(path).associativity_defect,
+                True) == bytes(8)
+            assert np.array_equal(cd.algebra_from_file(path).structure, c)
+            if len(c) < 2:
+                continue
+            bad = perturbed(c, K)
+            for atol in (1e-12, np.inf):
+                assert_paths_agree(monkeypatch, algebra_defect(bad, atol),
+                                   True)
+
+
+def test_non_associative_integer_algebras_keep_their_bits(monkeypatch):
+    # e1^2 = e0 and e0 e1 = e1: (e0 e0) e1 = 0, e0 (e0 e1) = e1
+    c = np.zeros((3, 3, 3))
+    c[1, 1, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
+    c[2, 2, 2] = 7.0
+    assert assert_paths_agree(monkeypatch, algebra_defect(c), True) == (
+        ValueError, "associativity defect 1.000e+00 exceeds 1.0e-12")
+    assert assert_paths_agree(monkeypatch, algebra_defect(c, np.inf),
+                              True) == np.float64(1.0).tobytes()
+    base = change_basis(cd.algebra_catalog("trunc9").structure.real, 6, 9)
+    for seed in range(6):
+        bad = perturbed(base, seed)
+        for atol in (1e-12, 1e-6, np.inf):
+            assert_paths_agree(monkeypatch, algebra_defect(bad, atol), True)
+
+
+def _guarded(x, d=3):
+    """An integer algebra of dimension d with x as its largest entry:
+    e0^2 = x e0, e0 e1 = x e1, e1^2 = e0 + (x - 1) e1, e2^2 = e2."""
+    c = np.zeros((d, d, d))
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = x
+    c[1, 1, 0], c[1, 1, 1] = 1.0, x - 1.0
+    c[2, 2, 2] = 1.0
+    return c
+
+
+def test_the_float64_guard_sits_at_the_square_root_of_2_53_over_n(
+        monkeypatch):
+    # x < sqrt(2^53 / n) in exact arithmetic: x = limit takes the float64
+    # path, x = limit + 1 the complex one, for the algebra (n = d) and for
+    # a module whose dimension m > d sets n
+    for d in (3, 4, 7):
+        limit = math.isqrt((2 ** 53 - 1) // d)
+        assert limit ** 2 * d < 2 ** 53 <= (limit + 1) ** 2 * d
+        for x, exact in ((limit, True), (limit + 1, False)):
+            c = _guarded(float(x), d)
+            for atol in (1e-12, np.inf):
+                assert_paths_agree(monkeypatch, algebra_defect(c, atol),
+                                   exact)
+    A = cd.FiniteAlgebra(np.ones((1, 1, 1)))
+    for m in (2, 5):
+        limit = math.isqrt((2 ** 53 - 1) // m)
+        for x, exact in ((limit, True), (limit + 1, False),
+                         (math.isqrt(2 ** 53 - 1), False)):
+            # e0 acts by I + x E_{0, m-1}: off by 2x - x = x from (e0 e0)
+            act = np.eye(m)[None]
+            act[0, 0, m - 1] = x
+            for atol in (1e-12, np.inf):
+                assert_paths_agree(monkeypatch,
+                                   module_defect(A, act, act, atol), exact)
+
+
+def test_signed_zero_imaginary_parts_and_pair_files_keep_their_bits(
+        monkeypatch, tmp_path):
+    c = change_basis(cd.algebra_catalog("trunc7").structure.real, 4, 7)
+    for structure in (c, perturbed(c, 1)):
+        negative = structure.astype(complex)
+        negative.imag = -0.0
+        assert np.signbit(negative.imag).all()
+        for atol in (1e-12, np.inf):
+            assert_paths_agree(monkeypatch, algebra_defect(negative, atol),
+                               True)
+        for im in (0, 0.0, -0.0):
+            pairs = [[[[float(x), im] for x in row] for row in plane]
+                     for plane in structure]
+            path = tmp_path / "pairs.json"
+            path.write_text(json.dumps({"dim": len(c), "c": pairs}))
+            assert_paths_agree(
+                monkeypatch,
+                lambda: cd.algebra_from_file(str(path)).associativity_defect,
+                True)
+    # a non-zero imaginary part, however small, keeps the complex path
+    tiny = c.astype(complex)
+    tiny[0, 0, 0] += 5e-324j
+    assert_paths_agree(monkeypatch, algebra_defect(tiny, np.inf), False)
+
+
+def test_float_data_takes_the_complex_path(monkeypatch):
+    rounded = np.array(json.loads((GOLDEN / "rounded.json").read_text())["c"])
+    half = _guarded(3.0)
+    half[0, 1, 1] = half[1, 0, 1] = 2.5
+    for c in (rounded, 1e6 * rounded, half):
+        for atol in (1e-12, np.inf):
+            assert_paths_agree(monkeypatch, algebra_defect(c, atol), False)
+    A = cd.FiniteAlgebra(_guarded(3.0))
+    act = A.structure + 0.5
+    assert_paths_agree(monkeypatch, module_defect(A, act, act, np.inf), False)
+
+
+def test_huge_nan_and_inf_entries_take_the_complex_path(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the guard squares no entry
+        for bad in (1e308, np.inf, -np.inf):
+            c = _guarded(1.0)
+            c[2, 2, 2] = bad
+            assert bimodules._exact_reals([c.astype(complex)]) is None
+            outcome = assert_paths_agree(monkeypatch, algebra_defect(c),
+                                         False)
+            assert outcome[0] is ValueError
+            assert outcome[1].startswith("associativity defect nan")
+        # NaN fails the commutativity check first, so no algebra has one
+        nan = _guarded(1.0).astype(complex)
+        nan[2, 2, 2] = np.nan
+        assert bimodules._exact_reals([nan]) is None
+        nan[2, 2, 2] = complex(1.0, np.nan)
+        assert bimodules._exact_reals([nan]) is None
+        A = cd.FiniteAlgebra(_guarded(1.0))
+        for bad in (1e308, np.nan, np.inf):
+            act = A.structure.copy()
+            act[2, 2, 2] = bad
+            outcome = assert_paths_agree(monkeypatch,
+                                         module_defect(A, act, act), False)
+            assert outcome[0] is ValueError
+            assert re.match("bimodule axiom defect (nan|inf) ", outcome[1])
+
+
+def test_integer_bimodules_keep_their_bits(monkeypatch):
+    # k[t]/t^m as a module over k[t]/t^K, m <= K, in the basis Q (I+S)^p of
+    # the algebra: e'_i acts by sum_a P[a, i] L[a], integer actions
+    for K, m, power in ((6, 6, 1), (6, 3, 4), (9, 4, 2), (12, 12, 4)):
+        A = cd.FiniteAlgebra(change_basis(
+            cd.algebra_catalog(f"trunc{K}").structure.real, power, K))
+        P = basis_change_matrix(K, power, K)
+        act = np.zeros((K, m, m))
+        for a in range(K):
+            for x in range(m - a):
+                act[a, x, x + a] = 1.0
+        L = np.einsum("ai,axy->ixy", P, act)
+        assert exactly_integral(max(K, m), A.structure.real, L)
+        assert assert_paths_agree(monkeypatch, module_defect(A, L, L),
+                                  True) == bytes(8)
+        assert cd.FiniteBimodule(A, L, L).symmetric
+        bad = L.copy()
+        bad[1, 0, m - 1] += 1
+        for atol in (1e-12, np.inf):
+            for pair in ((bad, L), (L, bad), (bad, bad)):
+                assert_paths_agree(monkeypatch,
+                                   module_defect(A, *pair, atol=atol), True)
 
 
 # -- derivation identity tolerance --------------------------------------------

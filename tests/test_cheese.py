@@ -288,6 +288,32 @@ def test_separations_match_the_reference_when_two_probes_nearly_meet():
     assert_matches_reference(X, grid=2001)
 
 
+def _moved_disc_family():
+    """``build_cheese(25)`` with disc 2 moved under disc 1: both probe
+    derivatives are 1 at the shared ground point, so the ground-point bound
+    and tau are 0, and every screened window is the whole grid."""
+    payload = cd.build_cheese(25).to_dict()
+    payload["discs"][1]["x"] = payload["discs"][0]["x"]
+    return cd.CheeseSet.from_dict(payload)
+
+
+@pytest.mark.parametrize("grid", [2, 2001, 20001])
+def test_overlapping_windows_are_evaluated_once(grid, monkeypatch):
+    X = _moved_disc_family()
+    evaluated = []
+    probe = cheese._probe_derivatives
+
+    def counting(centers, radii, points):
+        evaluated.append(len(centers) * len(points))
+        return probe(centers, radii, points)
+
+    monkeypatch.setattr(cheese, "_probe_derivatives", counting)
+    report = assert_matches_reference(X, grid=grid)
+    n = X.n_max
+    assert report.matrix[1, 0] == report.matrix[0, 0]
+    assert sum(evaluated) <= n * (grid + n)
+
+
 def _stretched_radii():
     """The constructed centres with radii that are not y^2, from y/2 up to
     a disc whose cancellation factor y/(y - r) passes 2^40."""

@@ -250,6 +250,20 @@ def test_exact_analysis_past_its_limits_stays_fast(rule):
     assert time.perf_counter() - start < 2.0
 
 
+def test_the_package_runs_as_a_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "convderiv", "bimodule", "check", "--algebra",
+         "trunc4"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    jsonschema.validate(report, reports.REPORT_SCHEMA)
+    assert report["result"] == {"dim": 4, "square_span_dim": 4,
+                                "associativity_defect": 0.0}
+
+
 @pytest.mark.parametrize("argv", [
     ["--mu", "1", "--tail", "zero:1000000000000"],
     # the exact analysis puts the decay start near 1e11
@@ -570,15 +584,16 @@ def test_bimodule_transfer_computes_each_part_once(monkeypatch, capsys):
     # and its output, one defect and one scale each
     calls = Counter()
     for name in ("derivation_defect", "derivation_scale",
-                 "dual_homomorphism"):
+                 "dual_homomorphism", "matrix_rank"):
         def counting(*args, _name=name, _inner=getattr(bimodules, name)):
             calls[_name] += 1
             return _inner(*args)
         monkeypatch.setattr(bimodules, name, counting)
     assert run(["bimodule", "transfer", "--algebra", "trunc6"]) == 0
     capsys.readouterr()
+    # one SVD for the rank of D, one for that of the transferred map
     assert calls == {"derivation_defect": 2, "derivation_scale": 2,
-                     "dual_homomorphism": 1}
+                     "dual_homomorphism": 1, "matrix_rank": 2}
 
 
 def test_bimodule_transfer_needs_truncated(capsys):
