@@ -626,6 +626,9 @@ def _numeric_structure(raw, d: int) -> Optional[np.ndarray]:
 
 def algebra_from_dict(payload: dict) -> FiniteAlgebra:
     """Structure constants from {"dim": d, "c": nested array}."""
+    if not isinstance(payload, dict):
+        raise ValueError('an algebra file must hold one JSON object, '
+                         '{"dim": d, "c": ...}')
     d = int(payload["dim"])
     c = _numeric_structure(payload["c"], d)
     if c is not None:

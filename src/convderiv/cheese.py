@@ -21,7 +21,7 @@ that defeats compactness of f |-> f' restricted to the interval.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +67,10 @@ class GeometryMargins:
                    self.interval_gap) > 0.0
 
 
+# Points per pass of ``CheeseSet.bound_sum_grid``
+_CHUNK = 4096
+
+
 class CheeseSet:
     """The closed unit disc minus the constructed discs, with certificates.
 
@@ -79,11 +83,15 @@ class CheeseSet:
         self.discs = tuple(discs)
         self.n_max = len(self.discs)
         self.r0 = 1.0
+        # one column per disc, for sweeps over rows of points
+        self._centers = np.array([d.center for d in self.discs],
+                                 dtype=complex)[:, None]
+        self._radii = np.array([d.radius for d in self.discs],
+                               dtype=float)[:, None]
         self.margins = self._certify()
 
     def _certify(self) -> GeometryMargins:
-        centers = np.array([d.center for d in self.discs], dtype=complex)
-        radii = np.array([d.radius for d in self.discs], dtype=float)
+        centers, radii = self._centers[:, 0], self._radii[:, 0]
         if centers.size == 0:
             return GeometryMargins(1.0, 1.0, 1.0)
         containment = float((1.0 - (np.abs(centers) + radii)).min())
@@ -134,15 +142,26 @@ class CheeseSet:
         if np.any(s0 <= 0.0):
             raise OnBoundaryError("a point is not interior to the unit disc")
         total = self.r0 / s0 ** 2
-        # one complex and one real buffer serve every disc
-        diff = np.empty(xs.shape, dtype=complex)
-        s = np.empty(xs.shape)
-        for j, disc in enumerate(self.discs, 1):
-            np.abs(np.subtract(xs, disc.center, out=diff), out=s)
-            s -= disc.radius
-            if np.any(s <= 0.0):
-                raise OnBoundaryError(f"a point touches removed disc {j}")
-            total += np.divide(disc.radius, np.square(s, out=s), out=s)
+        points, flat = xs.reshape(-1), total.reshape(-1)
+        # every disc at once over chunks of points, in two buffers reused
+        # by every chunk; each term is added to the total in disc order
+        step = max(1, min(points.size, _CHUNK))
+        diff = np.empty((self.n_max, step), dtype=complex)
+        s = np.empty((self.n_max, step))
+        touching = np.zeros(self.n_max, dtype=bool)
+        for start in range(0, points.size, step):
+            chunk = points[start:start + step]
+            d, t = diff[:, :len(chunk)], s[:, :len(chunk)]
+            np.abs(np.subtract(chunk, self._centers, out=d), out=t)
+            t -= self._radii
+            touching |= (t <= 0.0).any(1)
+            if not touching.any():
+                np.divide(self._radii, np.square(t, out=t), out=t)
+                for term in t:
+                    flat[start:start + step] += term
+        if touching.any():
+            raise OnBoundaryError(
+                f"a point touches removed disc {touching.argmax() + 1}")
         return total, total + 2.0 ** -(self.n_max + 1)
 
     def to_dict(self) -> dict:
@@ -172,8 +191,10 @@ def midpoint(n: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _admissible(n: int, y: float) -> bool:
-    x = midpoint(n)
+def _admissible(x: float, y: float, near: float, far: float,
+                cap: float) -> bool:
+    """The three height checks for a disc at x + iy of radius y^2, with the
+    level's constants: near = 2^-2(n+1), far = 2^-2(n+2), cap = 2^-(n+1)."""
     r = y * y
     if math.hypot(x, y) + r >= 1.0:
         return False
@@ -181,16 +202,16 @@ def _admissible(n: int, y: float) -> bool:
         return False
     # conservative per-term denominator: both printed estimate forms and the
     # exact distance from the centre to the landing interval's endpoints
-    inner = 2.0 ** (-2 * (n + 1)) - y * y
+    inner = near - y * y
     if inner < 0.0:
         return False
     d1 = math.sqrt(inner) + r
-    d2 = math.sqrt(2.0 ** (-2 * (n + 1)) + y * y) - r
-    d3 = math.sqrt(2.0 ** (-2 * (n + 2)) + y * y) - r
+    d2 = math.sqrt(near + y * y) - r
+    d3 = math.sqrt(far + y * y) - r
     den = min(d1, d2, d3)
     if den <= 0.0:
         return False
-    return r / den ** 2 < 2.0 ** -(n + 1)
+    return r / den ** 2 < cap
 
 
 def build_cheese(n_max: int, precision_floor: int = 40) -> CheeseSet:
@@ -201,17 +222,17 @@ def build_cheese(n_max: int, precision_floor: int = 40) -> CheeseSet:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    heights = [2.0 ** -m for m in range(1, precision_floor + 1)]
     discs = []
     for n in range(1, n_max + 1):
-        chosen = None
-        for m in range(1, precision_floor + 1):
-            y = 2.0 ** -m
-            if _admissible(n, y):
-                chosen = y
-                break
+        x = midpoint(n)
+        level = (2.0 ** (-2 * (n + 1)), 2.0 ** (-2 * (n + 2)),
+                 2.0 ** -(n + 1))
+        chosen = next((y for y in heights if _admissible(x, y, *level)),
+                      None)
         if chosen is None:
             raise ConstructionFailedError(n)
-        discs.append(Disc(complex(midpoint(n), chosen), chosen * chosen))
+        discs.append(Disc(complex(x, chosen), chosen * chosen))
     return CheeseSet(discs)
 
 
@@ -272,11 +293,6 @@ class CheeseVerification:
     per_term_margin: float  # min over (n, x off I_n) of 2^-(n+1) - r_n/s_n^2
     bound_threshold: float = 6.5
     per_term_tol: float = 1e-12
-    # the swept bound sums over the grid, kept for the CSV table
-    sums: Optional[np.ndarray] = field(default=None, repr=False,
-                                       compare=False)
-    certified: Optional[np.ndarray] = field(default=None, repr=False,
-                                            compare=False)
 
     @property
     def geometry_ok(self) -> bool:
@@ -310,10 +326,15 @@ def interval_grid(points: int) -> np.ndarray:
     return np.linspace(INTERVAL[0], INTERVAL[1], points)
 
 
-# Relative rounding allowance of the two screens below, times the
-# cancellation factor y/(y - r) in the per-term screen.  Rounding Re a +- w
-# needs none: rounding is monotone and the grid points are doubles.
+# Relative rounding allowance of the three screens below, times the
+# cancellation factor y/(y - r) in the per-term and bound-sum screens.
+# Rounding Re a +- w needs none: rounding is monotone and the grid points
+# are doubles.
 _SCREEN = 2.0 ** -40
+
+# Below this distance from a disc, the bound-sum screen sweeps the whole
+# grid (see ``verify_cheese``).
+_TINY = 2.0 ** -500
 
 
 def _within(radii, floor):
@@ -365,14 +386,54 @@ def _terms(points, centers, radii):
     return radii / s ** 2
 
 
+def _block_bounds(X, xs, width):
+    """[block]: a bound on every computed bound sum over each run of
+    ``width`` consecutive points of the sorted grid xs in [0, 1/2], or None
+    where the proof in ``verify_cheese`` does not hold."""
+    first = np.arange(0, len(xs), width)
+    last = np.minimum(first + width, len(xs)) - 1
+    centers, radii = X._centers, X._radii
+    # [side, disc, block]: the block's points beside Re a on either side
+    beside = np.searchsorted(xs, centers.real)
+    near = np.clip(np.stack([beside - 1, beside]), first, last)
+    s = np.abs(xs[near] - centers) - radii
+    # kappa >= 1 exactly when y > r
+    kappa = centers.imag / (centers.imag - radii)
+    allowance = 1.0 + _SCREEN * (kappa.max(initial=1.0) + X.n_max)
+    if not (kappa.min(initial=1.0) >= 1.0 and allowance <= 2.0
+            and s.min(initial=math.inf) >= _TINY):
+        return None
+    bound = (X.r0 / (1.0 - xs[last]) ** 2
+             + (radii / s ** 2).max(0).sum(0)) * allowance
+    return bound if np.isfinite(bound).all() else None
+
+
+def _largest_sum(X, xs) -> float:
+    """The largest computed bound sum over the sorted grid xs, evaluated
+    only in the blocks where it can lie (see ``verify_cheese``)."""
+    grid = len(xs)
+    width = math.isqrt(grid - 1) + 1
+    bound = _block_bounds(X, xs, width)
+    if bound is None:
+        return float(X.bound_sum_grid(xs)[0].max())
+    beside = np.searchsorted(xs, X._centers.real[:, 0])
+    seeds = np.clip(np.concatenate([beside - 1, beside, [grid - 1]]), 0,
+                    grid - 1)
+    top = X.bound_sum_grid(xs[seeds])[0].max()
+    swept = (width * np.flatnonzero(bound >= top)[:, None]
+             + np.arange(width)).ravel()
+    sums = X.bound_sum_grid(xs[swept[swept < grid]])[0]
+    return float(sums.max(initial=top))
+
+
 def verify_cheese(X: CheeseSet, grid: int = 2001) -> CheeseVerification:
     """Re-certify geometry, the per-term dyadic bounds, and the full sum.
 
     The per-term check r_n / s_n(x)^2 < 2^-(n+1) runs over every grid
     point outside disc n's landing interval; on the landing interval the
     term is instead covered by the uniform bound below 2, which the
-    admissibility of the height guarantees.  The full sum is one sweep of
-    the grid (``bound_sum_grid``).
+    admissibility of the height guarantees.  The largest full sum is found
+    by screening blocks of the grid, as below.
 
     The per-term margin is 2^-(n+1) minus the largest computed term t off
     I_n (rounding is monotone, so this is the least computed difference),
@@ -393,13 +454,46 @@ def verify_cheese(X: CheeseSet, grid: int = 2001) -> CheeseVerification:
     a grid point: rounding is monotone and the points are doubles.  Every
     point where t can reach F is in the interval, so its largest t is the
     largest over all outside points.
+
+    The computed bound sum at x is S(x) = t_0 + t_1 + ... + t_n, added in
+    that order by ``bound_sum_grid``, with t_0 = 1/(1 - x)^2 and t_j the
+    computed term of disc j.  The grid is cut into blocks of
+    ceil(sqrt(grid)) consecutive points.  Over a block B ending at e, t_0
+    is largest at e, since each of its roundings is monotone.  The true
+    term T_j is decreasing in |x - Re a|, so over B it is largest at the
+    point of B nearest Re a, one of B's two points beside Re a (both are
+    B's end nearer Re a when Re a lies outside B); let v_j be the larger
+    computed term at those two.  By the bound above, for x in B,
+    t_j(x) <= (1 + 15 kappa u) T_j(x) and v_j >= (1 - 15 kappa u) T_j(x),
+    so t_j(x) <= (1 + 31 kappa u) v_j when kappa <= 2^40.  Each addition
+    of nonnegative terms rounds up by at most a factor 1 + u, and each
+    addition in the computed t_0(e) + v_1 + ... + v_n rounds down by at
+    most 1 - u.  So with K the largest kappa, the majorant
+    M_B = (t_0(e) + v_1 + ... + v_n)(1 + 2^-40 (K + n)) bounds S(x) at
+    every x in B: 2^-40 (K + n) = 8192 (K + n) u covers the 31 K u of the
+    terms, the 2 n u of the two sums and the few u of rounding M_B itself,
+    as long as it is at most 1.  Underflow is kept out by asking every
+    distance s at the points beside Re a to be at least 2^-500: T_j(x) is
+    at most T_j there, so s at x is at least 2^-501 and its square a
+    normal number, and a term that underflows errs by at most 2^-1075, far
+    inside the allowance of a sum that t_0 >= 1 alone exceeds.  Let L be
+    the largest computed sum at the seeds: the grid points beside each
+    Re a, and x = 1/2.  L is at most the largest computed sum S*, and the
+    block holding S* has M_B >= S* >= L.  So the largest sum over the seeds
+    and the blocks with M_B >= L, each evaluated by ``bound_sum_grid``, is
+    S* with its bits, since the sums are computed point by point whatever
+    array holds them.  max_certified is S* + 2^-(n+1) rounded, the largest
+    certified sum, since rounding is monotone.  Where no majorant can be
+    formed (y <= r for some disc, K or n too large, a distance below
+    2^-500 or a majorant that is not finite), the whole grid is swept, as
+    it then raises any ``OnBoundaryError`` with the same disc.  For
+    ``build_cheese(25)`` at grid 100001 the screen evaluates 514 sums.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
     xs = interval_grid(grid)
-    sums, certified = X.bound_sum_grid(xs)
-    centers = np.array([d.center for d in X.discs], dtype=complex)
-    radii = np.array([d.radius for d in X.discs], dtype=float)
+    max_sum = _largest_sum(X, xs)
+    centers, radii = X._centers[:, 0], X._radii[:, 0]
     bounds = np.array([landing_interval(n) for n in range(1, X.n_max + 1)])
     # off I_n the grid is xs[:left] and xs[right:]; right < grid, since
     # every I_n ends below 1/2 = xs[-1]
@@ -421,9 +515,8 @@ def verify_cheese(X: CheeseSet, grid: int = 2001) -> CheeseVerification:
     margins = np.ldexp(1.0, -np.arange(2, X.n_max + 2)) - largest
     return CheeseVerification(
         n_max=X.n_max, grid=grid, margins=X.margins,
-        max_sum=float(sums.max()), max_certified=float(certified.max()),
-        per_term_margin=float(margins.min(initial=math.inf)), sums=sums,
-        certified=certified)
+        max_sum=max_sum, max_certified=max_sum + 2.0 ** -(X.n_max + 1),
+        per_term_margin=float(margins.min(initial=math.inf)))
 
 
 @dataclass
@@ -530,8 +623,7 @@ def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
     n_hi = X.n_max if n_hi is None else n_hi
     if not 1 <= n_hi <= X.n_max:
         raise ValueError("n_hi must lie in 1..n_max")
-    centers = np.array([d.center for d in X.discs[:n_hi]])
-    radii = np.array([d.radius for d in X.discs[:n_hi]])
+    centers, radii = X._centers[:n_hi, 0], X._radii[:n_hi, 0]
     ground = _probe_derivatives(centers, radii, centers.real)
     matrix = np.abs(ground)  # rows n, columns m: |f_n'(x_m)|
     stable_diag = radii / centers.imag ** 2

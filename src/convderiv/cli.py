@@ -17,6 +17,7 @@ coefficient sequence is computed symbolically (never sampled).  Explicit
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import sys
 from dataclasses import asdict
@@ -82,9 +83,13 @@ def _tail_flag(text: str) -> Tail:
 def _coeffs(text: str) -> L1Element:
     items = [item.strip() for item in text.split(",")]
     try:
-        return L1Element([complex(item) for item in items if item])
+        values = [complex(item) for item in items if item]
     except ValueError as exc:
         raise ValueError(f"bad coefficient list {text!r}: {exc}")
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"bad coefficient list {text!r}: "
+                         "coefficients must be finite")
+    return L1Element(values)
 
 
 def _build_derivation(args) -> Tuple[Derivation, dict]:
@@ -266,11 +271,10 @@ def _cmd_cheese_verify(args) -> _Outcome:
     ]
     csv = None
     if args.csv:
+        xs = cheese.interval_grid(args.grid)
         csv = (["x", "sum", "certified_lt"],
                [[float(x), float(s), float(c)]
-                for x, s, c in zip(cheese.interval_grid(args.grid),
-                                   verification.sums,
-                                   verification.certified)])
+                for x, s, c in zip(xs, *X.bound_sum_grid(xs))])
     return _Outcome(inputs, verification.to_dict(), certs, csv=csv)
 
 

@@ -48,8 +48,8 @@ def test_first_height_matches_descent_oracle():
 
 
 def test_all_heights_match_descent_oracle():
-    X = cd.build_cheese(12)
-    for n in range(1, 13):
+    X = cd.build_cheese(25)
+    for n in range(1, 26):
         assert X.disc(n).center.imag == descent_oracle(n)
 
 
@@ -330,18 +330,25 @@ def test_separations_match_the_reference_for_radii_not_y_squared(grid):
 
 # -- pinned per-term margins and bound sums -----------------------------------
 
-def reference_verification(X, grid):
-    """The two sweeps ``verify_cheese`` once ran, kept as the reference: the
-    bound sum with fresh arrays per disc, then every term at every grid
-    point off each landing interval.
-
-    Returns (sums, certified, per_term_margin).
-    """
+def reference_sums(X, grid):
+    """The bound sum with fresh arrays per disc over the whole grid, as
+    ``verify_cheese`` once swept it: (sums, certified)."""
     xs = cd.interval_grid(grid)
     total = X.r0 / (1.0 - np.abs(xs)) ** 2
     for disc in X.discs:
         total = total + disc.radius / (np.abs(xs - disc.center)
                                        - disc.radius) ** 2
+    return total, total + 2.0 ** -(X.n_max + 1)
+
+
+def reference_verification(X, grid):
+    """The two sweeps ``verify_cheese`` once ran, kept as the reference: the
+    bound sum over every grid point, then every term at every grid point
+    off each landing interval.
+
+    Returns (sums, certified, per_term_margin).
+    """
+    xs = cd.interval_grid(grid)
     per_term_margin = math.inf
     for n, disc in enumerate(X.discs, 1):
         lo, hi = cd.landing_interval(n)
@@ -349,20 +356,29 @@ def reference_verification(X, grid):
         s = np.abs(xs[outside] - disc.center) - disc.radius
         margin = float((2.0 ** -(n + 1) - disc.radius / s ** 2).min())
         per_term_margin = min(per_term_margin, margin)
-    return total, total + 2.0 ** -(X.n_max + 1), per_term_margin
+    return (*reference_sums(X, grid), per_term_margin)
+
+
+def assert_maximum_matches_reference(verification, sums, certified):
+    assert repr(verification.max_sum) == repr(float(sums.max()))
+    assert repr(verification.max_certified) == repr(float(certified.max()))
 
 
 def assert_verification_matches_reference(X, grid):
     verification = cd.verify_cheese(X, grid=grid)
     sums, certified, per_term_margin = reference_verification(X, grid)
-    assert verification.sums.tobytes() == sums.tobytes()
-    assert verification.certified.tobytes() == certified.tobytes()
-    assert verification.max_sum == float(sums.max())
-    assert verification.max_certified == float(certified.max())
+    assert_maximum_matches_reference(verification, sums, certified)
     assert repr(verification.per_term_margin) == repr(per_term_margin)
+    # the CSV table's arrays: one full-grid call
+    table = X.bound_sum_grid(cd.interval_grid(grid))
+    assert table[0].tobytes() == sums.tobytes()
+    assert table[1].tobytes() == certified.tobytes()
 
 
-@pytest.mark.parametrize("grid", [2, 3, 101, 2001, 2002, 20001, 100001])
+GRIDS = [2, 3, 101, 2001, 2002, 20001, 100001]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("n_max", [1, 2, 8, 16, 25])
 def test_verification_matches_the_two_sweep_reference(n_max, grid):
     assert_verification_matches_reference(cd.build_cheese(n_max), grid)
@@ -371,6 +387,86 @@ def test_verification_matches_the_two_sweep_reference(n_max, grid):
 @pytest.mark.parametrize("grid", [2, 101, 2001, 20001])
 def test_verification_matches_the_reference_for_radii_not_y_squared(grid):
     assert_verification_matches_reference(_stretched_radii(), grid)
+
+
+# -- the bound-sum screen keeps the full sweep's maximum ----------------------
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_screened_maximum_matches_the_full_sweep(grid):
+    for n_max in range(1, 26):
+        X = cd.build_cheese(n_max)
+        assert_maximum_matches_reference(cd.verify_cheese(X, grid=grid),
+                                         *reference_sums(X, grid))
+
+
+def _perturbed_families(seed, count):
+    """Constructed families with each height scaled by a random factor and
+    each radius a random fraction of the height's square or, for one disc
+    in five, just below the height (cancellation factors y/(y - r) up to
+    2^33); only families that pass the geometry certificate are kept."""
+    rng = np.random.default_rng(seed)
+    families = []
+    while len(families) < count:
+        payload = cd.build_cheese(int(rng.integers(1, 26))).to_dict()
+        for item in payload["discs"]:
+            item["y"] *= rng.uniform(0.25, 2.0)
+            item["r"] = item["y"] * (
+                item["y"] * rng.uniform(0.05, 3.0) if rng.random() < 0.8
+                else 1.0 - 2.0 ** -rng.uniform(1.0, 33.0))
+        try:
+            families.append(cd.CheeseSet.from_dict(payload))
+        except ValueError:
+            continue
+    return families
+
+
+@pytest.mark.parametrize("grid", [2, 101, 2001, 20001, 100001])
+def test_screened_maximum_matches_for_other_families(grid):
+    for X in [_stretched_radii(), _moved_disc_family(),
+              *_perturbed_families(grid, 12)]:
+        assert_maximum_matches_reference(cd.verify_cheese(X, grid=grid),
+                                         *reference_sums(X, grid))
+
+
+class _Uncertified(cd.CheeseSet):
+    """A disc family without the geometry certificate: a certified disc
+    lies above the real axis (height above radius), so it never reaches
+    the interval."""
+
+    def _certify(self):
+        return cheese.GeometryMargins(1.0, 1.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")  # no division by a zero distance
+@pytest.mark.parametrize("grid", [101, 2001, 100001])
+def test_a_disc_across_the_grid_raises_the_full_sweep_error(grid):
+    payload = cd.build_cheese(8).to_dict()
+    # disc 6 moved down onto [0, 0.1], far from the other discs' ground
+    # points and from x = 1/2, at distance 0 from x = 0; disc 7 touches
+    # x = 1/2
+    payload["discs"][5].update(x=0.05, y=0.0, r=0.05)
+    payload["discs"][6].update(x=0.5, y=1e-3, r=2e-3)
+    X = _Uncertified.from_dict(payload)
+    with pytest.raises(cd.OnBoundaryError) as full:
+        X.bound_sum_grid(cd.interval_grid(grid))
+    assert str(full.value) == "a point touches removed disc 6"
+    with pytest.raises(cd.OnBoundaryError) as screened:
+        cd.verify_cheese(X, grid=grid)
+    assert str(screened.value) == str(full.value)
+
+
+def test_verification_sweeps_a_small_share_of_a_large_grid(monkeypatch):
+    # the full sweep passed every grid point to bound_sum_grid
+    points = []
+    sweep = cd.CheeseSet.bound_sum_grid
+
+    def counting(self, xs):
+        points.append(len(xs))
+        return sweep(self, xs)
+
+    monkeypatch.setattr(cd.CheeseSet, "bound_sum_grid", counting)
+    cd.verify_cheese(cd.build_cheese(25), grid=100001)
+    assert 0 < sum(points) < 0.05 * 100001
 
 
 def test_verification_rejects_a_grid_without_an_interval():
@@ -407,6 +503,34 @@ def test_term_screen_holds_each_point_at_its_own_term():
         floor = radii / (np.abs(xs[p] - centers) - radii) ** 2
         lo, hi = cheese._term_window(xs, centers, radii, floor)
         assert ((lo <= p) & (p < hi)).all()
+
+
+def test_block_bounds_hold_every_sum_in_their_block():
+    families = [cd.build_cheese(25), cd.build_cheese(3),
+                *_perturbed_families(5, 6)]
+    left = np.concatenate([np.arange(1, 65) * 2.0 ** -54,
+                           np.geomspace(1e-15, 1e-2, 60)])
+    near = np.concatenate([-left, 1.5 * left])
+    for X in families:
+        # a grid refined around each ground point, down to neighbouring
+        # doubles, so that blocks end right beside the peaks; the nearer
+        # point lies left of odd ground points and right of even ones
+        grounds = np.array([d.center.real for d in X.discs])
+        side = (-1.0) ** np.arange(X.n_max)
+        xs = np.unique(np.clip(np.concatenate([
+            cd.interval_grid(2001),
+            (grounds[:, None] + side[:, None] * near).ravel()]), 0.0, 0.5))
+        sums = X.bound_sum_grid(xs)[0]
+        for width in (1, 2, 3, 45, 1000):
+            bound = cheese._block_bounds(X, xs, width)
+            padded = np.append(sums, np.full(-len(xs) % width, -np.inf))
+            assert (padded.reshape(-1, width).max(1) <= bound).all()
+
+
+def test_block_bounds_refuse_where_the_proof_does_not_hold():
+    # cancellation factor y/(y - r) past 2^40
+    assert cheese._block_bounds(_stretched_radii(), cd.interval_grid(101),
+                                11) is None
 
 
 def test_demo_sweep_memory_stays_near_the_screened_points():

@@ -431,18 +431,33 @@ def test_cheese_verify(tmp_path):
 
 def test_cheese_verify_csv_sweeps_the_grid_once(tmp_path, monkeypatch,
                                                capsys):
-    calls = Counter()
+    # verify_cheese evaluates screened blocks; only the table sweeps the
+    # whole grid
+    sizes = []
     sweep = cheese.CheeseSet.bound_sum_grid
 
     def counting(self, xs):
-        calls["bound_sum_grid"] += 1
+        sizes.append(len(xs))
         return sweep(self, xs)
 
     monkeypatch.setattr(cheese.CheeseSet, "bound_sum_grid", counting)
+    path = tmp_path / "grid.csv"
     assert run(["cheese", "verify", "--nmax", "5", "--grid", "101",
-                "--csv", str(tmp_path / "grid.csv")]) == 0
+                "--csv", str(path)]) == 0
     capsys.readouterr()
-    assert calls == {"bound_sum_grid": 1}
+    assert sizes.count(101) == 1 and max(sizes) == 101
+    # the table holds the bound sums with fresh arrays per disc, bit for bit
+    X = cheese.build_cheese(5)
+    xs = cheese.interval_grid(101)
+    sums = X.r0 / (1.0 - xs) ** 2
+    for disc in X.discs:
+        sums = sums + disc.radius / (np.abs(xs - disc.center)
+                                     - disc.radius) ** 2
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in path.read_text().splitlines()[1:]])
+    assert rows[:, 0].tobytes() == xs.tobytes()
+    assert rows[:, 1].tobytes() == sums.tobytes()
+    assert rows[:, 2].tobytes() == (sums + 2.0 ** -6).tobytes()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -526,6 +541,27 @@ def test_algebra_file_of_the_wrong_shape_is_an_input_error(tmp_path,
         assert run(["bimodule", "check", "--algebra", f"@{path}"]) == 2
         assert f"shape (dim, dim, dim) = {(dim,) * 3}" in \
             capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "rank1"])
+@pytest.mark.parametrize("text", ["[1, 2]", "null", '"str"'])
+def test_algebra_file_that_is_not_an_object_is_an_input_error(
+        text, command, tmp_path, capsys):
+    path = tmp_path / "top.json"
+    path.write_text(text)
+    assert run(["bimodule", command, "--algebra", f"@{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: an algebra file must hold one JSON object")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["conv", "nan", "1"], ["conv", "1", "inf"], ["conv", "1,-inf", "1"],
+    ["conv", "1", "1+nanj"],
+    ["deriv", "apply", "--mu", "1", "--f", "nan", "--depth", "5"]])
+def test_coefficients_that_are_not_finite_are_an_input_error(argv, capsys):
+    assert run(argv) == 2
+    assert "coefficients must be finite" in capsys.readouterr().err
 
 
 def test_algebra_file_with_a_nan_defect_is_an_input_error(tmp_path, capsys):
