@@ -42,6 +42,7 @@ from .convolution import (
     validate_tail,
 )
 from .derivations import (
+    PROBE_CAP,
     Derivation,
     IndexOverflowError,
     NoAdmissibleIndexError,
@@ -92,6 +93,20 @@ def _coeffs(text: str) -> L1Element:
     return L1Element(values)
 
 
+def _check_depth(args) -> None:
+    """Refuse a --depth above ``PROBE_CAP`` before anything is read."""
+    if args.depth > PROBE_CAP:
+        raise ValueError(f"depth {args.depth} is beyond the probe cap "
+                         f"{PROBE_CAP}")
+
+
+def _finite(name: str, values) -> None:
+    """Refuse a result that overflowed: a report would write it as
+    Infinity or NaN, which is not JSON."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} overflows a double")
+
+
 def _build_derivation(args) -> Tuple[Derivation, dict]:
     if (args.phi is None) == (args.mu is None):
         raise ValueError("exactly one of --phi or --mu is required")
@@ -135,11 +150,15 @@ def _build_derivation(args) -> Tuple[Derivation, dict]:
 def _cmd_conv(args) -> _Outcome:
     a, b = _coeffs(args.a), _coeffs(args.b)
     product, radius, route = convolve_with_radius(a, b)
+    _finite("a product coefficient", product.coeffs)
+    _finite("the product's radius", radius)
     inputs = {"a": reports.complex_seq_to_json(a.coeffs),
               "b": reports.complex_seq_to_json(b.coeffs)}
     alpha, beta = l1_norm(a), l1_norm(b)
     bound = alpha * beta
     value = l1_norm(product)
+    _finite("the product's l1 norm", value)
+    _finite("the factors' l1 norm bound", bound)
     # The theorem |a*b|_1 <= |a|_1 |b|_1 survives rounding as value <=
     # (bound + slack)(1 + gamma_N) (Higham, Accuracy and Stability of
     # Numerical Algorithms, 2nd ed., §§2.1, 3.1; u = 2^-53, gamma_k = k u/(1
@@ -177,6 +196,7 @@ def _cmd_conv(args) -> _Outcome:
 
 
 def _cmd_deriv_norm(args) -> _Outcome:
+    _check_depth(args)
     deriv, inputs = _build_derivation(args)
     inputs["depth"] = args.depth
     lower, exact = deriv.norm(args.depth)
@@ -185,6 +205,7 @@ def _cmd_deriv_norm(args) -> _Outcome:
 
 
 def _cmd_deriv_classify(args) -> _Outcome:
+    _check_depth(args)
     deriv, inputs = _build_derivation(args)
     inputs.update(depth=args.depth, tol=args.tol)
     verdict = deriv.classify_compact(tol=args.tol, probe_depth=args.depth)
@@ -196,17 +217,21 @@ def _cmd_deriv_classify(args) -> _Outcome:
 
 
 def _cmd_deriv_apply(args) -> _Outcome:
+    _check_depth(args)
     deriv, inputs = _build_derivation(args)
     f = _coeffs(args.f)
     inputs.update(f=reports.complex_seq_to_json(f.coeffs), depth=args.depth)
     image = deriv.apply(f)
     values = image.values(args.depth)
+    _finite("an image value", values)
     lower, exact = deriv.norm(max(args.depth, 64))
     result = {"values": reports.complex_seq_to_json(values),
               "sup_probe": float(np.abs(values).max(initial=0.0))}
+    _finite("the image's largest modulus", result["sup_probe"])
     certs = []
     if exact is not None:
         bound = exact * l1_norm(f) + 1e-12
+        _finite("the image bound", bound)
         certs.append(reports.certificate(
             "image-bounded", result["sup_probe"] <= bound,
             sup_probe=result["sup_probe"], bound=bound))
@@ -214,6 +239,7 @@ def _cmd_deriv_apply(args) -> _Outcome:
 
 
 def _cmd_deriv_truncate(args) -> _Outcome:
+    _check_depth(args)
     deriv, inputs = _build_derivation(args)
     k = args.terms
     inputs.update(rank_cut=k, depth=args.depth)

@@ -598,8 +598,11 @@ def _compile_block(expr: RuleExpr) -> Callable:
 
 def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
     """The rule on arrays of indices: a function of a one-dimensional int64
-    array, with the complex values that ``rule_callable``'s callable gives
-    index by index, bit for bit, and the error it raises first.  With
+    array, with the values that ``rule_callable``'s callable gives index by
+    index, bit for bit, and the error it raises first.  The array is
+    float64 when every sub-block was evaluated as one array (a constant
+    rule's single value broadcast over its sub-block), and complex128,
+    with zero imaginary parts there, when any went index by index.  With
     ``from_phi`` the rule is a functional's value phi(t^n), and the
     function gives mu_n = n phi(t^(n-1)), as n * rule(n - 1) would per
     index.
@@ -635,12 +638,14 @@ def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
             return None
 
     def rule(n):
-        out = np.empty(n.shape, dtype=complex)
+        out = np.empty(n.shape)
         for lo in range(0, n.size, _SUB_BLOCK):
             idx = n[lo:lo + _SUB_BLOCK]
             values = as_array(idx)
-            out[lo:lo + _SUB_BLOCK] = per_index(idx) if values is None \
-                else values
+            if values is None:
+                out = out.astype(complex, copy=False)
+                values = per_index(idx)
+            out[lo:lo + _SUB_BLOCK] = values
         return out
 
     return rule

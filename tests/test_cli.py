@@ -564,6 +564,66 @@ def test_coefficients_that_are_not_finite_are_an_input_error(argv, capsys):
     assert "coefficients must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["conv", "1e308,1e308", "1e308"], "a product coefficient"),
+    (["conv", "1e308,1e308", "1"], "the product's l1 norm"),
+    (["conv", "1e308,1e308", "1e-300"], "the factors' l1 norm bound"),
+    (["deriv", "apply", "--mu", "2", "--f", "0,1e308"], "an image value"),
+    (["deriv", "apply", "--mu", "1", "--f", "0,1.5e308+1.5e308j"],
+     "the image's largest modulus"),
+    (["deriv", "apply", "--mu", "1", "--f", "1e308,1e308"],
+     "the image bound"),
+], ids=["coefficient", "norm", "factor-bound", "image", "modulus",
+        "image-bound"])
+def test_results_that_overflow_are_an_input_error(argv, message, tmp_path,
+                                                  capsys):
+    # each would be written as Infinity, which is not JSON
+    path = tmp_path / "report.json"
+    with np.errstate(over="ignore"):
+        assert run(argv + ["--out", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message} overflows a double\n"
+    assert not path.exists()
+
+
+def test_a_radius_that_overflows_is_an_input_error(monkeypatch, capsys):
+    # finite coefficients keep the radius far below the largest double, so
+    # the product's radius is replaced here
+    monkeypatch.setattr(cli, "convolve_with_radius",
+                        lambda a, b: (a, float("inf"), "fft"))
+    assert run(["conv", "1,2", "3"]) == 2
+    assert capsys.readouterr().err == \
+        "error: the product's radius overflows a double\n"
+
+
+_DEPTH_COMMANDS = [["norm"], ["classify"], ["apply", "--f", "1,2"],
+                   ["truncate", "--terms", "3"]]
+
+
+@pytest.mark.parametrize("command", _DEPTH_COMMANDS,
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("depth", [2 ** 24 + 1, 10 ** 20])
+def test_a_depth_past_the_probe_cap_is_refused_before_any_read(
+        command, depth, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_build_derivation",
+                        lambda args: pytest.fail("the derivation was built"))
+    argv = ["deriv", *command, "--mu", "1/(n+1)^2", "--depth", str(depth)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: depth {depth} is beyond the probe cap {2 ** 24}\n"
+
+
+@pytest.mark.parametrize("command", _DEPTH_COMMANDS,
+                         ids=lambda argv: argv[0])
+def test_a_depth_at_the_probe_cap_is_read(command, monkeypatch, capsys):
+    # with the cap lowered to 300, a depth of 300 is read and 301 refused
+    monkeypatch.setattr(cli, "PROBE_CAP", 300)
+    argv = ["deriv", *command, "--mu", "1/(n+1)^2", "--depth"]
+    assert run(argv + ["300"]) == 0
+    assert run(argv + ["301"]) == 2
+    assert capsys.readouterr().err == \
+        "error: depth 301 is beyond the probe cap 300\n"
+
+
 def test_algebra_file_with_a_nan_defect_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "inf.json"
     path.write_text('{"dim": 1, "c": [[[Infinity]]]}')

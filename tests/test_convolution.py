@@ -730,7 +730,7 @@ def _lying(kind, start, bad):
 
 @pytest.mark.parametrize("kind", ["decay", "constant", "floor"])
 def test_blocked_validation_cites_the_whole_probe_violation(kind):
-    block = convolution._ACTION_BLOCK
+    block = convolution._READ_BLOCK
     cases = [(0, 0, [block - 1]), (0, 0, [block]), (5, 1, [block - 1]),
              (0, 1, [block, 3 * block + 7]), (0, 0, [block + 1, block]),
              # the first block ends before the certificate starts

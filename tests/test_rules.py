@@ -309,13 +309,21 @@ def _per_index_outcome(scalar, idx, from_phi):
     return np.array(values, dtype=complex).tobytes()
 
 
-def _block_outcome(rule, idx):
+def _block_outcome(rule, idx, calls=None):
+    """The block's values as complex bytes, or its first error.  Given the
+    Counter of a ``_counting_block`` rule, the values must be float64
+    exactly when no index went per index, and complex128 otherwise."""
+    before = calls["scalar"] if calls is not None else None
     try:
         values = rule(idx)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "index", None)
-    assert values.dtype == complex and values.shape == idx.shape
-    return values.tobytes()
+    if calls is not None:
+        per_index = calls["scalar"] != before
+        assert values.dtype == (complex if per_index else np.float64)
+    assert values.dtype in (np.float64, complex)
+    assert values.shape == idx.shape
+    return values.astype(complex).tobytes()
 
 
 def _counting_block(tree, from_phi=False):
@@ -346,7 +354,7 @@ def _blocks_agree(tree, starts=_BLOCK_STARTS, sizes=_BLOCK_SIZES):
                 idx = np.arange(start, start + size, dtype=np.int64)
                 want = _per_index_outcome(compiled, idx, from_phi)
                 before = calls["scalar"]
-                assert _block_outcome(rule, idx) == want, (
+                assert _block_outcome(rule, idx, calls) == want, (
                     cd.format_rule(tree), from_phi, start, size)
                 arrays += calls["scalar"] == before
     return arrays
@@ -410,7 +418,7 @@ def test_powers_of_two_are_exact_on_blocks(j):
     idx = np.array(ks, dtype=np.int64) + 1300
     assert idx.size >= cd.rules._PER_INDEX_BELOW
     want = np.array([base ** k for k in ks], dtype=complex)
-    assert rule(idx).tobytes() == want.tobytes()
+    assert _block_outcome(rule, idx, calls) == want.tobytes()
     assert calls["scalar"] == 0
     if j == 0:
         return
@@ -420,7 +428,7 @@ def test_powers_of_two_are_exact_on_blocks(j):
     idx = np.sort(np.append(idx, first + 1300))
     want = _per_index_outcome(cd.rules.rule_callable(tree), idx, False)
     assert want[0] is RuleEvaluationError and want[2] == first + 1300
-    assert _block_outcome(rule, idx) == want
+    assert _block_outcome(rule, idx, calls) == want
     assert calls["scalar"] > 0
 
 
@@ -462,8 +470,9 @@ def test_block_powers_call_python_only_short_of_the_cut(monkeypatch):
     # from 1: pow runs on every non-zero value, and on no element where
     # 3^-n <= 2^-1101, past the cut's margin
     idx = np.arange(1, 4097, dtype=np.int64)
-    assert rule(idx).tobytes() == np.array(
-        [3.0 ** -n for n in idx.tolist()], dtype=complex).tobytes()
+    values = rule(idx)
+    assert values.dtype == np.float64 and values.tobytes() == np.array(
+        [3.0 ** -n for n in idx.tolist()]).tobytes()
     nonzero = sum(3.0 ** -n != 0.0 for n in idx.tolist())
     live = sum(3 ** n < 2 ** 1101 for n in idx.tolist())
     assert 0 < nonzero <= counts["elements"] <= live < 700
@@ -511,7 +520,7 @@ def test_powers_past_the_cut_agree_on_blocks(base, literal, monkeypatch):
                 idx = np.arange(start, start + 300, dtype=np.int64)
                 want = _per_index_outcome(compiled, idx, from_phi)
                 before, elements = calls["scalar"], counts["elements"]
-                assert _block_outcome(rule, idx) == want, (
+                assert _block_outcome(rule, idx, calls) == want, (
                     exponent, from_phi, start)
                 if calls["scalar"] != before:
                     continue  # evaluated index by index
