@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -629,7 +630,9 @@ def algebra_from_dict(payload: dict) -> FiniteAlgebra:
     if not isinstance(payload, dict):
         raise ValueError('an algebra file must hold one JSON object, '
                          '{"dim": d, "c": ...}')
-    d = int(payload["dim"])
+    d = payload["dim"]
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool):
+        raise ValueError(f'"dim" must be an integer (got {d!r})')
     c = _numeric_structure(payload["c"], d)
     if c is not None:
         return FiniteAlgebra(c)

@@ -3,15 +3,19 @@ but not compact, built and certified numerically.
 
 The set is the closed unit disc minus a family of small open discs, one
 above each dyadic subinterval of [0, 1/2]: disc n sits above the midpoint
-x_n of I_n = [1/2 - 2^-n, 1/2 - 2^-(n+1)), at height y_n with radius
-y_n^2.  The heights are the largest powers of two for which
+x_n of I_n = [1/2 - 2^-n, 1/2 - 2^-(n+1)), at height y_n = 2^-m(n),
+m(n) = floor(3n/2) + 3, with radius y_n^2: the largest power of two for which
 
   * the closed disc stays inside the open unit disc,
   * y_n^2 / (y_n - y_n^2)^2 = 1/(1 - y_n)^2 < 2, and
   * r_n / s_n(x)^2 < 2^-(n+1) for every x in [0, 1/2] outside I_n,
 
 the last checked against a conservative minimum of the printed estimate
-forms and the exact centre-to-endpoint geometry.  Those per-term bounds sum
+forms and the exact centre-to-endpoint geometry.  Each check, once failed,
+fails for every larger y (``build_cheese``), so the admissible powers of
+two are those below a threshold; for n <= 25 the tests
+``test_formula_heights_are_the_largest_exactly`` and
+``test_all_heights_match_descent_oracle`` pin it.  Those per-term bounds sum
 with the unit-disc term (at most 4 on the interval) and the single
 landing-interval term (less than 2) to a derivative bound below 13/2, and
 they simultaneously force max_m |f_n'(x_m)| -> the unit diagonal pattern
@@ -22,15 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
 INTERVAL = (0.0, 0.5)
+_FLOOR = 2.0 ** -40  # no disc is lower
 
 
 class ConstructionFailedError(RuntimeError):
-    """No admissible disc height found above the precision floor."""
+    """A level's height lies below the 2^-40 floor or fails its checks."""
 
     def __init__(self, n: int):
         super().__init__(f"no admissible height for disc {n} above 2^-40")
@@ -214,25 +219,30 @@ def _admissible(x: float, y: float, near: float, far: float,
     return r / den ** 2 < cap
 
 
-def build_cheese(n_max: int, precision_floor: int = 40) -> CheeseSet:
+def build_cheese(n_max: int) -> CheeseSet:
     """Construct the disc family for levels 1..n_max and certify it.
 
-    Heights descend through powers of two from 1/2; the first (largest)
-    admissible power wins, which keeps the construction deterministic.
+    Level n's height is 2^-m(n), certified by one ``_admissible`` call.
+    In exact arithmetic each check, once failed, fails at every larger y:
+    hypot(x, y) + y^2, 1/(1 - y)^2 and y^2 - near increase with y, and so
+    does y/den while den > 0, as d1/y = sqrt(near/y^2 - 1) + y (its root
+    falls faster than 4 while y^2 <= near <= 1/16),
+    d2/y = sqrt(near/y^2 + 1) - y and d3/y = sqrt(far/y^2 + 1) - y all
+    decrease.  So 2^-m(n) is the largest admissible power of two when it
+    passes and 2^-(m(n)-1) fails, which
+    ``test_formula_heights_are_the_largest_exactly`` (60-digit decimals)
+    and ``test_all_heights_match_descent_oracle`` (the float search) check
+    for n <= 25.  From n = 26 on, y_n < 2^-40, the floor.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    heights = [2.0 ** -m for m in range(1, precision_floor + 1)]
     discs = []
     for n in range(1, n_max + 1):
-        x = midpoint(n)
-        level = (2.0 ** (-2 * (n + 1)), 2.0 ** (-2 * (n + 2)),
-                 2.0 ** -(n + 1))
-        chosen = next((y for y in heights if _admissible(x, y, *level)),
-                      None)
-        if chosen is None:
+        x, y = midpoint(n), 2.0 ** -(3 * n // 2 + 3)
+        level = 2.0 ** (-2 * (n + 1)), 2.0 ** (-2 * (n + 2)), 2.0 ** -(n + 1)
+        if y < _FLOOR or not _admissible(x, y, *level):
             raise ConstructionFailedError(n)
-        discs.append(Disc(complex(x, chosen), chosen * chosen))
+        discs.append(Disc(complex(x, y), y * y))
     return CheeseSet(discs)
 
 
@@ -291,8 +301,8 @@ class CheeseVerification:
     max_sum: float
     max_certified: float
     per_term_margin: float  # min over (n, x off I_n) of 2^-(n+1) - r_n/s_n^2
-    bound_threshold: float = 6.5
-    per_term_tol: float = 1e-12
+    bound_threshold: ClassVar[float] = 6.5
+    per_term_tol: ClassVar[float] = 1e-12
 
     @property
     def geometry_ok(self) -> bool:
@@ -534,8 +544,8 @@ class NoncompactnessReport:
     separations: np.ndarray
     diag_error: float
     min_separation: float
-    diag_tol: float = 1e-12
-    separation_floor: float = 0.7
+    diag_tol: ClassVar[float] = 1e-12
+    separation_floor: ClassVar[float] = 0.7
 
     @property
     def diagonal_ok(self) -> bool:

@@ -93,13 +93,6 @@ def _coeffs(text: str) -> L1Element:
     return L1Element(values)
 
 
-def _check_depth(args) -> None:
-    """Refuse a --depth above ``PROBE_CAP`` before anything is read."""
-    if args.depth > PROBE_CAP:
-        raise ValueError(f"depth {args.depth} is beyond the probe cap "
-                         f"{PROBE_CAP}")
-
-
 def _finite(name: str, values) -> None:
     """Refuse a result that overflowed: a report would write it as
     Infinity or NaN, which is not JSON."""
@@ -108,6 +101,10 @@ def _finite(name: str, values) -> None:
 
 
 def _build_derivation(args) -> Tuple[Derivation, dict]:
+    # a --depth past the cap is refused before any read; witness has none
+    if "depth" in args and args.depth > PROBE_CAP:
+        raise ValueError(f"depth {args.depth} is beyond the probe cap "
+                         f"{PROBE_CAP}")
     if (args.phi is None) == (args.mu is None):
         raise ValueError("exactly one of --phi or --mu is required")
     text = args.phi if args.phi is not None else args.mu
@@ -154,9 +151,11 @@ def _cmd_conv(args) -> _Outcome:
     _finite("the product's radius", radius)
     inputs = {"a": reports.complex_seq_to_json(a.coeffs),
               "b": reports.complex_seq_to_json(b.coeffs)}
-    alpha, beta = l1_norm(a), l1_norm(b)
-    bound = alpha * beta
-    value = l1_norm(product)
+    # a sum past the largest double is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, beta = l1_norm(a), l1_norm(b)
+        bound = alpha * beta
+        value = l1_norm(product)
     _finite("the product's l1 norm", value)
     _finite("the factors' l1 norm bound", bound)
     # The theorem |a*b|_1 <= |a|_1 |b|_1 survives rounding as value <=
@@ -196,7 +195,6 @@ def _cmd_conv(args) -> _Outcome:
 
 
 def _cmd_deriv_norm(args) -> _Outcome:
-    _check_depth(args)
     deriv, inputs = _build_derivation(args)
     inputs["depth"] = args.depth
     lower, exact = deriv.norm(args.depth)
@@ -205,8 +203,8 @@ def _cmd_deriv_norm(args) -> _Outcome:
 
 
 def _cmd_deriv_classify(args) -> _Outcome:
-    _check_depth(args)
     deriv, inputs = _build_derivation(args)
+    deriv.mu.at(1)  # a rule that cannot be evaluated has no verdict
     inputs.update(depth=args.depth, tol=args.tol)
     verdict = deriv.classify_compact(tol=args.tol, probe_depth=args.depth)
     certs = [reports.certificate(
@@ -217,12 +215,12 @@ def _cmd_deriv_classify(args) -> _Outcome:
 
 
 def _cmd_deriv_apply(args) -> _Outcome:
-    _check_depth(args)
     deriv, inputs = _build_derivation(args)
     f = _coeffs(args.f)
     inputs.update(f=reports.complex_seq_to_json(f.coeffs), depth=args.depth)
-    image = deriv.apply(f)
-    values = image.values(args.depth)
+    # values past the largest double are refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = deriv.apply(f).values(args.depth)
     _finite("an image value", values)
     lower, exact = deriv.norm(max(args.depth, 64))
     result = {"values": reports.complex_seq_to_json(values),
@@ -230,7 +228,8 @@ def _cmd_deriv_apply(args) -> _Outcome:
     _finite("the image's largest modulus", result["sup_probe"])
     certs = []
     if exact is not None:
-        bound = exact * l1_norm(f) + 1e-12
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = exact * l1_norm(f) + 1e-12
         _finite("the image bound", bound)
         certs.append(reports.certificate(
             "image-bounded", result["sup_probe"] <= bound,
@@ -239,7 +238,6 @@ def _cmd_deriv_apply(args) -> _Outcome:
 
 
 def _cmd_deriv_truncate(args) -> _Outcome:
-    _check_depth(args)
     deriv, inputs = _build_derivation(args)
     k = args.terms
     inputs.update(rank_cut=k, depth=args.depth)
@@ -438,17 +436,18 @@ def _build_parser() -> argparse.ArgumentParser:
     deriv = top.add_parser("deriv", help="derivation calculus")
     sub = deriv.add_subparsers(dest="command", required=True)
 
-    def rule_flags(p, tol=False, depth_default=1000):
+    def rule_flags(p, depth_default=None, tol=False):
         p.add_argument("--phi", help="rule for the value of D at t")
         p.add_argument("--mu", help="rule for the coefficient sequence")
         p.add_argument("--tail", type=_tail_flag, default=None,
                        help="tail declaration: zero:N | decay | none")
-        p.add_argument("--depth", type=int, default=depth_default)
+        if depth_default is not None:
+            p.add_argument("--depth", type=int, default=depth_default)
         if tol:
             p.add_argument("--tol", type=float, default=1e-9)
 
     norm = sub.add_parser("norm", parents=[common])
-    rule_flags(norm)
+    rule_flags(norm, depth_default=1000)
     norm.set_defaults(handler=_cmd_deriv_norm)
 
     classify = sub.add_parser("classify", parents=[common])
@@ -468,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     truncate.set_defaults(handler=_cmd_deriv_truncate)
 
     witness = sub.add_parser("witness", parents=[common])
-    rule_flags(witness, depth_default=64)
+    rule_flags(witness)
     witness.add_argument("--eps", type=float, required=True)
     witness.add_argument("--terms", type=int, required=True)
     witness.add_argument("--const", type=float, default=1000.0,
@@ -541,24 +540,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 def revalidate_report(report: dict) -> bool:
     """Re-run a report's command from its serialized inputs and confirm the
     result payload and every certificate verdict reproduce."""
-    argv = [arg for arg in report["command"]]
-    cleaned = []
-    skip = False
-    for arg in argv:
-        if skip:
-            skip = False
-            continue
-        if arg in ("--out", "--csv"):
-            skip = True
-            continue
-        cleaned.append(arg)
-    parser = _build_parser()
-    args = parser.parse_args(cleaned)
-    outcome = args.handler(args)
-    fresh = reports.build_report(cleaned, outcome.inputs, outcome.result,
-                                 outcome.certificates, seed=args.seed)
-    return fresh["result"] == report["result"] and [
-        (c["name"], c["passed"]) for c in fresh["certificates"]] == [
+    args = _build_parser().parse_args(report["command"])
+    outcome = args.handler(args)  # only main writes --out and --csv
+    return outcome.result == report["result"] and [
+        (c["name"], c["passed"]) for c in outcome.certificates] == [
         (c["name"], c["passed"]) for c in report["certificates"]]
 
 

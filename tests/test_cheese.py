@@ -1,7 +1,11 @@
 """Swiss-cheese construction: geometry, bound certificates, non-compactness."""
 
+import decimal
+import inspect
 import math
 import tracemalloc
+from dataclasses import fields
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -67,10 +71,74 @@ def test_geometry_invariants_have_strict_margins():
     assert X.margins.interval_gap > 0
 
 
+def _exact_checks(n, m):
+    """The three checks of ``cheese._admissible`` on the height 2^-m at
+    level n, decided in 60-digit decimal arithmetic; each margin must be
+    far above that precision for its sign to be the exact one."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        two = Decimal(2)
+        x = Decimal(1) / 2 - 3 * two ** -(n + 2)
+        y = two ** -m
+        r = y * y
+        near, far, cap = two ** (-2 * (n + 1)), two ** (-2 * (n + 2)), \
+            two ** -(n + 1)
+        margins = [1 - (x * x + y * y).sqrt() - r,
+                   2 - 1 / (1 - y) ** 2,
+                   near - y * y]
+        if margins[-1] > 0:
+            den = min((near - y * y).sqrt() + r, (near + y * y).sqrt() - r,
+                      (far + y * y).sqrt() - r)
+            margins += [den, cap - r / den ** 2 if den > 0 else -1]
+    assert all(abs(margin) > Decimal(10) ** -45 for margin in margins)
+    return all(margin > 0 for margin in margins)
+
+
+@pytest.mark.parametrize("n", range(1, 26))
+def test_formula_heights_are_the_largest_exactly(n):
+    # each check, once failed, fails for every larger height (see
+    # build_cheese), so 2^-m(n) passing and 2^-(m(n)-1) failing make
+    # 2^-m(n) the largest admissible power of two
+    m = 3 * n // 2 + 3
+    assert _exact_checks(n, m)
+    assert not _exact_checks(n, m - 1)
+    assert cd.build_cheese(n).disc(n).center.imag == 2.0 ** -m
+
+
+def test_build_makes_one_admissibility_check_per_level(monkeypatch):
+    calls = []
+    check = cheese._admissible
+    monkeypatch.setattr(cheese, "_admissible",
+                        lambda *args: calls.append(args) or check(*args))
+    cd.build_cheese(25)
+    assert len(calls) == 25
+
+
 def test_construction_failure_is_reported():
     with pytest.raises(cd.ConstructionFailedError) as err:
-        cd.build_cheese(8, precision_floor=6)
-    assert err.value.n >= 1
+        cd.build_cheese(26)
+    assert err.value.n == 26
+    assert str(err.value) == "no admissible height for disc 26 above 2^-40"
+
+
+def test_build_takes_only_the_level_count():
+    assert list(inspect.signature(cd.build_cheese).parameters) == ["n_max"]
+
+
+def test_pass_thresholds_are_constants_not_fields():
+    verification = cd.verify_cheese(cd.build_cheese(4), grid=101)
+    report = cd.noncompact_report(cd.build_cheese(4), grid=101)
+    assert {f.name for f in fields(verification)}.isdisjoint(
+        {"bound_threshold", "per_term_tol"})
+    assert {f.name for f in fields(report)}.isdisjoint(
+        {"diag_tol", "separation_floor"})
+    assert verification.to_dict()["bound_threshold"] == 6.5
+    assert (report.to_dict()["diag_tol"],
+            report.to_dict()["separation_floor"]) == (1e-12, 0.7)
+    with pytest.raises(TypeError):
+        cheese.CheeseVerification(
+            n_max=1, grid=2, margins=verification.margins, max_sum=1.0,
+            max_certified=1.0, per_term_margin=1.0, bound_threshold=1e9)
 
 
 def test_s_dist_examples():

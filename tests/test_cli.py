@@ -42,6 +42,15 @@ def run_report(argv, tmp_path, name="report.json"):
     return code, json.loads(path.read_text())
 
 
+def run_process(argv, module="convderiv"):
+    """The CLI run in a fresh interpreter, from this checkout's source."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_norm_harmonic_is_exactly_one(tmp_path):
     code, report = run_report(
         ["deriv", "norm", "--phi", "1/(n+1)", "--depth", "1000"], tmp_path)
@@ -239,24 +248,14 @@ def test_huge_exact_constant_names_its_cause(capsys):
 def test_exact_analysis_past_its_limits_stays_fast(rule):
     # each of these took seconds or minutes of exact arithmetic before the
     # analysis declined past degree 64 and 2^16-bit constant powers
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "convderiv.cli", "deriv", "norm", "--mu",
-         rule], env=env, capture_output=True, text=True, timeout=60)
+    done = run_process(["deriv", "norm", "--mu", rule], "convderiv.cli")
     assert done.returncode in (0, 1, 2), done.stderr
     assert time.perf_counter() - start < 2.0
 
 
 def test_the_package_runs_as_a_module():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "convderiv", "bimodule", "check", "--algebra",
-         "trunc4"], env=env, capture_output=True, text=True, timeout=60)
+    done = run_process(["bimodule", "check", "--algebra", "trunc4"])
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     jsonschema.validate(report, reports.REPORT_SCHEMA)
@@ -269,13 +268,9 @@ def test_the_package_runs_as_a_module():
     # the exact analysis puts the decay start near 1e11
     ["--mu", "1/(n-100000000000.5)"]], ids=["zero", "decay"])
 def test_truncation_past_the_probe_cap_is_refused_at_once(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "convderiv.cli", "deriv", "truncate", *argv,
-         "--terms", "3"], env=env, capture_output=True, text=True, timeout=60)
+    done = run_process(["deriv", "truncate", *argv, "--terms", "3"],
+                       "convderiv.cli")
     assert done.returncode == 2, done.stderr
     assert "beyond the probe cap" in done.stderr
     assert time.perf_counter() - start < 2.0
@@ -350,6 +345,16 @@ def test_the_compiled_rule_sees_python_ints_only(monkeypatch, capsys, argv):
     assert run(["deriv", *argv]) == 0
     capsys.readouterr()
     assert types[int] > 0 and set(types) == {int}
+
+
+@pytest.mark.parametrize("flag, n", [("--mu", 1), ("--phi", 0)])
+def test_classify_on_a_rule_that_cannot_be_evaluated_is_an_input_error(
+        flag, n, capsys):
+    # the default closed-form tail alone would give "inconclusive"
+    for command in ("norm", "classify"):
+        assert run(["deriv", command, flag, "n^(1/2)"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: exponent 0.5 is not an integer (at n = {n})\n"
 
 
 def test_a_rule_failing_at_its_first_index_is_an_input_error(monkeypatch,
@@ -481,6 +486,12 @@ def test_a_cheese_input_without_a_sweep_is_an_input_error(
     assert not path.exists()
 
 
+def test_cheese_build_below_the_height_floor_is_an_input_error(capsys):
+    assert run(["cheese", "build", "--nmax", "26"]) == 2
+    assert capsys.readouterr().err == \
+        "error: no admissible height for disc 26 above 2^-40\n"
+
+
 def test_cheese_demo_on_two_discs_and_two_grid_points(tmp_path):
     code, report = run_report(
         ["cheese", "demo", "--nmax", "2", "--grid", "2"], tmp_path)
@@ -564,7 +575,7 @@ def test_coefficients_that_are_not_finite_are_an_input_error(argv, capsys):
     assert "coefficients must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, message", [
+OVERFLOWS = pytest.mark.parametrize("argv, message", [
     (["conv", "1e308,1e308", "1e308"], "a product coefficient"),
     (["conv", "1e308,1e308", "1"], "the product's l1 norm"),
     (["conv", "1e308,1e308", "1e-300"], "the factors' l1 norm bound"),
@@ -575,6 +586,9 @@ def test_coefficients_that_are_not_finite_are_an_input_error(argv, capsys):
      "the image bound"),
 ], ids=["coefficient", "norm", "factor-bound", "image", "modulus",
         "image-bound"])
+
+
+@OVERFLOWS
 def test_results_that_overflow_are_an_input_error(argv, message, tmp_path,
                                                   capsys):
     # each would be written as Infinity, which is not JSON
@@ -583,6 +597,14 @@ def test_results_that_overflow_are_an_input_error(argv, message, tmp_path,
         assert run(argv + ["--out", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message} overflows a double\n"
     assert not path.exists()
+
+
+@OVERFLOWS
+def test_an_overflow_writes_its_error_line_alone(argv, message):
+    # numpy's default error state, with its warnings printed
+    done = run_process(argv)
+    assert done.returncode == 2
+    assert done.stderr == f"error: {message} overflows a double\n"
 
 
 def test_a_radius_that_overflows_is_an_input_error(monkeypatch, capsys):
@@ -604,8 +626,8 @@ _DEPTH_COMMANDS = [["norm"], ["classify"], ["apply", "--f", "1,2"],
 @pytest.mark.parametrize("depth", [2 ** 24 + 1, 10 ** 20])
 def test_a_depth_past_the_probe_cap_is_refused_before_any_read(
         command, depth, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_build_derivation",
-                        lambda args: pytest.fail("the derivation was built"))
+    monkeypatch.setattr(rules, "parse_rule",
+                        lambda text: pytest.fail("the rule was read"))
     argv = ["deriv", *command, "--mu", "1/(n+1)^2", "--depth", str(depth)]
     assert run(argv) == 2
     assert capsys.readouterr().err == \
@@ -622,6 +644,71 @@ def test_a_depth_at_the_probe_cap_is_read(command, monkeypatch, capsys):
     assert run(argv + ["301"]) == 2
     assert capsys.readouterr().err == \
         "error: depth 301 is beyond the probe cap 300\n"
+
+
+def test_witness_takes_no_depth(capsys):
+    assert run(["deriv", "witness", "--mu", "1", "--eps", "0.5", "--terms",
+                "2", "--depth", "99999999999999999999"]) == 2
+    assert "unrecognized arguments: --depth" in capsys.readouterr().err
+
+
+# One cheap valid call per subcommand.
+EVERY_COMMAND = [
+    ["conv", "1,2", "3"],
+    ["deriv", "norm", "--mu", "1/(n+1)^2", "--depth", "50"],
+    ["deriv", "classify", "--mu", "1/(n+1)^2", "--depth", "50"],
+    ["deriv", "apply", "--mu", "1", "--f", "1,2", "--depth", "5"],
+    ["deriv", "truncate", "--mu", "1/(n+1)^2", "--terms", "3", "--depth",
+     "50"],
+    ["deriv", "witness", "--mu", "1", "--eps", "0.5", "--terms", "2"],
+    ["cheese", "build", "--nmax", "3"],
+    ["cheese", "verify", "--nmax", "3", "--grid", "11"],
+    ["cheese", "demo", "--nmax", "3", "--grid", "11"],
+    ["bimodule", "check", "--algebra", "trunc3"],
+    ["bimodule", "rank1", "--algebra", "zero2"],
+    ["bimodule", "transfer", "--algebra", "trunc3"],
+]
+
+
+def _handling_parser(argv):
+    """The innermost subparser that parses argv."""
+    parser = cli._build_parser()
+    for word in argv:
+        choices = next((action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)),
+                       {})
+        if word not in choices:
+            return parser
+        parser = choices[word]
+    return parser
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND,
+                         ids=lambda argv: "-".join(argv[:2]))
+def test_every_option_of_a_command_is_read(argv):
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = cli._build_parser().parse_args(argv, namespace=Recording())
+    reads.clear()
+    args.handler(args)
+    options = {action.dest for action in _handling_parser(argv)._actions}
+    # main reads --out, --seed and --csv itself
+    assert options - {"help", "out", "seed", "csv"} <= reads
+
+
+@pytest.mark.parametrize("dim", ["1.5", "true", '"1"'])
+def test_an_algebra_dimension_that_is_not_an_integer_is_an_input_error(
+        dim, tmp_path, capsys):
+    path = tmp_path / "dim.json"
+    path.write_text('{"dim": %s, "c": [[[1]]]}' % dim)
+    assert run(["bimodule", "check", "--algebra", f"@{path}"]) == 2
+    assert capsys.readouterr().err.startswith(
+        'error: "dim" must be an integer (got ')
 
 
 def test_algebra_file_with_a_nan_defect_is_an_input_error(tmp_path, capsys):
@@ -723,6 +810,8 @@ def test_reports_revalidate_from_serialized_inputs(tmp_path):
         ["bimodule", "transfer", "--algebra", "trunc4"],
         ["conv", "1+2j,0.5", "0.25,-1j,3"],
         ["conv", "134217729", "134217729"],
+        ["cheese", "verify", "--nmax", "5", "--grid", "301", "--csv",
+         str(tmp_path / "grid.csv")],
     ):
         _, report = run_report(argv, tmp_path)
         assert cli.revalidate_report(report)
