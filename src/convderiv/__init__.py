@@ -101,7 +101,6 @@ from .rules import (
     Sub,
     Var,
     certificate_for,
-    eval_rule,
     format_rule,
     parse_rule,
     rational_profile,

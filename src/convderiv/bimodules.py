@@ -204,11 +204,6 @@ class FiniteAlgebra:
         return np.einsum("i,j,ijk->k", np.asarray(a, dtype=complex),
                          np.asarray(b, dtype=complex), self.structure)
 
-    def multiplication_matrix(self, a) -> np.ndarray:
-        """Matrix of x |-> a x on coordinates."""
-        return np.einsum("i,ijk->kj", np.asarray(a, dtype=complex),
-                         self.structure)
-
     def self_bimodule(self) -> "FiniteBimodule":
         """The algebra acting on itself by multiplication (symmetric)."""
         action = self.structure

@@ -119,29 +119,18 @@ class CheeseSet:
             raise IndexError(f"disc index {n} outside 1..{self.n_max}")
         return self.discs[n - 1]
 
-    # -- distances -----------------------------------------------------------
-
-    def s_dist(self, z: complex, j: int) -> float:
-        """Distance from z to removed disc j; j = 0 means 1 - |z|."""
-        if j == 0:
-            return 1.0 - abs(z)
-        disc = self.disc(j)
-        return max(0.0, abs(z - disc.center) - disc.radius)
-
-    def bound_sum(self, z: complex) -> Tuple[float, float]:
-        """(value, certified_lt): the derivative bound sum at z.
-
-        value = sum_{j=0..n_max} r_j / s_j(z)^2.  certified_lt adds the
-        dyadic tail allowance 2^-(n_max+1), which covers every admissible
-        extension of the disc family at points outside the extensions'
-        landing intervals.
-        """
-        sums, certified = self.bound_sum_grid([z])
-        return float(sums[0]), float(certified[0])
-
     def bound_sum_grid(self, xs) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`bound_sum` over an array of real or complex
-        points."""
+        """(value, certified_lt): the derivative bound sum at each of an
+        array of real or complex points z.
+
+        value = sum_{j=0..n_max} r_j / s_j(z)^2, where s_0(z) = 1 - |z| and
+        s_j(z) = |z - a_j| - r_j is the distance from z to removed disc j.
+        certified_lt adds the dyadic tail allowance 2^-(n_max+1), which
+        covers every admissible extension of the disc family at points
+        outside the extensions' landing intervals.  A point on or outside
+        the unit circle, or on or inside a removed disc, raises
+        OnBoundaryError.
+        """
         xs = np.asarray(xs)
         s0 = 1.0 - np.abs(xs)
         if np.any(s0 <= 0.0):

@@ -21,7 +21,7 @@ import cmath
 import functools
 import sys
 from dataclasses import asdict
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,12 +53,15 @@ from .derivations import (
 
 
 class _Outcome:
+    """A handler's result.  ``table`` builds the (header, rows) that
+    ``--csv`` writes; only ``main`` calls it, and only when it writes."""
+
     def __init__(self, inputs: dict, result: dict, certificates: list,
-                 csv: Optional[Tuple[List[str], list]] = None):
+                 table: Optional[Callable[[], Tuple[List[str], list]]] = None):
         self.inputs = inputs
         self.result = result
         self.certificates = certificates
-        self.csv = csv
+        self.table = table
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +296,13 @@ def _cmd_cheese_verify(args) -> _Outcome:
                             max_certified=verification.max_certified,
                             threshold=verification.bound_threshold),
     ]
-    csv = None
-    if args.csv:
+
+    def table():
         xs = cheese.interval_grid(args.grid)
-        csv = (["x", "sum", "certified_lt"],
-               [[float(x), float(s), float(c)]
-                for x, s, c in zip(xs, *X.bound_sum_grid(xs))])
-    return _Outcome(inputs, verification.to_dict(), certs, csv=csv)
+        return (["x", "sum", "certified_lt"],
+                [[float(x), float(s), float(c)]
+                 for x, s, c in zip(xs, *X.bound_sum_grid(xs))])
+    return _Outcome(inputs, verification.to_dict(), certs, table=table)
 
 
 def _cmd_cheese_demo(args) -> _Outcome:
@@ -318,12 +321,10 @@ def _cmd_cheese_demo(args) -> _Outcome:
                             min_separation=report.min_separation,
                             floor=report.separation_floor),
     ]
-    csv = None
-    if args.csv:
-        csv = (["n", "m", "M_nm"],
-               [[n + 1, m + 1, float(value)]
-                for (n, m), value in np.ndenumerate(report.matrix)])
-    return _Outcome(inputs, report.to_dict(), certs, csv=csv)
+    return _Outcome(inputs, report.to_dict(), certs, table=lambda: (
+        ["n", "m", "M_nm"],
+        [[n + 1, m + 1, float(value)]
+         for (n, m), value in np.ndenumerate(report.matrix)]))
 
 
 def _load_algebra(name_or_path: str) -> bimodules.FiniteAlgebra:
@@ -530,8 +531,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"report written to {args.out}")
     else:
         print(reports.render_report(report), end="")
-    if outcome.csv is not None:
-        header, rows = outcome.csv
+    if outcome.table is not None and args.csv:
+        header, rows = outcome.table()
         reports.write_csv(args.csv, header, rows)
         print(f"table written to {args.csv}")
     return 0 if all_passed else 1

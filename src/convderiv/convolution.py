@@ -222,24 +222,6 @@ class L1Element:
         # -0.0 == 0.0, so signed zeros are normalised before hashing
         return hash((self.coeffs + 0.0).tobytes())
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(a.size, b.size)
-        out = np.zeros(n, dtype=complex)
-        out[: a.size] += a
-        out[: b.size] += b
-        return L1Element(out)
-
-    def __sub__(self, other):
-        return self + L1Element(-other.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, L1Element):
-            return convolve(self, other)
-        return L1Element(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"L1Element({[complex(c) for c in self.coeffs]})"
 
@@ -552,8 +534,6 @@ class DualSequence:
         if not 0 <= n <= INDEX_CAP:
             raise ValueError(f"index {n} lies outside 0..INDEX_CAP")
         return complex(self.bulk([n])[0])
-
-    __call__ = at
 
     def bulk(self, indices) -> np.ndarray:
         """Values at an array of indices, honouring a declared ZeroTail,

@@ -334,21 +334,17 @@ def _raised(base, exponent, n):
         raise RuleEvaluationError("power overflows a double", n) from None
 
 
-def eval_rule(expr: RuleExpr, n) -> float:
-    """Evaluate at a single non-negative index in double precision.  The
-    index stays an exact integer, so (-1)^n is exact up to INDEX_CAP; a
-    power that overflows a double raises RuleEvaluationError.  Operands are
-    evaluated left to right, so an error cites the first failing node."""
-    return _compile(expr)(n)
-
-
 def rule_callable(expr: RuleExpr) -> Callable:
-    """The rule as a function of one index, with the values and errors of
-    ``eval_rule``; the program is built once.  It calls no public name,
-    because perfbench's traced runs count each callable it returns as one
-    rule evaluation.  ``block_callable`` is the same rule on arrays of
-    indices, and evaluates through this callable wherever it goes index by
-    index."""
+    """The rule as a function of one non-negative index, evaluated in
+    double precision; the program is built once.  The index stays an exact
+    integer, so (-1)^n is exact up to INDEX_CAP; a power that overflows a
+    double raises RuleEvaluationError.  Operands are evaluated left to
+    right, so an error cites the first failing node.
+
+    It calls no public name, because perfbench's traced runs count each
+    callable it returns as one rule evaluation.  ``block_callable`` is the
+    same rule on arrays of indices, and evaluates through this callable
+    wherever it goes index by index."""
     return _compile(expr)
 
 
@@ -935,9 +931,7 @@ def certificate_for(profile: RationalProfile,
             if s > 1 << 40:  # unreachable for genuine rational decay
                 return None
         return Floor(_as_float(target, "limit", s), start=s)
-    # diverges: eventually monotone increasing in modulus
+    # diverges: eventually monotone increasing in modulus.  start is past
+    # the numerator's Cauchy root bound (monotone_start), so value != 0
     value = abs(profile.eval_exact(start))
-    while value == 0:
-        start += 1
-        value = abs(profile.eval_exact(start))
     return Floor(_as_float(value, "value", start), start=start)

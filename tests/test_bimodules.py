@@ -96,7 +96,10 @@ def test_dual_actions_are_transposed_multiplications():
     dual = E.dual()
     for i in range(2):
         basis = np.eye(2, dtype=complex)[i]
-        mult = A.multiplication_matrix(basis)
+        # matrix of x |-> e_i x: column j is e_i e_j
+        mult = np.column_stack(
+            [A.multiply(basis, np.eye(2, dtype=complex)[j])
+             for j in range(2)])
         # dual left action of e_i as a matrix on functional coordinates
         dual_action = np.column_stack(
             [dual.act_left(basis, np.eye(2, dtype=complex)[x])

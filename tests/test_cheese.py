@@ -141,29 +141,19 @@ def test_pass_thresholds_are_constants_not_fields():
             max_certified=1.0, per_term_margin=1.0, bound_threshold=1e9)
 
 
-def test_s_dist_examples():
-    X = cd.build_cheese(3)
-    assert X.s_dist(0.0, 0) == 1.0
-    disc = X.disc(2)
-    assert X.s_dist(disc.center, 2) == 0.0
-    # directly below a centre the distance is height minus radius
-    x2, y2 = disc.center.real, disc.center.imag
-    assert X.s_dist(x2, 2) == pytest.approx(y2 - y2 ** 2, rel=1e-15)
-
-
 def test_unit_disc_term_is_at_most_four_on_interval():
     X = cd.build_cheese(4)
     for x in cd.interval_grid(101):
-        s0 = X.s_dist(x, 0)
+        s0 = 1.0 - abs(x)
         assert s0 >= 0.5
         assert X.r0 / s0 ** 2 <= 4.0 + 1e-15
 
 
 def test_landing_term_at_first_centre():
     X = cd.build_cheese(2)
-    x1 = X.disc(1).center.real
-    y1 = X.disc(1).center.imag
-    term = X.disc(1).radius / X.s_dist(x1, 1) ** 2
+    disc = X.disc(1)
+    x1, y1 = disc.center.real, disc.center.imag
+    term = disc.radius / (abs(x1 - disc.center) - disc.radius) ** 2
     assert term == pytest.approx(1.0 / (1.0 - y1) ** 2, rel=1e-12)
     assert term == pytest.approx(256.0 / 225.0, rel=1e-12)  # y1 = 1/16
     assert term < 2.0
@@ -172,9 +162,9 @@ def test_landing_term_at_first_centre():
 def test_bound_sum_errors_on_boundary():
     X = cd.build_cheese(2)
     with pytest.raises(cd.OnBoundaryError):
-        X.bound_sum(X.disc(1).center)
+        X.bound_sum_grid([X.disc(1).center])
     with pytest.raises(cd.OnBoundaryError):
-        X.bound_sum(1.0 + 0j)
+        X.bound_sum_grid([1.0 + 0j])
 
 
 def test_verification_certifies_bound_below_thirteen_halves():
@@ -201,7 +191,7 @@ def test_certified_sum_dominates_plain_sum():
     xs = cd.interval_grid(257)
     sums, certified = X.bound_sum_grid(xs)
     assert (certified > sums).all()
-    value, cert = X.bound_sum(0.25)
+    (value,), (cert,) = X.bound_sum_grid([0.25])
     assert cert == value + 2.0 ** -9
 
 
@@ -211,9 +201,9 @@ def test_bound_sum_at_complex_point_matches_direct_sum():
     direct = 1.0 / (1.0 - abs(z)) ** 2
     for d in X.discs:
         direct += d.radius / (abs(z - d.center) - d.radius) ** 2
-    assert X.bound_sum(z) == (direct, direct + 2.0 ** -7)
-    sums, _ = X.bound_sum_grid([z, 0.25])
-    assert sums[0] == direct and sums[1] == X.bound_sum(0.25)[0]
+    sums, certified = X.bound_sum_grid([z, 0.25])
+    assert (sums[0], certified[0]) == (direct, direct + 2.0 ** -7)
+    assert sums[1] == X.bound_sum_grid([0.25])[0][0]
 
 
 def test_serialisation_round_trip():

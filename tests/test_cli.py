@@ -465,6 +465,26 @@ def test_cheese_verify_csv_sweeps_the_grid_once(tmp_path, monkeypatch,
     assert rows[:, 2].tobytes() == (sums + 2.0 ** -6).tobytes()
 
 
+def test_revalidating_a_csv_report_builds_no_table(tmp_path, monkeypatch,
+                                                   capsys):
+    table = tmp_path / "grid.csv"
+    _, report = run_report(["cheese", "verify", "--nmax", "5", "--grid",
+                            "301", "--csv", str(table)], tmp_path)
+    capsys.readouterr()
+    table.unlink()
+    sizes = []
+    sweep = cheese.CheeseSet.bound_sum_grid
+
+    def counting(self, xs):
+        sizes.append(len(xs))
+        return sweep(self, xs)
+
+    monkeypatch.setattr(cheese.CheeseSet, "bound_sum_grid", counting)
+    assert cli.revalidate_report(report)
+    assert sizes and max(sizes) < 301
+    assert not table.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--grid", "0"], "grid must be at least 2"),
     (["verify", "--grid", "1"], "grid must be at least 2"),

@@ -66,7 +66,7 @@ def test_precedence_and_associativity():
     assert cd.parse_rule("-n^2") == Neg(Pow(Var(), Lit(2)))
     assert cd.parse_rule("1-2-3") == Sub(Sub(Lit(1), Lit(2)), Lit(3))
     assert cd.parse_rule("2^3^2") == Pow(Pow(Lit(2), Lit(3)), Lit(2))
-    assert cd.eval_rule(cd.parse_rule("2^3^2"), 0) == 64.0
+    assert cd.rule_callable(cd.parse_rule("2^3^2"))(0) == 64.0
     assert cd.parse_rule("1+2*n") == Add(Lit(1), Mul(Lit(2), Var()))
 
 
@@ -81,49 +81,50 @@ def test_thousand_random_round_trips():
 
 
 def test_eval_basic():
-    tree = cd.parse_rule("1/(n+1)")
-    assert cd.eval_rule(tree, 0) == 1.0
-    assert cd.eval_rule(tree, 3) == 0.25
-    geo = cd.parse_rule("2^(-n)")
-    assert cd.eval_rule(geo, 5) == 2.0 ** -5
+    rule = cd.rule_callable(cd.parse_rule("1/(n+1)"))
+    assert rule(0) == 1.0
+    assert rule(3) == 0.25
+    geo = cd.rule_callable(cd.parse_rule("2^(-n)"))
+    assert geo(5) == 2.0 ** -5
 
 
 def test_eval_division_by_zero_is_reported():
-    tree = cd.parse_rule("1/(n-3)")
-    assert cd.eval_rule(tree, 2) == -1.0
+    rule = cd.rule_callable(cd.parse_rule("1/(n-3)"))
+    assert rule(2) == -1.0
     with pytest.raises(RuleEvaluationError) as err:
-        cd.eval_rule(tree, 3)
+        rule(3)
     assert err.value.index == 3
 
 
 def test_eval_non_integer_exponent_is_reported():
-    tree = cd.parse_rule("2^(n/2)")
-    assert cd.eval_rule(tree, 4) == 4.0
+    rule = cd.rule_callable(cd.parse_rule("2^(n/2)"))
+    assert rule(4) == 4.0
     with pytest.raises(RuleEvaluationError):
-        cd.eval_rule(tree, 3)
+        rule(3)
 
 
 def test_eval_sign_power_parity_is_exact_beyond_2_53():
-    tree = cd.parse_rule("(-1)^n")
+    rule = cd.rule_callable(cd.parse_rule("(-1)^n"))
     for n in (2 ** 53 + 1, 2 ** 62 - 1):
-        assert cd.eval_rule(tree, n) == -1.0
-        assert cd.eval_rule(tree, n - 1) == 1.0
-    seq = cd.DualSequence(cd.rules.rule_callable(tree))
+        assert rule(n) == -1.0
+        assert rule(n - 1) == 1.0
+    seq = cd.DualSequence(rule)
     assert seq.at(2 ** 53 + 1) == -1.0
 
 
 def test_eval_power_overflow_is_reported():
+    rule = cd.rule_callable(cd.parse_rule("55^n"))
     with pytest.raises(RuleEvaluationError) as err:
-        cd.eval_rule(cd.parse_rule("55^n"), 178)
+        rule(178)
     assert err.value.index == 178
-    assert cd.eval_rule(cd.parse_rule("55^n"), 2) == 3025.0
+    assert rule(2) == 3025.0
 
 
 def test_eval_zero_to_negative_power():
-    tree = cd.parse_rule("n^(-1)")
-    assert cd.eval_rule(tree, 2) == 0.5
+    rule = cd.rule_callable(cd.parse_rule("n^(-1)"))
+    assert rule(2) == 0.5
     with pytest.raises(RuleEvaluationError):
-        cd.eval_rule(tree, 0)
+        rule(0)
 
 
 # -- exact rational analysis --------------------------------------------------
@@ -207,6 +208,22 @@ def test_floor_certificate_is_sound():
         assert abs(prof.eval_exact(n)) >= Fraction(1)
 
 
+def test_divergent_profiles_get_a_floor_at_their_start():
+    # the numerator cannot vanish past monotone_start, so the floor is the
+    # modulus at the start itself
+    for text in ("n^2", "-n", "(n^3-7*n)/(n+2)"):
+        tree = cd.parse_rule(text)
+        prof = cd.rational_profile(tree)
+        for min_start in (0, 5):
+            cert = cd.certificate_for(prof, min_start=min_start)
+            assert isinstance(cert, cd.Floor)
+            assert cert.start == max(prof.monotone_start(), min_start)
+            assert cert.bound == float(abs(prof.eval_exact(cert.start)))
+            seq = cd.DualSequence(cd.rule_callable(tree),
+                                  tail=cd.ClosedForm(cert))
+            cd.validate_tail(seq, 10 ** 4)
+
+
 # -- the compiled evaluator against the reference interpreter ---------------
 
 from ruletrees import reference_eval
@@ -235,7 +252,6 @@ def test_compiled_rules_agree_with_the_reference_interpreter():
         compiled = cd.rules.rule_callable(tree)
         for n in _PROBE_INDICES:
             want = _outcome(lambda i: reference_eval(tree, i), n)
-            assert _outcome(lambda i: cd.eval_rule(tree, i), n) == want
             assert _outcome(compiled, n) == want
             kinds[want[0]] += 1
     # the fuzz reaches ints, floats and errors alike
@@ -282,7 +298,6 @@ def test_compiled_rules_agree_with_the_reference_on_edge_cases(tree):
     try:
         for n in _PROBE_INDICES:
             want = _outcome(lambda i: reference_eval(tree, i), n)
-            assert _outcome(lambda i: cd.eval_rule(tree, i), n) == want
             assert _outcome(compiled, n) == want
             # a numpy index is read as an exact int, as the reference does
             assert _outcome(compiled, np.int64(n)) == want
@@ -567,7 +582,6 @@ def test_rule_compilation_never_reenters_the_public_name(monkeypatch):
     rule = cd.rules.rule_callable(tree)
     for n in (1, 5, 10 ** 6):
         assert rule(n) == reference_eval(tree, n)
-        cd.eval_rule(tree, n)
     assert entered == [tree]
 
 
