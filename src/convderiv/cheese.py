@@ -358,19 +358,6 @@ def _derivative_window(xs, centers, radii, tau):
     return _window(xs, centers, _within(radii, tau * (1.0 - _SCREEN)))
 
 
-def _overlapping_runs(lo, hi):
-    """[start, stop, ks]: the windows [lo[k], hi[k]) merged where they
-    overlap, in order of lo; ks lists the probes of each run."""
-    runs = []
-    for k in np.argsort(lo, kind="stable"):
-        if runs and lo[k] < runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], hi[k])
-            runs[-1][2].append(k)
-        else:
-            runs.append([lo[k], hi[k], [k]])
-    return runs
-
-
 def _term_window(xs, centers, radii, floor):
     """[lo, hi) per disc: the grid points where the computed term can reach
     floor (see ``verify_cheese``)."""
@@ -568,11 +555,27 @@ def _probe_derivatives(centers, radii, points):
                      out=values)
 
 
-def _spread(values, k):
-    """[i]: the largest computed |values[i] - values[k]| over the columns
-    of a scratch array (0 when it has none)."""
-    values -= values[k].copy()
-    return np.abs(values).max(1, initial=0.0)
+def _others_bound(xs, lo, hi, centers, radii):
+    """[k]: E_k, a bound on every computed |f_i'|, i != k, over the grid
+    points xs[lo[k]:hi[k]] (see ``noncompact_report``)."""
+    # [k, i]: the distance from Re a_i to the window's extreme points
+    ends = xs[np.clip(np.stack([lo, hi - 1]), 0, len(xs) - 1)]
+    d = np.maximum(np.maximum(ends[0][:, None] - centers.real,
+                              centers.real - ends[1][:, None]), 0.0)
+    bound = radii / (d * d + centers.imag ** 2)
+    np.fill_diagonal(bound, 0.0)
+    return bound.max(1) * (1.0 + _SCREEN)
+
+
+def _fold_spreads(reach, values, owners, columns):
+    """reach[k, i] = max(reach[k, i], computed |values[i, c] - values[k, c]|)
+    over the pairs (k, c) of owners (in increasing order) and columns."""
+    diff = values[:, columns]
+    diff -= values[owners, columns]
+    first = np.flatnonzero(np.diff(owners, prepend=-1))
+    k = owners[first]
+    reach[k] = np.maximum(
+        reach[k], np.maximum.reduceat(np.abs(diff), first, axis=1).T)
 
 
 def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
@@ -587,18 +590,18 @@ def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
     Each separation is the exact maximum of the computed h = |v_i - v_j|
     over all evaluation points, found by sweeping only screened candidate
     points.  The computed h at x_i and at x_j bound pair (i, j)'s maximum
-    from below; L is the least of these bounds over all pairs.  With
+    from below, and so does L_ij, the larger of the two; L is the least
+    L_ij over all pairs.  With
     tau = L/2 (1 - 1e-9), S_k is the set of points where the computed
-    |v_k| >= tau, and pair (i, j) is swept over supersets of S_i and of
-    S_j.  Let p* be where the computed h is largest.  If p* lay outside
-    S_i and S_j, then, with eps = 2^-53 covering the rounding of the
-    subtraction and of the three moduli, and barring underflow,
+    |v_k| >= tau.  Let p* be where the computed h is largest.  If p* lay
+    outside S_i and S_j, then, with eps = 2^-53 covering the rounding of
+    the subtraction and of the three moduli, and barring underflow,
 
         h(p*) <= (|v_i| + |v_j|)(1 + 8 eps) < 2 tau (1 + 8 eps) < L <= h(p*),
 
-    a contradiction.  So p* is a candidate, every candidate is an
-    evaluation point, and the result is the same maximum of the same
-    computed numbers.
+    a contradiction.  So p* lies in S_i or S_j, row k sweeps a part of S_k
+    that holds it (below), every candidate is an evaluation point, and the
+    result is the same maximum of the same computed numbers.
 
     The ground points of S_k are read off the n x n ground values.  Its
     grid points are located by geometry, and only there are the probes
@@ -608,16 +611,43 @@ def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
     most 3u|z|^2 whatever the cancellation in its real part, numpy's
     quotient of the real -r by the square adds at most 8u, and the modulus
     4u.  So a point of S_k has true r/|x - a|^2 >= tau(1 - delta/2),
-    delta = 2^-40, and r/|x - a|^2 >= theta = tau(1 - delta) exactly where
-    |x - Re a| <= w = sqrt(r/theta - y^2).  The other half of delta covers
-    the rounding of w (that of r/theta - y^2 is at most 6u r/theta,
-    against a margin of delta/2 r/theta), and rounding Re a +- w cannot
-    drop a grid point, since rounding is monotone and the points are
-    doubles.  So the grid points in [Re a - w, Re a + w], found by binary
-    search on the sorted grid, hold S_k's.  When L is 0, tau is 0 and
-    every point is a candidate: the full sweep.  Windows that overlap, as
-    there, are evaluated once per merged run, and each probe of such a
-    run sweeps its own copy of its slice.
+    delta = 2^-40, and r/|x - a|^2 >= t = tau(1 - delta) exactly where
+    |x - Re a| <= w = sqrt(r/t - y^2).  The other half of delta covers the
+    rounding of w (that of r/t - y^2 is at most 6u r/t, against a margin of
+    delta/2 r/t), and rounding Re a +- w cannot drop a grid point, since
+    rounding is monotone and the points are doubles.  So the grid points
+    in [Re a - w, Re a + w], found by binary search on the sorted grid,
+    hold S_k's; call them W_k.  When L is 0, tau is 0 and every W_k is the
+    whole grid.
+
+    Row k then sweeps only the part W'_k of W_k that can hold the maximum
+    of one of its pairs, given what the other probes reach there.  Let
+    [e, e'] span W_k's extreme grid points and d_ik be the distance from
+    Re a_i to it, 0 where Re a_i lies inside, as it does where W_k overlaps
+    W_i around x_i.  At x in W_k the true |f_i'(x)| =
+    r_i/((x - Re a_i)^2 + y_i^2) is at most r_i/(d_ik^2 + y_i^2).  The
+    computed d_ik is within u of the true one, relative (its subtraction
+    rounds once), and with its square, y_i^2, the sum and the quotient the
+    computed bound is at least 1 - 5u times the true one, barring
+    underflow.  So E_k, the largest of these over i != k times 1 + delta,
+    rounded, is at least 1 + delta - 7u > 1 + 18u times the true bound,
+    and bounds every computed |v_i| on W_k, near x_i as well.  Let L_k be
+    the least lower bound of the pairs (i, k), so L_k <= L_ik, and
+    theta_k = L_k(1 - 1e-9) - E_k as computed: where it is positive,
+    E_k + theta_k <= L_k(1 - 1e-9)(1 + u)^3.  Let p* be a grid point of
+    S_k (the argument above puts pair (i, k)'s p* in S_i or S_k; name k
+    the one), so that it lies in W_k.  If its |v_k| were below theta_k,
+
+        h(p*) <= (|v_i| + |v_k|)(1 + 8 eps) < (E_k + theta_k)(1 + 8 eps)
+              < L_k <= L_ik <= h(p*).
+
+    So |v_k(p*)| >= max(tau, theta_k), and the lemma above, which holds at
+    any threshold, puts p* in W'_k, the window of max(tau, theta_k).  That
+    window lies inside W_k, as each of its roundings is monotone in the
+    threshold.  Ground points keep the tau test.  Each grid point of some
+    W'_k is evaluated once, by every probe, and the rows take their maxima
+    over chunks of (row, point) pairs, so memory stays at one block of n
+    rows beyond those values.
     """
     n_hi = X.n_max if n_hi is None else n_hi
     if not 1 <= n_hi <= X.n_max:
@@ -631,19 +661,37 @@ def noncompact_report(X: CheeseSet, n_hi: Optional[int] = None,
     off_diag = ~np.eye(n_hi, dtype=bool)
     # [i, m]: the computed |f_i'(x_m) - f_m'(x_m)|
     at_ground = np.abs(ground - np.diagonal(ground))
-    lower = np.maximum(at_ground, at_ground.T)[off_diag].min(initial=math.inf)
-    tau = 0.5 * lower * (1.0 - 1e-9)
+    # [k]: L_k, the least ground-point bound L_ik of probe k's pairs
+    least = np.where(off_diag, np.maximum(at_ground, at_ground.T),
+                     math.inf).min(1)
+    tau = 0.5 * least.min(initial=math.inf) * (1.0 - 1e-9)
     xs = interval_grid(grid)
+    # W_k, then W'_k within it
     lo, hi = _derivative_window(xs, centers, radii, tau)
-    # [k, i]: the largest computed |f_i' - f_k'| over S_k's candidates
-    reach = np.empty((n_hi, n_hi))
-    for start, stop, run in _overlapping_runs(lo, hi):
-        near = _probe_derivatives(centers, radii, xs[start:stop])
-        for k in run:
-            part = near[:, lo[k] - start:hi[k] - start]
-            part = part.copy() if len(run) > 1 else part
-            reach[k] = np.maximum(_spread(part, k),
-                                  _spread(ground[:, matrix[k] >= tau], k))
+    theta = least * (1.0 - 1e-9) - _others_bound(xs, lo, hi, centers, radii)
+    lo, hi = _derivative_window(xs, centers, radii, np.maximum(tau, theta))
+    # the windows' grid points, each once, evaluated by every probe
+    inside = np.zeros(grid, dtype=bool)
+    for k in range(n_hi):
+        inside[lo[k]:hi[k]] = True
+    covered = np.flatnonzero(inside)
+    near = _probe_derivatives(centers, radii, xs[covered])
+    # [k, i]: the largest computed |f_i' - f_k'| over probe k's candidates,
+    # its window's grid points (pairs p of all windows side by side, p of
+    # window k at column p + shift[k] of near) and the ground points where
+    # |f_k'| >= tau, each taken in chunks of pairs
+    reach = np.zeros((n_hi, n_hi))
+    counts = hi - lo
+    stops = np.cumsum(counts)
+    shift = np.searchsorted(covered, lo) - (stops - counts)
+    for start in range(0, stops[-1], _CHUNK):
+        pairs = np.arange(start, min(start + _CHUNK, stops[-1]))
+        owners = np.searchsorted(stops, pairs, "right")
+        _fold_spreads(reach, near, owners, pairs + shift[owners])
+    owners, columns = np.nonzero(matrix >= tau)
+    for start in range(0, len(owners), _CHUNK):
+        _fold_spreads(reach, ground, owners[start:start + _CHUNK],
+                      columns[start:start + _CHUNK])
     separations = np.maximum(reach, reach.T)
     min_separation = float(separations[off_diag].min(initial=math.inf))
     return NoncompactnessReport(

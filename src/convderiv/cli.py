@@ -277,10 +277,20 @@ def _cmd_cheese_build(args) -> _Outcome:
     return _Outcome({"nmax": args.nmax}, result, [])
 
 
+# --grid is refused past this before anything is allocated: at 2^20 points
+# each array over the grid takes 8 MB (16 MB complex) and the --csv table
+# a million rows, where an unbounded grid would fail inside numpy's
+# allocation with a traceback
+GRID_CAP = 1 << 20
+
+
 def _grid_inputs(args) -> dict:
     # a single grid point has no interval to sweep
     if args.grid < 2:
         raise ValueError("grid must be at least 2")
+    if args.grid > GRID_CAP:
+        raise ValueError(f"grid {args.grid} is beyond the grid cap "
+                         f"{GRID_CAP}")
     return {"nmax": args.nmax, "grid": args.grid}
 
 

@@ -329,11 +329,17 @@ def _family(*discs):
         "discs": [{"x": x, "y": y, "r": r} for x, y, r in discs]})
 
 
+def _near_meeting_families():
+    """Discs 1 and 2 under one ground point, where both probe derivatives
+    are 1 (the ground-point bound is 0) or nearly so."""
+    return [_family((0.25, 0.25, 0.0625), (0.25, 0.125, r),
+                    (0.4, 0.05, 0.0025)) for r in (0.015625, 0.0156)]
+
+
 def test_separations_match_the_reference_when_two_probes_meet():
     # discs 1 and 2 share a ground point where both probe derivatives are
     # exactly 1, so no pair is bounded away from 0 at the ground points
-    X = _family((0.25, 0.25, 0.0625), (0.25, 0.125, 0.015625),
-                (0.4, 0.05, 0.0025))
+    X = _near_meeting_families()[0]
     assert cd.pole_probe(X, 1).derivative(0.25) \
         == cd.pole_probe(X, 2).derivative(0.25)
     report = assert_matches_reference(X, grid=2001)
@@ -341,9 +347,7 @@ def test_separations_match_the_reference_when_two_probes_meet():
 
 
 def test_separations_match_the_reference_when_two_probes_nearly_meet():
-    X = _family((0.25, 0.25, 0.0625), (0.25, 0.125, 0.0156),
-                (0.4, 0.05, 0.0025))
-    assert_matches_reference(X, grid=2001)
+    assert_matches_reference(_near_meeting_families()[1], grid=2001)
 
 
 def _moved_disc_family():
@@ -358,14 +362,7 @@ def _moved_disc_family():
 @pytest.mark.parametrize("grid", [2, 2001, 20001])
 def test_overlapping_windows_are_evaluated_once(grid, monkeypatch):
     X = _moved_disc_family()
-    evaluated = []
-    probe = cheese._probe_derivatives
-
-    def counting(centers, radii, points):
-        evaluated.append(len(centers) * len(points))
-        return probe(centers, radii, points)
-
-    monkeypatch.setattr(cheese, "_probe_derivatives", counting)
+    evaluated = _counting_probes(monkeypatch)
     report = assert_matches_reference(X, grid=grid)
     n = X.n_max
     assert report.matrix[1, 0] == report.matrix[0, 0]
@@ -384,6 +381,103 @@ def _stretched_radii():
 @pytest.mark.parametrize("grid", [2, 101, 2001, 20001])
 def test_separations_match_the_reference_for_radii_not_y_squared(grid):
     assert_matches_reference(_stretched_radii(), grid=grid)
+
+
+@pytest.mark.parametrize("grid", [2, 101, 2001, 20001])
+def test_separations_match_the_reference_for_other_families(grid):
+    for X in [*_near_meeting_families(), *_perturbed_families(grid + 1, 12)]:
+        assert_matches_reference(X, grid=grid)
+
+
+def _counting_probes(monkeypatch):
+    """The number of probe values each ``_probe_derivatives`` call makes."""
+    evaluated = []
+    probe = cheese._probe_derivatives
+
+    def counting(centers, radii, points):
+        evaluated.append(len(centers) * len(points))
+        return probe(centers, radii, points)
+
+    monkeypatch.setattr(cheese, "_probe_derivatives", counting)
+    return evaluated
+
+
+def test_the_probe_screen_evaluates_a_tenth_of_the_tau_windows(monkeypatch):
+    # the tau windows alone made 892,850 probe values here
+    evaluated = _counting_probes(monkeypatch)
+    report = cd.noncompact_report(cd.build_cheese(25), grid=100001)
+    assert report.passed
+    assert sum(evaluated) <= 100_000
+
+
+def test_moved_disc_family_memory_stays_near_one_grid_of_probes():
+    # the probes over the whole grid are 40 MB; the sweep held a copy of
+    # one probe's slice and its moduli beside them, 100.8 MB
+    X = _moved_disc_family()
+    tracemalloc.start()
+    try:
+        cd.noncompact_report(X, grid=100001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+
+
+def _probe_screen_cases():
+    """(family, grid, points): interval grids, then (with grid None) a grid
+    refined around each ground point down to neighbouring doubles."""
+    families = [cd.build_cheese(25), cd.build_cheese(8), _stretched_radii(),
+                *_near_meeting_families(), *_perturbed_families(7, 6)]
+    near = np.concatenate([np.arange(-64, 65) * 2.0 ** -54,
+                           np.geomspace(1e-15, 1e-2, 60),
+                           -np.geomspace(1e-15, 1e-2, 60)])
+    for X in families:
+        grounds = np.array([d.center.real for d in X.discs])
+        for grid in (2, 101, 2001, 20001):
+            yield X, grid, cd.interval_grid(grid)
+        yield X, None, np.unique(np.clip(np.concatenate([
+            cd.interval_grid(2001), (grounds[:, None] + near).ravel()]),
+            0.0, 0.5))
+
+
+def test_probe_screen_bounds_the_other_probes_and_drops_only_low_points(
+        monkeypatch):
+    probe = cheese._probe_derivatives
+    evaluated = _counting_probes(monkeypatch)
+    dropped = 0
+    for X, grid, xs in _probe_screen_cases():
+        centers = np.array([d.center for d in X.discs])
+        radii = np.array([d.radius for d in X.discs])
+        ground = probe(centers, radii, centers.real)
+        at_ground = np.abs(ground - np.diagonal(ground))
+        bounds = np.maximum(at_ground, at_ground.T)
+        np.fill_diagonal(bounds, np.inf)
+        least = bounds.min(1)
+        tau = 0.5 * least.min() * (1.0 - 1e-9)
+        lo, hi = cheese._derivative_window(xs, centers, radii, tau)
+        others = cheese._others_bound(xs, lo, hi, centers, radii)
+        theta = least * (1.0 - 1e-9) - others
+        kept = cheese._derivative_window(xs, centers, radii,
+                                         np.maximum(tau, theta))
+        swept = np.zeros(len(xs), dtype=bool)
+        for k in np.flatnonzero(hi > lo):
+            size = np.abs(probe(centers, radii, xs[lo[k]:hi[k]]))
+            # E_k bounds every other probe over all of W_k
+            assert (np.delete(size, k, 0) <= others[k]).all()
+            # W'_k lies in W_k and drops only points below theta_k
+            start, stop = kept[0][k] - lo[k], kept[1][k] - lo[k]
+            assert 0 <= start <= stop <= hi[k] - lo[k]
+            low = np.concatenate([size[k, :start], size[k, stop:]])
+            assert (low < theta[k]).all()
+            dropped += low.size
+            swept[kept[0][k]:kept[1][k]] = True
+        if grid is not None:
+            # the report evaluates exactly these windows
+            evaluated.clear()
+            cd.noncompact_report(X, grid=grid)
+            n = X.n_max
+            assert sum(evaluated) == n * (n + swept.sum())
+    assert dropped > 0
 
 
 # -- pinned per-term margins and bound sums -----------------------------------

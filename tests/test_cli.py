@@ -506,6 +506,19 @@ def test_a_cheese_input_without_a_sweep_is_an_input_error(
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "demo"])
+@pytest.mark.parametrize("grid", [cli.GRID_CAP + 1, 10 ** 14])
+def test_a_grid_past_the_cap_is_refused_before_any_allocation(
+        tmp_path, capsys, command, grid):
+    # only the refusal is run: a grid this large would really allocate
+    path = tmp_path / "report.json"
+    assert run(["cheese", command, "--nmax", "3", "--grid", str(grid),
+                "--out", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: grid {grid} is beyond the grid cap {cli.GRID_CAP}\n"
+    assert not path.exists()
+
+
 def test_cheese_build_below_the_height_floor_is_an_input_error(capsys):
     assert run(["cheese", "build", "--nmax", "26"]) == 2
     assert capsys.readouterr().err == \
