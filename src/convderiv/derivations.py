@@ -215,9 +215,16 @@ class Derivation:
             return CompactnessVerdict(
                 verdict="inconclusive", tolerance=tol, tail=tail,
                 reason="closed form carries no asymptotic certificate")
+        # a decay is read from its start on and cited up to 8 past where it
+        # falls below tol, a floor cited up to 10^6 past its start: refuse
+        # a start whose reads pass the index cap before any read
+        start = max(cert.start, 1)
+        last = start + (8 if isinstance(cert, Decay) else 10 ** 6)
+        if last > INDEX_CAP:
+            raise ValueError(f"the verdict needs mu at index {last}, beyond "
+                             f"the index cap {INDEX_CAP}")
         validate_tail(self.mu, probe_depth, first_index=1)
         if isinstance(cert, Decay):
-            start = max(cert.start, 1)
             decay_from = self._first_below(tol, start)
             return CompactnessVerdict(
                 verdict="compact", tolerance=tol, tail=tail,
@@ -228,7 +235,6 @@ class Derivation:
                 verdict="compact", tolerance=tol, tail=tail,
                 decay_from=cert.start, reason="eventually zero")
         bound = abs(cert.value) if isinstance(cert, Constant) else cert.bound
-        start = max(cert.start, 1)
         cited = tuple(start + d for d in (0, 1, 7, 63, 10 ** 6))
         return CompactnessVerdict(
             verdict="noncompact", tolerance=tol, tail=tail,
@@ -240,7 +246,7 @@ class Derivation:
         n = max(start, 1)
         while abs(self.mu.at(n)) >= tol:
             n *= 2
-            if n > INDEX_CAP:
+            if n + 8 > INDEX_CAP:  # the recheck reads n + 8
                 return None
         return n
 

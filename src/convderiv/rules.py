@@ -11,10 +11,10 @@ associate to the left:
 
 Exponents must evaluate to integers.  The parsed tree is walked once, into
 its post-order program.  Printing and *exact* rational-function analysis
-(over Fraction coefficients: how certificates for rational rules are
-derived without sampling) are two algebras of one fold over it;
-evaluation at one index, and on a block of indices with the bits and
-errors of the first, walk it with a value stack.
+(in integer polynomials: how certificates for rational rules are derived
+without sampling) are two algebras of one fold over it; evaluation at one
+index, and on a block of indices with the bits and errors of the first,
+walk it with a value stack.
 """
 
 from __future__ import annotations
@@ -650,20 +650,15 @@ def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
 # ---------------------------------------------------------------------------
 # exact rational-function analysis
 # ---------------------------------------------------------------------------
-# Polynomials are tuples of Fractions, index = power, trailing zeros trimmed.
-
-def _ptrim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
+# Polynomials are tuples of ints, index = power, trailing zeros trimmed;
+# gcds are primitive remainder sequences (Knuth, TAOCP 2, §4.6.1).
 
 def _padd(p, q):
-    n = max(len(p), len(q))
-    return _ptrim(tuple(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-        for i in range(n)))
+    p, q = (p, q) if len(p) >= len(q) else (q, p)
+    out = [a + (q[i] if i < len(q) else 0) for i, a in enumerate(p)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def _pneg(p):
@@ -671,171 +666,167 @@ def _pneg(p):
 
 
 def _pmul(p, q):
-    if not p or not q:
+    if not p or not q:  # else the leads' product is the lead: Z is a domain
         return ()
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
-    return _ptrim(out)
+    return tuple(out)
 
 
 def _ppow(p, k: int):
-    """p^k by repeated squaring."""
-    out = (Fraction(1),)
-    while k:
-        if k & 1:
-            out = _pmul(out, p)
-        k >>= 1
-        if k:
-            p = _pmul(p, p)
+    out = (1,)  # squared and multiplied along the bits of k from the top
+    for bit in bin(k)[2:]:
+        out = _pmul(out, out)
+        out = _pmul(out, p) if bit == "1" else out
     return out
 
 
-def _pdivmod(p, q):
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(rem) >= len(q) and any(rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - len(q)
-        factor = rem[-1] / q[-1]
-        quo[shift] = factor
-        for i, b in enumerate(q):
-            rem[shift + i] -= factor * b
-        rem.pop()
-    return _ptrim(quo), _ptrim(rem)
+def _pdivide(p, q, exact: bool):
+    """p / q if ``exact`` (q divides p over Z), else a non-zero multiple of
+    p mod q: rem becomes lead(q)/g rem - top/g x^k q, g = gcd(top, lead q)."""
+    rem, lead, m, quo = list(p), q[-1], len(q) - 1, []
+    while len(rem) > m:
+        top = rem.pop()
+        g = lead if exact else math.gcd(top, lead)
+        if g != lead:
+            rem = [lead // g * a for a in rem]
+        factor = top // g
+        for i in range(m):
+            rem[len(rem) - m + i] -= factor * q[i]
+        quo.append(factor)
+    return tuple(reversed(quo)) if exact else _padd(rem, ())
+
+
+def _coprime(p, q, prime=(1 << 61) - 1):
+    """Whether p and q are coprime mod a prime dividing neither lead, so
+    over Q: a common factor keeps its degree mod it (Brown, J. ACM 1971)."""
+    p, q = [a % prime for a in p], [a % prime for a in q]
+    while len(q) > 1 and p[-1] and q[-1]:
+        p, q = q, _padd([a % prime for a in _pdivide(p, q, False)], ())
+    return len(q) == 1
 
 
 def _pgcd(p, q):
-    while q:
-        _, r = _pdivmod(p, q)
+    """The gcd of non-zero p and q, primitive with a positive lead."""
+    while True:
+        c = math.gcd(*q) if q[-1] > 0 else -math.gcd(*q)
+        q = tuple(a // c for a in q)
+        r = _pdivide(p, q, False) if len(q) > 1 else ()
+        if not r:
+            return q
         p, q = q, r
-    if p:
-        lead = p[-1]
-        p = tuple(a / lead for a in p)
-    return p
 
 
-def _pshift(p, c: Fraction):
-    """p(x + c) via Horner in (x + c)."""
-    res = ()
-    for a in reversed(p):
-        res = _padd(_pmul(res, (c, Fraction(1))), (a,))
-    return res
+def _pshift(p, c: int):
+    """p(x + c): Horner's rule in x + c, in place (Taylor shift)."""
+    out = list(p)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += c * out[j + 1]
+    return tuple(out)
 
 
-def _pderiv(p):
-    derivative = tuple(i * a for i, a in enumerate(p))
-    return _ptrim(derivative)[1:] if len(p) > 1 else ()
-
-
-def _peval(p, x: Fraction) -> Fraction:
+def _peval(p, x: int) -> int:
     acc = 0
     for a in reversed(p):
         acc = acc * x + a
     return acc
 
 
-def _root_bound(p) -> Fraction:
-    """Cauchy bound: all real roots of p lie in [-B, B]."""
-    if len(p) <= 1:
-        return Fraction(0)
-    lead = abs(p[-1])
-    return 1 + max(abs(a) for a in p[:-1]) / lead
+def _monotone_start(num, den) -> int:
+    """An index past the real roots of num, den and (num/den)'s numerator:
+    p's roots lie in (-B-1, B+1) for Cauchy's bound B = 1 + max |a_i| //
+    |lead|, a ratio that is the same for every multiple of p."""
+    dn, dd = (tuple(i * a for i, a in enumerate(p))[1:] for p in (num, den))
+    dnum = _padd(_pmul(dn, den), _pneg(_pmul(num, dd)))
+    return 2 + max(1 + max(map(abs, p[:-1])) // abs(p[-1])
+                   if len(p) > 1 else 0 for p in (num, den, dnum))
 
 
 @dataclass(frozen=True)
 class RationalProfile:
-    """An exactly reduced rational function num/den in the index variable."""
+    """An exactly reduced rational function znum/zden in the index variable:
+    coprime integer polynomials of joint content 1, zden's lead positive,
+    so each function has one profile; ``num``/``den`` are monic views."""
 
-    num: Tuple[Fraction, ...]
-    den: Tuple[Fraction, ...]
+    znum: Tuple[int, ...]
+    zden: Tuple[int, ...]
 
     @staticmethod
     def make(num, den) -> "RationalProfile":
-        num, den = _ptrim(num), _ptrim(den)
+        """The profile of num/den, for trimmed integer polynomials."""
         if not den:
             raise ZeroDivisionError("rational profile with zero denominator")
         if not num:
-            return RationalProfile((), (Fraction(1),))
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
-        lead = den[-1]
-        num = tuple(a / lead for a in num)
-        den = tuple(a / lead for a in den)
-        return RationalProfile(num, den)
+            return RationalProfile((), (1,))
+        if len(num) > 1 and len(den) > 1 and not _coprime(num, den):
+            g = _pgcd(num, den)
+            num, den = _pdivide(num, g, True), _pdivide(den, g, True)
+        c = math.gcd(*num, *den) if den[-1] > 0 else -math.gcd(*num, *den)
+        return RationalProfile(tuple(a // c for a in num),
+                               tuple(a // c for a in den))
+
+    num = property(lambda self: tuple(
+        Fraction(a, self.zden[-1]) for a in self.znum))
+    den = property(lambda self: tuple(
+        Fraction(a, self.zden[-1]) for a in self.zden))
 
     @property
     def degree_gap(self) -> int:
         """deg(num) - deg(den); the zero numerator counts as degree -inf."""
-        if not self.num:
-            return -(10 ** 9)
-        return (len(self.num) - 1) - (len(self.den) - 1)
+        return len(self.znum) - len(self.zden) if self.znum else -(10 ** 9)
 
     def constant_value(self) -> Optional[Fraction]:
-        if len(self.den) == 1 and len(self.num) <= 1:
-            return (self.num[0] / self.den[0]) if self.num else Fraction(0)
+        if len(self.zden) == 1 and len(self.znum) <= 1:
+            return Fraction(self.znum[0] if self.znum else 0, self.zden[0])
         return None
 
     def limit(self) -> Optional[Fraction]:
         """Limit as the index grows; None means unbounded."""
         gap = self.degree_gap
-        if gap > 0:
-            return None
-        if gap < 0:
-            return Fraction(0)
-        return self.num[-1] / self.den[-1]
+        return None if gap > 0 else Fraction(0) if gap < 0 else \
+            Fraction(self.znum[-1], self.zden[-1])
 
     def eval_exact(self, n: int) -> Fraction:
-        den = _peval(self.den, Fraction(n))
+        den = _peval(self.zden, n)
         if den == 0:
             raise ZeroDivisionError(f"pole at n = {n}")
-        return _peval(self.num, Fraction(n)) / den
+        return Fraction(_peval(self.znum, n), den)
 
     def compose_shift(self, c: int) -> "RationalProfile":
-        """The profile of n -> f(n + c)."""
-        return RationalProfile.make(_pshift(self.num, Fraction(c)),
-                                    _pshift(self.den, Fraction(c)))
+        """The profile of n -> f(n + c).  Shifts by integers are ring
+        automorphisms of Z[x] that keep leads: the pair stays reduced."""
+        return RationalProfile(_pshift(self.znum, c), _pshift(self.zden, c))
 
     def times_index(self) -> "RationalProfile":
         """The profile of n -> n * f(n)."""
-        return RationalProfile.make(
-            _pmul(self.num, (Fraction(0), Fraction(1))), self.den)
+        return RationalProfile.make(_pmul(self.znum, (0, 1)), self.zden)
 
     def monotone_start(self) -> int:
-        """Index past every pole, zero, and critical point of the function.
-
-        Beyond it the function has constant sign and is monotone, so its
-        modulus is monotone too.
-        """
-        dnum = _padd(_pmul(_pderiv(self.num), self.den),
-                     _pneg(_pmul(self.num, _pderiv(self.den))))
-        bound = max(_root_bound(self.num), _root_bound(self.den),
-                    _root_bound(dnum))
-        return int(bound) + 2
+        """Index past every pole, zero, and critical point of the function:
+        beyond it the function has constant sign and a monotone modulus."""
+        return _monotone_start(self.znum, self.zden)
 
 
 def _lift(value) -> Optional[RationalProfile]:
     """A literal's value as a constant profile; profiles and None pass."""
     if isinstance(value, float):
-        return RationalProfile.make((Fraction(value),), (Fraction(1),))
+        a, b = value.as_integer_ratio()  # in lowest terms, b > 0
+        return RationalProfile((a,) if a else (), (b,))
     return value
 
 
 # The analysis declines (None, as for a rule that is not rational) past
-# these limits, where exact arithmetic alone could run for minutes.
+# these limits; the slowest rule found within them takes about 20 s.
 _MAX_DEGREE = 64  # of an unreduced numerator or denominator
 _MAX_BITS = 2 ** 16  # of a constant power's exact value
 
 
 def _rational(parts: Callable) -> Callable:
-    # a binary node: None unless both operands are rational and ``parts``,
-    # the unreduced (num, den) of the result, has a non-zero denominator
-    # and stays within _MAX_DEGREE
+    # a binary node: None unless both operands are rational and the
+    # unreduced (num, den) = parts(...) has a den != 0, within _MAX_DEGREE
     def combine(left, right):
         left, right = _lift(left), _lift(right)
         if left is None or right is None:
@@ -848,8 +839,8 @@ def _rational(parts: Callable) -> Callable:
 
 
 def _sum(p, q):
-    return (_padd(_pmul(p.num, q.den), _pmul(q.num, p.den)),
-            _pmul(p.den, q.den))
+    return (_padd(_pmul(p.znum, q.zden), _pmul(q.znum, p.zden)),
+            _pmul(p.zden, q.zden))
 
 
 def _power_profile(base, exponent) -> Optional[RationalProfile]:
@@ -861,27 +852,31 @@ def _power_profile(base, exponent) -> Optional[RationalProfile]:
             or not exponent.is_integer():
         return None
     k = int(exponent)
-    num, den = (base.num, base.den) if k >= 0 else (base.den, base.num)
-    k, const = abs(k), base.constant_value()
-    bits = 0 if const is None else k * max(const.numerator.bit_length(),
-                                           const.denominator.bit_length())
-    if k * (max(len(num), len(den)) - 1) > _MAX_DEGREE or bits > _MAX_BITS:
+    num, den = (base.znum, base.zden) if k >= 0 else (base.zden, base.znum)
+    k, degree = abs(k), max(len(num), len(den)) - 1
+    # a constant's value has the bit length of its larger part
+    bits = 0 if degree else k * max(map(abs, num + den)).bit_length()
+    if k * degree > _MAX_DEGREE or bits > _MAX_BITS or not den:  # or 0^-k
         return None
     num, den = _ppow(num, k), _ppow(den, k)
-    return RationalProfile.make(num, den) if den else None  # 0^-k: none
+    # the powers of a coprime pair of content 1 are one too
+    return RationalProfile(num, den) if den[-1] > 0 else \
+        RationalProfile(_pneg(num), _pneg(den))
 
 
 # a literal folds to its float, and so does a negated literal; any other
 # node folds to a RationalProfile, or None when it is not rational
 _ANALYSE = {
     Lit: float,
-    Var: lambda: RationalProfile((Fraction(0), Fraction(1)), (Fraction(1),)),
-    Neg: lambda operand: -operand if isinstance(operand, float)
-    else _ANALYSE[Sub](0.0, operand),
+    Var: lambda: RationalProfile((0, 1), (1,)),
+    Neg: lambda operand: -operand if isinstance(operand, float) else
+    operand and RationalProfile(_pneg(operand.znum), operand.zden),
     Add: _rational(_sum),
-    Sub: _rational(lambda p, q: _sum(p, RationalProfile(_pneg(q.num), q.den))),
-    Mul: _rational(lambda p, q: (_pmul(p.num, q.num), _pmul(p.den, q.den))),
-    Div: _rational(lambda p, q: (_pmul(p.num, q.den), _pmul(p.den, q.num))),
+    Sub: lambda left, right: _ANALYSE[Add](left, _ANALYSE[Neg](right)),
+    Mul: _rational(lambda p, q: (_pmul(p.znum, q.znum),
+                                 _pmul(p.zden, q.zden))),
+    Div: _rational(lambda p, q: (_pmul(p.znum, q.zden),
+                                 _pmul(p.zden, q.znum))),
     Pow: _power_profile,
 }
 
@@ -892,12 +887,17 @@ def rational_profile(expr: RuleExpr) -> Optional[RationalProfile]:
     return _lift(_fold(expr, _ANALYSE))
 
 
-def _as_float(exact: Fraction, what: str, index: int) -> float:
+def _as_float(num: int, den: int, what: str, index: int, down=False) -> float:
+    """num/den correctly rounded, as int / int is, or with ``down`` the
+    largest double at most num/den >= 0, a floor the exact value proves."""
     try:
-        return float(exact)
+        value = num / den
     except OverflowError:
         raise RuleEvaluationError(f"the exact {what} of the rule exceeds "
                                   f"the float range", index) from None
+    p, q = value.as_integer_ratio()
+    return math.nextafter(value, 0.0) if down and p * den > num * q \
+        else value
 
 
 def certificate_for(profile: RationalProfile,
@@ -907,31 +907,31 @@ def certificate_for(profile: RationalProfile,
     Returns ZeroTail for the zero function, Constant for constants, Decay
     when the function tends to zero, Floor when it has a non-zero limit or
     diverges, and None only on pathologies (a pole at some probe index is
-    reported at evaluation time instead).
+    reported at evaluation time instead).  A Floor's bound is rounded down.
     """
-    const = profile.constant_value()
-    if const is not None:
-        if const == 0:
+    num, den = profile.znum, profile.zden
+    if len(den) == 1 and len(num) <= 1:
+        if not num:
             return ZeroTail(min_start)
-        return Constant(_as_float(const, "constant", min_start), min_start)
+        return Constant(_as_float(num[0], den[0], "constant", min_start),
+                        min_start)
     gap = profile.degree_gap
     start = max(profile.monotone_start(), min_start)
     if gap < 0:
         return Decay(start=start)
     if gap == 0:
-        c = profile.limit()
-        target = abs(c) / 2
-        # deviation from the limit decays to zero and is monotone past its
-        # own critical points, so a doubling scan finds the crossover
-        dev = RationalProfile.make(
-            _padd(profile.num, _pneg(_pmul((c,), profile.den))), profile.den)
-        s = max(start, dev.monotone_start())
-        while abs(dev.eval_exact(s)) > target:
+        # the deviation (b num - a den)/(b den) from the limit a/b decays,
+        # monotone past its own critical points, so a doubling scan finds
+        # where 2 |b num - a den| <= |a den|, in integers (den has no root)
+        a, b = num[-1], den[-1]
+        dev = _padd(tuple(b * c for c in num), tuple(-a * c for c in den))
+        s = max(start, _monotone_start(dev, den))
+        while 2 * abs(_peval(dev, s)) > abs(a * _peval(den, s)):
             s *= 2
             if s > 1 << 40:  # unreachable for genuine rational decay
                 return None
-        return Floor(_as_float(target, "limit", s), start=s)
+        return Floor(_as_float(abs(a), 2 * b, "limit", s, True), start=s)
     # diverges: eventually monotone increasing in modulus.  start is past
     # the numerator's Cauchy root bound (monotone_start), so value != 0
-    value = abs(profile.eval_exact(start))
-    return Floor(_as_float(value, "value", start), start=start)
+    return Floor(_as_float(abs(_peval(num, start)), abs(_peval(den, start)),
+                           "value", start, True), start=start)

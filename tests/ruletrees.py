@@ -1,13 +1,13 @@
 """Seeded random rule-expression trees, and reference implementations of
-the rule language (interpreter, printer, exact analysis), for round-trip
-and equivalence checks."""
+the rule language (interpreter, printer, exact analysis and certificates),
+for round-trip and equivalence checks."""
 
 import math
 from fractions import Fraction
 
+from convderiv.convolution import Constant, Decay, Floor, ZeroTail
 from convderiv.rules import (
-    Add, Div, Lit, Mul, Neg, Pow, Sub, Var, RationalProfile,
-    RuleEvaluationError, _fmt_number, _padd, _pmul, _pneg,
+    Add, Div, Lit, Mul, Neg, Pow, Sub, Var, RuleEvaluationError, _fmt_number,
 )
 
 
@@ -112,6 +112,199 @@ def reference_eval(expr, n):
     return left / right
 
 
+# -- the exact analysis over Fraction coefficients, kept as a reference -----
+# Polynomials are tuples of Fractions, index = power, trailing zeros
+# trimmed; a profile is reduced by a Euclidean gcd over Q and made monic.
+# The library analyses over Z instead, and must give the same functions,
+# start indices and certificates.
+
+def _ptrim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _padd(p, q):
+    n = max(len(p), len(q))
+    return _ptrim(tuple(
+        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+        for i in range(n)))
+
+
+def _pneg(p):
+    return tuple(-a for a in p)
+
+
+def _pmul(p, q):
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _ptrim(out)
+
+
+def _pdivmod(p, q):
+    rem = list(p)
+    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    while len(rem) >= len(q) and any(rem):
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        shift = len(rem) - len(q)
+        factor = rem[-1] / q[-1]
+        quo[shift] = factor
+        for i, b in enumerate(q):
+            rem[shift + i] -= factor * b
+        rem.pop()
+    return _ptrim(quo), _ptrim(rem)
+
+
+def _pgcd(p, q):
+    while q:
+        _, r = _pdivmod(p, q)
+        p, q = q, r
+    if p:
+        lead = p[-1]
+        p = tuple(a / lead for a in p)
+    return p
+
+
+def _pshift(p, c):
+    """p(x + c) via Horner in (x + c)."""
+    res = ()
+    for a in reversed(p):
+        res = _padd(_pmul(res, (c, Fraction(1))), (a,))
+    return res
+
+
+def _pderiv(p):
+    derivative = tuple(i * a for i, a in enumerate(p))
+    return _ptrim(derivative)[1:] if len(p) > 1 else ()
+
+
+def _peval(p, x):
+    acc = 0
+    for a in reversed(p):
+        acc = acc * x + a
+    return acc
+
+
+def _root_bound(p):
+    """Cauchy bound: all real roots of p lie in [-B, B]."""
+    if len(p) <= 1:
+        return Fraction(0)
+    return 1 + max(abs(a) for a in p[:-1]) / abs(p[-1])
+
+
+class ReferenceProfile:
+    """num/den over Fraction, reduced by their gcd over Q, den monic."""
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    @staticmethod
+    def make(num, den):
+        num, den = _ptrim(num), _ptrim(den)
+        if not den:
+            raise ZeroDivisionError("rational profile with zero denominator")
+        if not num:
+            return ReferenceProfile((), (Fraction(1),))
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num, _ = _pdivmod(num, g)
+            den, _ = _pdivmod(den, g)
+        lead = den[-1]
+        return ReferenceProfile(tuple(a / lead for a in num),
+                                tuple(a / lead for a in den))
+
+    @property
+    def degree_gap(self):
+        if not self.num:
+            return -(10 ** 9)
+        return (len(self.num) - 1) - (len(self.den) - 1)
+
+    def constant_value(self):
+        if len(self.den) == 1 and len(self.num) <= 1:
+            return (self.num[0] / self.den[0]) if self.num else Fraction(0)
+        return None
+
+    def limit(self):
+        gap = self.degree_gap
+        if gap > 0:
+            return None
+        if gap < 0:
+            return Fraction(0)
+        return self.num[-1] / self.den[-1]
+
+    def eval_exact(self, n):
+        den = _peval(self.den, Fraction(n))
+        if den == 0:
+            raise ZeroDivisionError(f"pole at n = {n}")
+        return _peval(self.num, Fraction(n)) / den
+
+    def compose_shift(self, c):
+        return ReferenceProfile.make(_pshift(self.num, Fraction(c)),
+                                     _pshift(self.den, Fraction(c)))
+
+    def times_index(self):
+        return ReferenceProfile.make(
+            _pmul(self.num, (Fraction(0), Fraction(1))), self.den)
+
+    def monotone_start(self):
+        dnum = _padd(_pmul(_pderiv(self.num), self.den),
+                     _pneg(_pmul(self.num, _pderiv(self.den))))
+        bound = max(_root_bound(self.num), _root_bound(self.den),
+                    _root_bound(dnum))
+        return int(bound) + 2
+
+
+def _float_below(exact, what, index):
+    """The largest double at most ``exact`` > 0."""
+    try:
+        value = float(exact)
+    except OverflowError:
+        raise RuleEvaluationError(f"the exact {what} of the rule exceeds "
+                                  f"the float range", index) from None
+    return math.nextafter(value, 0.0) if Fraction(value) > exact else value
+
+
+def reference_certificate(profile, min_start=0):
+    """The certificate for a ReferenceProfile: the Fraction analysis, with
+    each Floor bound rounded down to the largest double at most the exact
+    floor."""
+    const = profile.constant_value()
+    if const is not None:
+        if const == 0:
+            return ZeroTail(min_start)
+        try:
+            value = float(const)
+        except OverflowError:
+            raise RuleEvaluationError(
+                "the exact constant of the rule exceeds the float range",
+                min_start) from None
+        return Constant(value, min_start)
+    gap = profile.degree_gap
+    start = max(profile.monotone_start(), min_start)
+    if gap < 0:
+        return Decay(start=start)
+    if gap == 0:
+        c = profile.limit()
+        target = abs(c) / 2
+        dev = ReferenceProfile.make(
+            _padd(profile.num, _pneg(_pmul((c,), profile.den))), profile.den)
+        s = max(start, dev.monotone_start())
+        while abs(dev.eval_exact(s)) > target:
+            s *= 2
+            if s > 1 << 40:
+                return None
+        return Floor(_float_below(target, "limit", s), start=s)
+    value = abs(profile.eval_exact(start))
+    return Floor(_float_below(value, "value", start), start=start)
+
+
 # -- printing and exact analysis as tree walks, kept as references ----------
 # The walks below are the rule layer's printer and exact analysis as they
 # stood before both became tables of one fold over the tree; the fold must
@@ -146,12 +339,12 @@ def reference_format(expr):
 def reference_profile(expr):
     one = (Fraction(1),)
     if isinstance(expr, Lit):
-        return RationalProfile.make((Fraction(expr.value),), one)
+        return ReferenceProfile.make((Fraction(expr.value),), one)
     if isinstance(expr, Var):
-        return RationalProfile.make((Fraction(0), Fraction(1)), one)
+        return ReferenceProfile.make((Fraction(0), Fraction(1)), one)
     if isinstance(expr, Neg):
         inner = reference_profile(expr.operand)
-        return None if inner is None else RationalProfile.make(
+        return None if inner is None else ReferenceProfile.make(
             _pneg(inner.num), inner.den)
     if isinstance(expr, Pow):
         base = reference_profile(expr.left)
@@ -169,27 +362,27 @@ def reference_profile(expr):
             rnum, rden = _pmul(rnum, num), _pmul(rden, den)
         if not rden:
             return None
-        return RationalProfile.make(rnum, rden)
+        return ReferenceProfile.make(rnum, rden)
     left = reference_profile(expr.left)
     right = reference_profile(expr.right)
     if left is None or right is None:
         return None
     if isinstance(expr, Add):
-        return RationalProfile.make(
+        return ReferenceProfile.make(
             _padd(_pmul(left.num, right.den), _pmul(right.num, left.den)),
             _pmul(left.den, right.den))
     if isinstance(expr, Sub):
-        return RationalProfile.make(
+        return ReferenceProfile.make(
             _padd(_pmul(left.num, right.den),
                   _pneg(_pmul(right.num, left.den))),
             _pmul(left.den, right.den))
     if isinstance(expr, Mul):
-        return RationalProfile.make(_pmul(left.num, right.num),
-                                    _pmul(left.den, right.den))
+        return ReferenceProfile.make(_pmul(left.num, right.num),
+                                     _pmul(left.den, right.den))
     if not right.num:
         return None
-    return RationalProfile.make(_pmul(left.num, right.den),
-                                _pmul(left.den, right.num))
+    return ReferenceProfile.make(_pmul(left.num, right.den),
+                                 _pmul(left.den, right.num))
 
 
 def _static_int(expr):

@@ -679,6 +679,26 @@ def test_a_depth_at_the_probe_cap_is_read(command, monkeypatch, capsys):
         "error: depth 301 is beyond the probe cap 300\n"
 
 
+@pytest.mark.parametrize("rule, index", [
+    # a decay cited up to 8 past its start, a floor 10^6 past it
+    ("1/(n+10^20)", 10 ** 20 + 3 + 8),
+    ("(n^2+10^20)/(n^2+1)", 10 ** 20 + 3 + 10 ** 6)])
+def test_a_verdict_past_the_index_cap_is_refused(rule, index, capsys):
+    assert run(["deriv", "classify", "--mu", rule]) == 2
+    assert capsys.readouterr().err == \
+        f"error: the verdict needs mu at index {index}, beyond the index " \
+        f"cap {2 ** 62}\n"
+
+
+def test_a_decay_that_falls_at_the_index_cap_cites_no_index(tmp_path):
+    # |mu| falls below tol only at 2^62, whose recheck would read 2^62 + 8
+    path = tmp_path / "report.json"
+    assert run(["deriv", "classify", "--mu", "3000000000/(n+1)", "--tail",
+                "decay", "--out", str(path)]) == 0
+    result = json.loads(path.read_text())["result"]
+    assert result["verdict"] == "compact" and result["decay_from"] is None
+
+
 def test_witness_takes_no_depth(capsys):
     assert run(["deriv", "witness", "--mu", "1", "--eps", "0.5", "--terms",
                 "2", "--depth", "99999999999999999999"]) == 2

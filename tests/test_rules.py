@@ -5,6 +5,7 @@ import struct
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +143,15 @@ def test_profile_reduces_exactly():
     assert prof.constant_value() == 0
 
 
+def test_profile_reduces_a_factor_whose_lead_the_prime_divides():
+    # 2^61 n - n + 1 is 1 mod the prime 2^61 - 1 of the coprimality test,
+    # so only the gcd over Z finds the common factor
+    factor = "(2^61*n-n+1)"
+    prof = cd.rational_profile(
+        cd.parse_rule(f"{factor}*(n+2)/({factor}*(n+3))"))
+    assert (prof.znum, prof.zden) == ((2, 1), (3, 1))
+
+
 def test_profile_harmonic_weighted_shift_is_constant():
     phi = cd.rational_profile(cd.parse_rule("1/(n+1)"))
     mu = phi.compose_shift(-1).times_index()
@@ -199,6 +209,11 @@ def test_certificate_starts_are_sound():
         assert all(b <= a for a, b in zip(values, values[1:]))
 
 
+def _proves(bound, exact):
+    # bound is the largest double at most the exact floor
+    return Fraction(bound) <= exact < Fraction(math.nextafter(bound, math.inf))
+
+
 def test_floor_certificate_is_sound():
     prof = cd.rational_profile(cd.parse_rule("(2*n+1)/(n+3)"))
     cert = cd.certificate_for(prof, min_start=1)
@@ -206,6 +221,37 @@ def test_floor_certificate_is_sound():
     assert cert.bound == 1.0  # half the limit 2
     for n in range(cert.start, cert.start + 500):
         assert abs(prof.eval_exact(n)) >= Fraction(1)
+    # the double nearest 1/10 is above it, so the floor is the one below
+    prof = cd.rational_profile(cd.parse_rule("(n+8)/(5*n^2+2)"))
+    cert = cd.certificate_for(prof.compose_shift(-1).times_index(), 1)
+    assert cert.bound == math.nextafter(0.1, 0.0)
+    assert _proves(cert.bound, Fraction(1, 10))
+
+
+def test_floor_bounds_are_proven_over_the_fuzz():
+    # a Floor's bound is at most its exact floor, half the limit's modulus
+    # or the modulus at the start, and holds at the indices past the start
+    rng = np.random.default_rng(23)
+    kinds = Counter()
+    for _ in range(600):
+        prof = cd.rational_profile(random_expr(rng, int(rng.integers(1, 7))))
+        if prof is None or prof.degree_gap < 0:
+            continue
+        for min_start in (0, 1):
+            try:
+                cert = cd.certificate_for(prof, min_start=min_start)
+            except (ValueError, ArithmeticError):  # no float, no floor
+                continue
+            if not isinstance(cert, cd.Floor):
+                continue
+            gap = prof.degree_gap
+            exact = abs(prof.limit()) / 2 if gap == 0 else \
+                abs(prof.eval_exact(cert.start))
+            assert _proves(cert.bound, exact)
+            assert all(abs(prof.eval_exact(n)) >= Fraction(cert.bound)
+                       for n in range(cert.start, cert.start + 50))
+            kinds["limit" if gap == 0 else "divergent"] += 1
+    assert kinds["limit"] >= 20 and kinds["divergent"] >= 20
 
 
 def test_divergent_profiles_get_a_floor_at_their_start():
@@ -218,7 +264,7 @@ def test_divergent_profiles_get_a_floor_at_their_start():
             cert = cd.certificate_for(prof, min_start=min_start)
             assert isinstance(cert, cd.Floor)
             assert cert.start == max(prof.monotone_start(), min_start)
-            assert cert.bound == float(abs(prof.eval_exact(cert.start)))
+            assert _proves(cert.bound, abs(prof.eval_exact(cert.start)))
             seq = cd.DualSequence(cd.rule_callable(tree),
                                   tail=cd.ClosedForm(cert))
             cd.validate_tail(seq, 10 ** 4)
@@ -610,7 +656,8 @@ def test_a_long_rule_evaluates_at_the_default_recursion_limit(capsys):
 # -- the printer and the exact analysis against the reference walks ---------
 
 from ruletrees import (
-    analysis_passes_a_limit, reference_format, reference_profile,
+    analysis_passes_a_limit, reference_certificate, reference_format,
+    reference_profile,
 )
 
 
@@ -621,30 +668,77 @@ def test_format_matches_the_reference_printer():
         assert cd.format_rule(tree) == reference_format(tree)
 
 
-def _profile_outcome(analyse, tree):
+def _result(call):
     try:
-        profile = analyse(tree)
+        return call()
     except Exception as exc:
         return "raises", type(exc), str(exc)
-    return None if profile is None else (profile.num, profile.den)
+
+
+def _certificate_key(cert):
+    # the type, the start, and the bits of a Floor's or Constant's double
+    if cert is None:
+        return None
+    value = getattr(cert, "bound", getattr(cert, "value", None))
+    return (type(cert).__name__, cert.start,
+            None if value is None else float(value).hex())
+
+
+def _analysis_outcomes(profile, certify):
+    """What the reference comparison checks for one profile: the reduced
+    function, its monotone start and limit, its exact values at five
+    indices, the profile of n f(n - 1), and the certificates of both from
+    indices 0 and 1."""
+    outcomes = [(profile.num, profile.den),
+                _result(profile.monotone_start), _result(profile.limit)]
+    outcomes += [_result(lambda: profile.eval_exact(n))
+                 for n in (0, 1, 3, 64, 10 ** 6 + 1)]
+    mu = profile.compose_shift(-1).times_index()
+    outcomes.append((mu.num, mu.den))
+    outcomes += [_result(lambda: _certificate_key(certify(p, min_start)))
+                 for p in (profile, mu) for min_start in (0, 1)]
+    return outcomes
+
+
+def _benchmark_rule_trees(seeds=20):
+    # every deriv-rules template of the benchmark, at each seed
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    import deriv_rules
+    for template in deriv_rules.RATIONAL + deriv_rules.NON_RATIONAL:
+        for seed in range(seeds):
+            rule = deriv_rules._make(template, np.random.default_rng(seed),
+                                     1000)
+            yield cd.parse_rule(rule.flags[1])
 
 
 def test_profiles_match_the_reference_analysis():
+    # the analysis over Z against the reference over Fraction coefficients,
+    # on the fuzz trees and the benchmark's rule templates: the same
+    # functions, starts, exact values and certificates, bit for bit
     rng = np.random.default_rng(11)
+    trees = [random_expr(rng, int(rng.integers(1, 7))) for _ in range(800)]
     kinds = Counter()
-    for _ in range(800):
-        tree = random_expr(rng, int(rng.integers(1, 7)))
+    for tree in trees + list(_benchmark_rule_trees()):
         if analysis_passes_a_limit(tree):
             # past a limit the analysis declines, as for a rule that is
             # not rational
             assert cd.rational_profile(tree) is None
             kinds["limit"] += 1
             continue
-        want = _profile_outcome(reference_profile, tree)
-        assert _profile_outcome(cd.rational_profile, tree) == want
-        kinds["none" if want is None else "profile"] += 1
-    # the fuzz reaches profiles, non-rational rules and the limits
-    assert kinds["profile"] and kinds["none"] and kinds["limit"]
+        want = _result(lambda: reference_profile(tree))
+        got = _result(lambda: cd.rational_profile(tree))
+        if want is None or isinstance(want, tuple):  # or it raises
+            assert got == want
+            kinds["none"] += 1
+            continue
+        outcomes = _analysis_outcomes(got, cd.certificate_for)
+        assert outcomes == _analysis_outcomes(want, reference_certificate)
+        kinds.update(str(key and key[0]) for key in outcomes[-4:])
+    # the comparison reaches the limits, rules that are not rational, every
+    # kind of certificate, and certificates that raise
+    assert kinds["limit"] and all(kinds[kind] >= 10 for kind in (
+        "none", "ZeroTail", "Constant", "Decay", "Floor", "raises")), kinds
 
 
 @pytest.mark.parametrize("text, kept", [
