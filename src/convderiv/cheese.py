@@ -536,8 +536,8 @@ class NoncompactnessReport:
         return self.diagonal_ok and self.separation_ok
 
     def to_dict(self) -> dict:
-        return {"matrix": self.matrix.tolist(),
-                "separations": self.separations.tolist(),
+        return {"matrix": self.matrix,
+                "separations": self.separations,
                 "diag_error": self.diag_error,
                 "min_separation": self.min_separation,
                 "diag_tol": self.diag_tol,

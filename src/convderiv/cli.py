@@ -152,8 +152,7 @@ def _cmd_conv(args) -> _Outcome:
     product, radius, route = convolve_with_radius(a, b)
     _finite("a product coefficient", product.coeffs)
     _finite("the product's radius", radius)
-    inputs = {"a": reports.complex_seq_to_json(a.coeffs),
-              "b": reports.complex_seq_to_json(b.coeffs)}
+    inputs = {"a": a.coeffs, "b": b.coeffs}
     # a sum past the largest double is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         alpha, beta = l1_norm(a), l1_norm(b)
@@ -192,7 +191,7 @@ def _cmd_conv(args) -> _Outcome:
     certs = [reports.certificate(
         "submultiplicative", value <= (bound + slack) * (1.0 + _gamma(n)),
         product_norm=value, factor_bound=bound)]
-    result = {"coefficients": reports.complex_seq_to_json(product.coeffs),
+    result = {"coefficients": product.coeffs,
               "l1_norm": value, "exact": route == "exact", "radius": radius}
     return _Outcome(inputs, result, certs)
 
@@ -220,13 +219,13 @@ def _cmd_deriv_classify(args) -> _Outcome:
 def _cmd_deriv_apply(args) -> _Outcome:
     deriv, inputs = _build_derivation(args)
     f = _coeffs(args.f)
-    inputs.update(f=reports.complex_seq_to_json(f.coeffs), depth=args.depth)
+    inputs.update(f=f.coeffs, depth=args.depth)
     # values past the largest double are refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         values = deriv.apply(f).values(args.depth)
     _finite("an image value", values)
     lower, exact = deriv.norm(max(args.depth, 64))
-    result = {"values": reports.complex_seq_to_json(values),
+    result = {"values": values,
               "sup_probe": float(np.abs(values).max(initial=0.0))}
     _finite("the image's largest modulus", result["sup_probe"])
     certs = []
@@ -255,7 +254,7 @@ def _cmd_deriv_truncate(args) -> _Outcome:
         "truncation-error-dominates-probe", probe_sup <= err + 1e-12,
         err=err, probe_sup=probe_sup, probe_to=probe_to)]
     result = {"k": k, "error": err,
-              "head": reports.complex_seq_to_json(truncated.mu.values(k))}
+              "head": truncated.mu.values(k)}
     return _Outcome(inputs, result, certs)
 
 
@@ -373,11 +372,8 @@ def _cmd_bimodule_rank1(args) -> _Outcome:
                             abs(anchor_value - 1) <= 1e-12,
                             value=reports.complex_to_json(anchor_value)),
     ]
-    result = {
-        "anchor": reports.complex_seq_to_json(anchor),
-        "functional": reports.complex_seq_to_json(lambda0.matrix[0]),
-        "matrix": reports.complex_matrix_to_json(D.matrix),
-    }
+    result = {"anchor": anchor, "functional": lambda0.matrix[0],
+              "matrix": D.matrix}
     return _Outcome(inputs, result, certs)
 
 
@@ -408,9 +404,9 @@ def _cmd_bimodule_transfer(args) -> _Outcome:
                             product=norm_R * norm_D),
     ]
     result = {
-        "anchor": reports.complex_seq_to_json(a0),
-        "functional": reports.complex_seq_to_json(lam),
-        "matrix": reports.complex_matrix_to_json(composed.matrix),
+        "anchor": a0,
+        "functional": lam,
+        "matrix": composed.matrix,
         "rank": rank_after,
         "defect": composed.defect,
         "tolerance": composed.tolerance,
@@ -553,7 +549,7 @@ def revalidate_report(report: dict) -> bool:
     result payload and every certificate verdict reproduce."""
     args = _build_parser().parse_args(report["command"])
     outcome = args.handler(args)  # only main writes --out and --csv
-    return outcome.result == report["result"] and [
+    return reports.to_json_value(outcome.result) == report["result"] and [
         (c["name"], c["passed"]) for c in outcome.certificates] == [
         (c["name"], c["passed"]) for c in report["certificates"]]
 

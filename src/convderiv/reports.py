@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 from datetime import datetime, timezone
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
@@ -60,20 +59,24 @@ def complex_to_json(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def complex_seq_to_json(values) -> list:
-    """[re, im] pairs of Python floats, the ones ``complex_to_json`` gives."""
-    z = np.asarray(values, dtype=complex)
-    return np.column_stack((z.real, z.imag)).tolist()
-
-
-def complex_matrix_to_json(matrix) -> list:
-    """Rows of ``complex_seq_to_json`` pairs."""
-    z = np.asarray(matrix, dtype=complex)
-    return np.stack((z.real, z.imag), axis=-1).tolist()
+def to_json_value(value):
+    """``value`` in the types json encodes: arrays as nested lists, complex
+    entries as [re, im] pairs; dicts, lists and tuples rebuilt around their
+    items, and anything else as it is."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "c":
+            value = np.stack((value.real, value.imag), axis=-1)
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: to_json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json_value(item) for item in value]
+    return value
 
 
 def input_digest(inputs: dict) -> str:
-    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(to_json_value(inputs), sort_keys=True,
+                           separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -93,15 +96,17 @@ def build_report(command: Sequence[str], inputs: dict, result: dict,
 
 
 def render_report(report: dict) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, byte
-    for byte.  With ``indent`` set the stdlib encodes in pure Python, so
-    ``_emit`` writes the report itself; what it does not cover (a non-str
-    key, an unknown type) is left to ``json.dumps``, output and errors."""
+    """``json.dumps(to_json_value(report), sort_keys=True, indent=2)`` plus
+    a newline, byte for byte.  With ``indent`` set the stdlib encodes in
+    pure Python, so ``_emit`` writes the report itself; what it does not
+    cover (a non-str key, an unknown type) is left to ``json.dumps``,
+    output and errors."""
     out = []
     try:
         _emit(report, "\n", out)
     except TypeError:
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(to_json_value(report), sort_keys=True,
+                          indent=2) + "\n"
     out.append("\n")
     return "".join(out)
 
@@ -125,17 +130,12 @@ def _emit(value, newline: str, out: list) -> None:
         out.append(_float(value))
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
-        text = (_floats(value, newline, inner)
-                or _pairs(value, newline, inner)) if value else "[]"
-        if text is not None:
-            out.append(text)
-            return
         opening = "["
         for item in value:
             out.append(opening + inner)
             opening = ","
             _emit(item, inner, out)
-        out.append(newline + "]")
+        out.append(newline + "]" if value else "[]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -149,6 +149,11 @@ def _emit(value, newline: str, out: list) -> None:
             opening = ","
             _emit(value[key], inner, out)
         out.append(newline + "}")
+    elif isinstance(value, np.ndarray):
+        if value.dtype.kind in "fc" and np.isfinite(value).all():
+            out.append(_array(value, newline))
+        else:  # json's NaN and Infinity, or entries that are no floats
+            _emit(to_json_value(value), newline, out)
     else:
         raise TypeError("a type json rejects")
 
@@ -163,36 +168,34 @@ def _float(value: float) -> str:
     return float.__repr__(value)
 
 
-def _floats(items, newline: str, inner: str):
-    """A list of floats, as a matrix row, rendered with one formatting
-    pass; None for anything else."""
-    if not isinstance(items[0], float):
-        return None
-    try:
-        text = ("," + inner).join(map(float.__repr__, items))
-    except TypeError:  # an entry that is not a float
-        return None
-    # float.__repr__ writes nan and inf where json writes NaN and Infinity;
-    # no other character of the text is an "n"
-    return None if "n" in text else "[" + inner + text + newline + "]"
+def _array(values: np.ndarray, newline: str) -> str:
+    """A finite float or complex array, written from one template of its
+    shape with one ``float.__repr__`` pass over its floats.  Where every
+    imaginary part is +0.0, the only double with no bit set (a real
+    sequence's), the template writes it and no repr is made for it."""
+    imag, floats = None, values
+    if values.dtype.kind == "c":
+        imag, floats = "0.0", values.real
+        if values.imag.any() or np.signbit(values.imag).any():
+            imag, floats = "%s", values.ravel().view(floats.dtype)  # re, im
+    return _template(values.shape, newline, imag) % tuple(
+        map(float.__repr__, floats.ravel().tolist()))
 
 
-def _pairs(items, newline: str, inner: str):
-    """A list of [float, float] pairs, the encoding of every complex
-    sequence, rendered with one formatting pass; None for anything else."""
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return None
-    try:
-        floats = tuple(map(float.__repr__, chain.from_iterable(items)))
-    except TypeError:  # an entry that is not a float
-        return None
-    leaf = inner + "  "
-    pair = f"[{leaf}%s,{leaf}%s{inner}]"
-    text = ("[" + inner + ("," + inner).join([pair] * len(items))
-            + newline + "]") % floats
-    # float.__repr__ writes nan and inf where json writes NaN and Infinity;
-    # no other character of the text is an "n"
-    return None if "n" in text else text
+def _template(shape: tuple, newline: str, imag) -> str:
+    """The nested lists of an array of ``shape`` where ``newline`` starts
+    their lines, each entry a %s, or with ``imag`` given an [re, im] pair
+    of %s and ``imag``."""
+    if not shape:
+        if imag is None:
+            return "%s"
+        leaf = newline + "  "
+        return "[" + leaf + "%s," + leaf + imag + newline + "]"
+    if not shape[0]:
+        return "[]"
+    inner = newline + "  "
+    item = _template(shape[1:], inner, imag)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + newline + "]"
 
 
 def write_report(report: dict, path: str) -> None:

@@ -651,7 +651,7 @@ def block_callable(expr: RuleExpr, from_phi: bool = False) -> Callable:
 # exact rational-function analysis
 # ---------------------------------------------------------------------------
 # Polynomials are tuples of ints, index = power, trailing zeros trimmed;
-# gcds are primitive remainder sequences (Knuth, TAOCP 2, §4.6.1).
+# gcds are heuristic, else primitive remainder sequences (Knuth, TAOCP 2).
 
 def _padd(p, q):
     p, q = (p, q) if len(p) >= len(q) else (q, p)
@@ -708,11 +708,31 @@ def _coprime(p, q, prime=(1 << 61) - 1):
     return len(q) == 1
 
 
+def _primitive(p):
+    c = math.gcd(*p) if p[-1] > 0 else -math.gcd(*p)
+    return tuple(a // c for a in p)
+
+
 def _pgcd(p, q):
-    """The gcd of non-zero p and q, primitive with a positive lead."""
+    """The gcd of non-zero p and q, primitive with a positive lead: g, the
+    primitive part of gcd(p(x), q(x)) in symmetric x-adic digits, if it
+    divides both (Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989: the
+    roots of g's cofactor h in the gcd lie in |z| < x/2, so unless h is
+    constant, |h(x)| > x/2 >= |content(g)|, a multiple of h(x))."""
+    x = 2 * min(max(map(abs, p)), max(map(abs, q))) + 2
+    value, digits = math.gcd(_peval(p, x), _peval(q, x)), []
+    while value:
+        digits.append((value + x // 2) % x - x // 2)
+        value = (value - digits[-1]) // x
+    g = _primitive(digits)
+    divides = not (_pdivide(p, g, False) or _pdivide(q, g, False))
+    return g if divides else _prs_gcd(p, q)
+
+
+def _prs_gcd(p, q):
+    """``_pgcd`` by a primitive remainder sequence."""
     while True:
-        c = math.gcd(*q) if q[-1] > 0 else -math.gcd(*q)
-        q = tuple(a // c for a in q)
+        q = _primitive(q)
         r = _pdivide(p, q, False) if len(q) > 1 else ()
         if not r:
             return q
@@ -819,7 +839,7 @@ def _lift(value) -> Optional[RationalProfile]:
 
 
 # The analysis declines (None, as for a rule that is not rational) past
-# these limits; the slowest rule found within them takes about 20 s.
+# these limits; the slowest rule found within them takes about 0.4 s.
 _MAX_DEGREE = 64  # of an unreduced numerator or denominator
 _MAX_BITS = 2 ** 16  # of a constant power's exact value
 

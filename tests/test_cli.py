@@ -857,6 +857,10 @@ def test_reports_revalidate_from_serialized_inputs(tmp_path):
         ["deriv", "witness", "--mu", "1", "--eps", "0.5", "--terms", "3"],
         ["deriv", "norm", "--phi", "1/(n+1)", "--depth", "200"],
         ["deriv", "classify", "--mu", "n*2^(1-n)", "--tail", "decay"],
+        ["deriv", "apply", "--phi", "1/(n+1)", "--f", "0,1-2j", "--depth",
+         "40"],
+        ["deriv", "truncate", "--mu", "2^(1-n)", "--tail", "decay",
+         "--terms", "6"],
         ["cheese", "verify", "--nmax", "5", "--grid", "301"],
         ["cheese", "demo", "--nmax", "6", "--grid", "501"],
         ["bimodule", "check", "--algebra", "trunc4"],

@@ -70,14 +70,45 @@ def _pairs(rng):
     return pairs
 
 
-def random_value(rng, depth):
-    kind = int(rng.integers(7)) if depth else 0
+# finite edges, then the values json writes as NaN and Infinity
+EDGES = (-0.0, 0.0, 5e-324, 2.5e-310, 1e308, -1e308, math.nan, math.inf,
+         -math.inf)
+
+
+def _parts(rng, size):
+    """float64 values of every magnitude, some of them edge values."""
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    edges = EDGES[:6] if rng.integers(2) else EDGES
+    spots = rng.random(size) < 0.3
+    values[spots] = rng.choice(edges, int(spots.sum()))
+    return values
+
+
+def _array(rng):
+    """A float64 or complex128 array of 0-3 dimensions, some of size 0,
+    and some complex ones real-valued, as reports carry them."""
+    shape = tuple(int(rng.integers(4)) for _ in range(int(rng.integers(4))))
+    real = _parts(rng, math.prod(shape)).reshape(shape)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return real
+    values = np.zeros(shape, dtype=complex)
+    values.real = real
+    if kind == 1:
+        values.imag = _parts(rng, values.size).reshape(shape)
+    return values
+
+
+def random_value(rng, depth, arrays=False):
+    kind = int(rng.integers(8 if arrays else 7)) if depth else 0
     if kind == 0:
         return _leaf(rng)
     if kind == 1:
         return _pairs(rng)
+    if kind == 7:
+        return _array(rng)
     size = int(rng.integers(4))
-    items = [random_value(rng, depth - 1) for _ in range(size)]
+    items = [random_value(rng, depth - 1, arrays) for _ in range(size)]
     if kind in (2, 3):
         return items
     if kind == 4:
@@ -85,8 +116,8 @@ def random_value(rng, depth):
     return {_pick(rng, STRINGS) + str(i): item for i, item in enumerate(items)}
 
 
-def random_report(rng):
-    return {key: random_value(rng, 4) for key in
+def random_report(rng, arrays=False):
+    return {key: random_value(rng, 4, arrays) for key in
             ("certificates", "command", "inputs", "result", "seed", "tool")}
 
 
@@ -95,6 +126,41 @@ def test_render_report_is_canonical_json_on_random_reports():
     for _ in range(400):
         report = random_report(rng)
         assert reports.render_report(report) == canonical(report)
+
+
+def test_reports_holding_arrays_render_as_their_json_values():
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        report = random_report(rng, arrays=True)
+        assert reports.render_report(report) == canonical(
+            reports.to_json_value(report))
+
+
+def test_a_negative_zero_imaginary_part_is_written():
+    # +0.0 imaginary parts are written without a repr; -0.0 is not +0.0
+    values = np.arange(1.0, 6.0) + 0j
+    values.imag[3] = -0.0
+    rendered = reports.render_report({"values": values})
+    assert rendered == canonical({"values": reports.to_json_value(values)})
+    assert rendered.count("-0.0") == 1
+
+
+@pytest.mark.parametrize("report", [
+    {1: np.zeros(2)}, {"a": np.ones(2), 2: "mixed keys"},
+    {"a": np.ones(3, dtype=complex), "b": complex(1, 2)},
+    {"a": [np.zeros((2, 2)), complex(0, 1)]},
+])
+def test_arrays_beside_what_json_converts_or_rejects(report):
+    assert outcome(reports.render_report, report) == outcome(
+        canonical, reports.to_json_value(report))
+
+
+def test_input_digest_is_the_same_for_arrays_and_lists():
+    f = np.array([1 + 2j, -0.5, 0.0])
+    arrays = {"f": f, "depth": 8, "table": np.eye(2)}
+    lists = {"f": [[1.0, 2.0], [-0.5, 0.0], [0.0, 0.0]], "depth": 8,
+             "table": [[1.0, 0.0], [0.0, 1.0]]}
+    assert reports.input_digest(arrays) == reports.input_digest(lists)
 
 
 @pytest.mark.parametrize("value", [

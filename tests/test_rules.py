@@ -741,6 +741,21 @@ def test_profiles_match_the_reference_analysis():
         "none", "ZeroTail", "Constant", "Decay", "Floor", "raises")), kinds
 
 
+def test_a_shared_factor_at_degree_64_is_cancelled_by_the_heuristic_gcd(
+        monkeypatch):
+    # the sides share n + 0.1 and nothing else; the remainder sequence took
+    # about 20 s on them, and the heuristic gcd alone gives the profile
+    def refuse(p, q):
+        raise AssertionError("the primitive remainder sequence ran")
+
+    monkeypatch.setattr(cd.rules, "_prs_gcd", refuse)
+    shared = "((n+0.1)*(n+0.3)^31*(n+0.5)^32)/((n+0.1)*(n+0.7)^31*(n+0.9)^32)"
+    reduced = "((n+0.3)^31*(n+0.5)^32)/((n+0.7)^31*(n+0.9)^32)"
+    got = cd.rational_profile(cd.parse_rule(shared))
+    assert got == cd.rational_profile(cd.parse_rule(reduced))
+    assert (len(got.znum), len(got.zden)) == (64, 64)
+
+
 @pytest.mark.parametrize("text, kept", [
     ("n^64", True), ("n^65", False), ("n^(-65)", False),
     ("((n+1)/(n+2))^64", True), ("((n+1)/(n+2))^128", False),
