@@ -20,6 +20,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
@@ -591,25 +592,36 @@ def algebra_catalog(name: str) -> FiniteAlgebra:
                    f"truncK")
 
 
+# complex() and float() would read True as 1 and parse "1"
+_NOT_NUMBERS = (bool, np.bool_, str)
+
+
 def _as_complex(entry) -> complex:
     try:
         if isinstance(entry, (list, tuple)):
             if len(entry) != 2:
                 raise ValueError("complex entries are [re, im] pairs")
-            return complex(float(entry[0]), float(entry[1]))
+            real, imag = entry
+            if isinstance(real, _NOT_NUMBERS) or \
+                    isinstance(imag, _NOT_NUMBERS):
+                raise TypeError
+            return complex(float(real), float(imag))
+        if isinstance(entry, _NOT_NUMBERS):
+            raise TypeError
         return complex(entry)
     except TypeError:
         raise ValueError(f"bad structure constant {entry!r}") from None
 
 
-def _numeric_structure(raw, d: int) -> Optional[np.ndarray]:
+def _numeric_structure(raw, d: int, bools: bool) -> Optional[np.ndarray]:
     """``raw`` as a (d, d, d) complex array in one numpy call, or None.
 
     Only an int64 or float64 array of that shape is taken: numpy builds one
-    only from numbers, and rounds each to the nearest double as ``complex``
-    does.  None sends the input entry by entry, with that path's errors:
-    [re, im] pairs, strings, bools alone, None, ints that fit no int64 and
-    meet no float, ragged nesting and wrong shapes.
+    from numbers, rounding each to the nearest double as ``complex`` does,
+    and from bools among them, read as 0 or 1, which are looked for unless
+    ``bools`` is False.  None sends the input entry by entry, with that
+    path's errors: [re, im] pairs, strings, bools, None, ints that fit no
+    int64 and meet no float, ragged nesting and wrong shapes.
     """
     try:
         c = np.array(raw)
@@ -617,18 +629,34 @@ def _numeric_structure(raw, d: int) -> Optional[np.ndarray]:
         return None
     if c.dtype not in (np.int64, np.float64) or c.shape != (d, d, d):
         return None
+    types = map(type, chain.from_iterable(chain.from_iterable(raw)))
+    if bools and not {bool, np.bool_}.isdisjoint(types):
+        return None
     return c.astype(complex)
 
 
 def algebra_from_dict(payload: dict) -> FiniteAlgebra:
     """Structure constants from {"dim": d, "c": nested array}."""
+    return _algebra(payload, bools=True)
+
+
+def algebra_from_file(path: str) -> FiniteAlgebra:
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    # JSON spells a bool true or false: without either, no entry is one
+    return _algebra(json.loads(text), "true" in text or "false" in text)
+
+
+def _algebra(payload, bools: bool) -> FiniteAlgebra:
+    """``algebra_from_dict``, looking for a bool among plain numbers only
+    when ``bools`` is True."""
     if not isinstance(payload, dict):
         raise ValueError('an algebra file must hold one JSON object, '
                          '{"dim": d, "c": ...}')
     d = payload["dim"]
     if not isinstance(d, numbers.Integral) or isinstance(d, bool):
         raise ValueError(f'"dim" must be an integer (got {d!r})')
-    c = _numeric_structure(payload["c"], d)
+    c = _numeric_structure(payload["c"], d, bools)
     if c is not None:
         return FiniteAlgebra(c)
 
@@ -643,7 +671,3 @@ def algebra_from_dict(payload: dict) -> FiniteAlgebra:
                  dtype=complex).reshape(d, d, d)
     return FiniteAlgebra(c)
 
-
-def algebra_from_file(path: str) -> FiniteAlgebra:
-    with open(path, "r", encoding="utf-8") as handle:
-        return algebra_from_dict(json.load(handle))

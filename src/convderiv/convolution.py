@@ -10,7 +10,11 @@ refuse to guess when none is declared.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Tuple, Union
 
@@ -31,6 +35,10 @@ _ACTION_BLOCK = 1 << 16
 # with numpy 2.4.6, their float64 blocks and the rules' temporaries being
 # a quarter of the size
 _READ_BLOCK = 1 << 14
+# and splits a range of two chunks or more into one chunk per CPU
+_CHUNK = 1 << 16
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
 
 # _distinct marks a grid's values when they span at most this many times
 # its size, and sorts them otherwise
@@ -473,8 +481,12 @@ def _per_index(scalar: Callable) -> Callable:
 class DualSequence:
     """A functional presented by its values phi(t^n) on the monomial basis.
 
-    ``rule`` maps an int64 index array to the array of values and must be
-    deterministic; ``tail`` declares what is known beyond a finite probe.
+    ``rule`` maps an int64 index array to the array of values; ``tail``
+    declares what is known beyond a finite probe.  ``validate_tail`` reads
+    a range of 2^17 indices or more on every CPU, with one block of work
+    space per CPU: the rule may be called on disjoint blocks from several
+    threads at once, so it must be a pure function of its indices, and
+    the caller's context is carried to the threads.
     A ``vectorized=False`` rule maps one Python-int index to one value and
     is wrapped once in a per-index loop, so :meth:`bulk` is the only
     evaluation path and ``at(n)`` is ``bulk([n])[0]``.
@@ -513,7 +525,11 @@ class DualSequence:
                                  "ZeroTail start")
 
         def rule(n):
-            if np.any(n >= table.size):
+            # one test for both ends: a negative index wraps past the table
+            if np.any(n.view(np.uint64) >= table.size):
+                if n.min() < 0:
+                    raise ValueError(
+                        f"index {n.min()} lies outside 0..INDEX_CAP")
                 raise UndeclaredTailError(
                     f"index {int(np.max(n))} is beyond the table "
                     f"(length {table.size}) and the tail is undeclared")
@@ -575,34 +591,94 @@ def validate_tail(seq: DualSequence, upto: int,
 
     The one pass that reads a sequence over a range: each index is
     evaluated once, in blocks of ``_READ_BLOCK`` indices, so the work
-    space is one block at any depth.  A rule that returns float64 is read
-    as it is, and any other as complex128: hypot(x, +-0) = |x|, so the
-    moduli, the maximum and every comparison have the bits of the complex
-    read, and a constant's message writes the value as a Python complex
-    either way.  An empty range gives 0.0, and a NaN wins, as in
-    ``np.max``.  Only a closed form's certificate is checked
-    (ZeroTail values are zero by construction, tables are checked when
-    built); CertificateViolationError cites the first violation once every
-    value is evaluated.  This cannot prove a declaration, only catch it
-    lying within the probe.
+    space is one block at any depth, or one per CPU: a range of 2^17
+    indices or more is read on every CPU, by one thread pinned to each
+    (the caller's affinity is restored).  A rule may then be called on
+    disjoint blocks from several threads at once, so it must be a pure
+    function of its indices; the caller's context is carried to the
+    threads.  A rule that returns float64 is read as it is, and any other
+    as complex128: hypot(x, +-0) = |x|, so the moduli, the maximum and
+    every comparison have the bits of the complex read, and a constant's
+    message writes the value as a Python complex either way.  An empty
+    range gives 0.0, and a NaN wins, as in ``np.max``.  Only a closed
+    form's certificate is checked (ZeroTail values are zero by
+    construction, tables are checked when built); the rule's first error
+    is raised, or else CertificateViolationError citing the first
+    violation.  This cannot prove a declaration, only catch it lying
+    within the probe.
     """
+    if first_index < 0:
+        raise ValueError(f"index {first_index} lies outside 0..INDEX_CAP")
     cert = getattr(seq.tail, "certificate", None)
+    step = isinstance(cert, Decay)
     # a decay step is checked at its upper index, so from start + 1 on
-    first = upto + 1 if cert is None else \
-        max(cert.start, first_index) + isinstance(cert, Decay)
-    top, before, violation = np.float64(0.0), np.zeros(0), None
-    for lo in range(first_index, upto + 1, _READ_BLOCK):
-        hi = min(lo + _READ_BLOCK, upto + 1)
+    first = upto + 1 if cert is None else max(cert.start, first_index) + step
+    count = upto + 1 - first_index
+    k = max(1, min(_CPUS, count // _CHUNK))
+    edges = [first_index + -(-count // _READ_BLOCK) * j // k * _READ_BLOCK
+             for j in range(k)] + [upto + 1]
+    scans = [None] * k
+    # a thread per CPU, pinned: the kernel tends to keep a new helper that
+    # trades the interpreter lock with its caller on the caller's CPU
+    cpus = sorted(os.sched_getaffinity(0)) if k > 1 and hasattr(
+        os, "sched_getaffinity") else []
+
+    def scan(j):  # the decay step into a later chunk is checked below
+        try:
+            if cpus:
+                _pin({cpus[j % len(cpus)]})
+            scans[j] = _scan(seq, cert, edges[j], edges[j + 1],
+                             max(first, edges[j] + (j > 0 and step)))
+        except BaseException as error:
+            scans[j] = error
+    helpers = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(scan, j)) for j in range(1, k)]
+    try:
+        for helper in helpers:
+            helper.start()
+        scan(0)
+    finally:
+        for helper in filter(threading.Thread.is_alive, helpers):
+            helper.join()
+        if cpus:
+            _pin(cpus)
+    violation = None
+    for j, scanned in enumerate(scans):
+        if isinstance(scanned, BaseException):
+            raise scanned
+        chunk_top, head, _, found = scanned
+        top = np.maximum(top, chunk_top) if j else chunk_top
+        if j and step and edges[j] >= first:  # the step into chunk j
+            found = _violation(cert, head, head, scans[j - 1][2], edges[j],
+                               edges[j]) or found
+        violation = violation or found
+    if violation is not None:
+        raise CertificateViolationError(violation)
+    return float(top)
+
+
+def _pin(cpus) -> None:
+    """Run the calling thread on ``cpus`` only, where it may."""
+    with contextlib.suppress(OSError):  # a sandbox may refuse it
+        os.sched_setaffinity(0, cpus)
+
+
+def _scan(seq: DualSequence, cert: Optional[Certificate], start: int,
+          stop: int, first: int) -> tuple:
+    """(max modulus, first and last modulus, first violation from index
+    ``first`` or None) over start..stop - 1, read in blocks from start."""
+    top, head, before, violation = np.float64(0.0), None, np.zeros(0), None
+    for lo in range(start, stop, _READ_BLOCK):
+        hi = min(lo + _READ_BLOCK, stop)
         vals = seq._read(np.arange(lo, hi))
         mags = np.abs(vals)
         top = np.maximum(top, mags.max())
         if violation is None and hi > first:
             violation = _violation(cert, vals, mags, before, lo,
                                    max(lo, first))
+        head = mags[:1].copy() if head is None else head
         before = mags[-1:]
-    if violation is not None:
-        raise CertificateViolationError(violation)
-    return float(top)
+    return top, head, before, violation
 
 
 def _violation(cert: Certificate, vals: np.ndarray, mags: np.ndarray,

@@ -1023,11 +1023,17 @@ def per_entry_algebra(payload):
         return items
 
     def entry(value):
+        # complex() and float() would read True as 1 and parse "1"
+        words = (bool, np.bool_, str)
         try:
             if isinstance(value, (list, tuple)):
                 if len(value) != 2:
                     raise ValueError("complex entries are [re, im] pairs")
+                if any(isinstance(part, words) for part in value):
+                    raise TypeError
                 return complex(float(value[0]), float(value[1]))
+            if isinstance(value, words):
+                raise TypeError
             return complex(value)
         except TypeError:
             raise ValueError(f"bad structure constant {value!r}") from None

@@ -764,6 +764,23 @@ def test_an_algebra_dimension_that_is_not_an_integer_is_an_input_error(
         'error: "dim" must be an integer (got ')
 
 
+@pytest.mark.parametrize("c", [
+    "[[[true]]]", "[[[false]]]", '[[["1"]]]', '[[["1+2j"]]]',
+    "[[[[1, true]]]]", '[[[["1", 0]]]]', "[[[[false, 0]]]]",
+    # among plain numbers, which are read in one numpy call
+    "[[[true, 0], [0, 0]], [[0, 0], [0, 0]]]",
+    "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, false]]]"])
+def test_a_structure_constant_that_is_not_a_number_is_an_input_error(
+        c, tmp_path, capsys):
+    # complex() and float() would read true as 1 and parse "1"
+    path = tmp_path / "words.json"
+    path.write_text('{"dim": %d, "c": %s}' % (len(json.loads(c)), c))
+    assert run(["bimodule", "check", "--algebra", f"@{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad structure constant ")
+    assert "Traceback" not in err
+
+
 def test_algebra_file_with_a_nan_defect_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "inf.json"
     path.write_text('{"dim": 1, "c": [[[Infinity]]]}')

@@ -215,6 +215,22 @@ def test_at_refuses_indices_beyond_cap():
         seq.at(-1)
 
 
+def test_tables_and_tail_reads_refuse_negative_indices():
+    # a table's rule indexed numpy's way would read table[-1] from the end
+    for tail in (cd.UNDECLARED, cd.ZeroTail(3)):
+        seq = cd.DualSequence.from_values([1, 2, 3], tail=tail)
+        with pytest.raises(ValueError, match=r"^index -1 lies outside "
+                                             r"0\.\.INDEX_CAP$"):
+            seq.bulk([-1])
+        with pytest.raises(ValueError, match=r"^index -2 lies outside "):
+            seq.bulk([0, -2, 1])
+        assert seq.bulk([0, 2]).tolist() == [1, 3]
+        with pytest.raises(ValueError, match=r"^index -1 lies outside "
+                                             r"0\.\.INDEX_CAP$"):
+            cd.validate_tail(seq, 2, first_index=-1)
+        assert cd.validate_tail(seq, 2, first_index=0) == 3.0
+
+
 def test_scalar_rules_receive_python_ints():
     seen = set()
 
