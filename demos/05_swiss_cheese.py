@@ -27,7 +27,7 @@ verification = cd.verify_cheese(X, grid=2001)
 print(f"max bound sum on the interval:    {verification.max_sum:.6f}")
 print(f"with tail allowance (grid sample): {verification.max_certified:.6f} "
       f"< 6.5")
-print(f"smallest per-term dyadic margin:  {verification.per_term_margin:.3e}")
+print(f"proven per-term dyadic margin:    {verification.per_term_margin:.3e}")
 
 print()
 print("== the unit probes ==")

@@ -1,31 +1,27 @@
 """A swiss-cheese set whose derivative-restriction derivation is bounded
-but not compact, built and certified numerically.
+but not compact, built and certified.
 
 The set is the closed unit disc minus a family of small open discs, one
 above each dyadic subinterval of [0, 1/2]: disc n sits above the midpoint
 x_n of I_n = [1/2 - 2^-n, 1/2 - 2^-(n+1)), at height y_n = 2^-m(n),
-m(n) = floor(3n/2) + 3, with radius y_n^2: the largest power of two for which
+m(n) = floor(3n/2) + 3, with radius r_n = y_n^2.  Two facts about its term
+T_n(t) = r_n / (|t - a_n| - r_n)^2 on the real line are proven per disc in
+integer arithmetic (``_term_check``):
 
-  * the closed disc stays inside the open unit disc,
-  * y_n^2 / (y_n - y_n^2)^2 = 1/(1 - y_n)^2 < 2, and
-  * r_n / s_n(x)^2 < 2^-(n+1) for every x in [0, 1/2] outside I_n,
+  * T_n < 2 everywhere, its largest value being r_n / (y_n - r_n)^2, and
+  * T_n(t) < 2^-(n+1) at every t in [0, 1/2] outside I_n.
 
-the last checked against a conservative minimum of the printed estimate
-forms and the exact centre-to-endpoint geometry.  Each check, once failed,
-fails for every larger y (``build_cheese``), so the admissible powers of
-two are those below a threshold; for n <= 25 the tests
-``test_formula_heights_are_the_largest_exactly`` and
-``test_all_heights_match_descent_oracle`` pin it.  Those per-term bounds sum
-with the unit-disc term (at most 4 on the interval) and the single
-landing-interval term (less than 2) to a derivative bound below 13/2, and
-they simultaneously force max_m |f_n'(x_m)| -> the unit diagonal pattern
-that defeats compactness of f |-> f' restricted to the interval.
+2^-m(n) is the largest power of two that passes both (``build_cheese``).
+With the unit-disc term (at most 4 on the interval) and the one landing
+term (below 2) they keep the derivative bound sum below 13/2, and they
+force |f_n'(x_m)| into the unit diagonal pattern that defeats compactness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,6 +110,11 @@ class CheeseSet:
             raise ValueError(f"geometry invariants violated: {margins}")
         return margins
 
+    @cached_property
+    def _term_checks(self) -> Tuple[Tuple[bool, float], ...]:
+        """``_term_check`` of each disc, computed once."""
+        return tuple(_term_check(n, d) for n, d in enumerate(self.discs, 1))
+
     def disc(self, n: int) -> Disc:
         if not 1 <= n <= self.n_max:
             raise IndexError(f"disc index {n} outside 1..{self.n_max}")
@@ -185,54 +186,75 @@ def midpoint(n: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _admissible(x: float, y: float, near: float, far: float,
-                cap: float) -> bool:
-    """The three height checks for a disc at x + iy of radius y^2, with the
-    level's constants: near = 2^-2(n+1), far = 2^-2(n+2), cap = 2^-(n+1)."""
-    r = y * y
-    if math.hypot(x, y) + r >= 1.0:
-        return False
-    if 1.0 / (1.0 - y) ** 2 >= 2.0:
-        return False
-    # conservative per-term denominator: both printed estimate forms and the
-    # exact distance from the centre to the landing interval's endpoints
-    inner = near - y * y
-    if inner < 0.0:
-        return False
-    d1 = math.sqrt(inner) + r
-    d2 = math.sqrt(near + y * y) - r
-    d3 = math.sqrt(far + y * y) - r
-    den = min(d1, d2, d3)
-    if den <= 0.0:
-        return False
-    return r / den ** 2 < cap
+_GUARD = 64  # bits of the floor of s * 2^(K+G) in ``_term_check``
+
+
+def _term_check(n: int, disc: Disc) -> Tuple[bool, float]:
+    """(landing, margin) for disc n, proven in integer arithmetic.
+
+    The disc's term T(t) = r/(|t - a| - r)^2, a = x + iy, falls as |t - x|
+    grows where |t - a| > r.  landing: its largest value on the real line,
+    r/(|y| - r)^2 with |y| > r, is below 2.  margin: a lower bound on
+    c - sup T over the real t off I_n = [lo, hi), c = 2^-(n+1), as a
+    double.  Those t come nearest x at d = max(0, min(x - lo, hi - x)), so
+    with s = sqrt(d^2 + y^2) the supremum is r(s + r)^2/(s^2 - r^2)^2, and
+    margin is -inf where s <= r, as T is unbounded there.
+
+    x, y, r, lo and hi are integers over a common 2^K, so s^2 - r^2 is
+    exact.  Only s is not: q = floor(s 2^(K+G)), one ``math.isqrt``, gives
+    s < (q + 1)/2^(K+G), and G guard bits make q >= 2^(_GUARD-1), so the
+    bound on T is within a relative 2^-(_GUARD-2).  The margin this gives,
+    a fraction of integers, is divided to the nearest double, within half
+    an ulp, and stepped down to the next double; one past the doubles is
+    below -2^1024.
+    """
+    (x, px), (y, py), (r, pr) = (disc.center.real.as_integer_ratio(),
+                                 abs(disc.center.imag).as_integer_ratio(),
+                                 disc.radius.as_integer_ratio())
+    one = max(px, py, pr, 2 << n)  # 2^K
+    x, y, r = x * (one // px), y * (one // py), r * (one // pr)
+    lo, hi = (one >> 1) - (one >> n), (one >> 1) - (one >> n + 1)
+    landing = y > r and r * one < 2 * (y - r) ** 2
+    d = min(x - lo, hi - x)
+    s2 = d * d + y * y if d > 0 else y * y
+    if s2 <= r * r:
+        return landing, -math.inf
+    e2 = (s2 - r * r) ** 2  # (s^2 - r^2)^2 * 2^4K
+    g = max(0, _GUARD - s2.bit_length() // 2)
+    upper = math.isqrt(s2 << 2 * g) + 1 + (r << g)  # > (s + r) * 2^(K+G)
+    num = (e2 << 2 * g) - (r * one * upper * upper << n + 1)
+    den = e2 << 2 * g + n + 1
+    try:  # the next double below num / den rounded to nearest
+        return landing, math.nextafter(num / den, -math.inf)
+    except OverflowError:
+        return landing, -math.inf
 
 
 def build_cheese(n_max: int) -> CheeseSet:
     """Construct the disc family for levels 1..n_max and certify it.
 
-    Level n's height is 2^-m(n), certified by one ``_admissible`` call.
-    In exact arithmetic each check, once failed, fails at every larger y:
-    hypot(x, y) + y^2, 1/(1 - y)^2 and y^2 - near increase with y, and so
-    does y/den while den > 0, as d1/y = sqrt(near/y^2 - 1) + y (its root
-    falls faster than 4 while y^2 <= near <= 1/16),
-    d2/y = sqrt(near/y^2 + 1) - y and d3/y = sqrt(far/y^2 + 1) - y all
-    decrease.  So 2^-m(n) is the largest admissible power of two when it
-    passes and 2^-(m(n)-1) fails, which
+    Level n's height is 2^-m(n), certified by ``_term_check`` (geometry by
+    ``CheeseSet``).  With r = y^2 each of its facts, once failed, fails at
+    every larger y: the landing term is 1/(1 - y)^2, and the term at
+    distance d is (y/(sqrt(d^2 + y^2) - y^2))^2, whose root's reciprocal
+    sqrt(d^2/y^2 + 1) - y falls as y grows.  So 2^-m(n), which passes,
+    is the largest admissible power of two when 2^-(m(n)-1) fails, which
     ``test_formula_heights_are_the_largest_exactly`` (60-digit decimals)
     and ``test_all_heights_match_descent_oracle`` (the float search) check
     for n <= 25.  From n = 26 on, y_n < 2^-40, the floor.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    discs = []
-    for n in range(1, n_max + 1):
-        x, y = midpoint(n), 2.0 ** -(3 * n // 2 + 3)
-        level = 2.0 ** (-2 * (n + 1)), 2.0 ** (-2 * (n + 2)), 2.0 ** -(n + 1)
-        if y < _FLOOR or not _admissible(x, y, *level):
+    heights = [2.0 ** -(3 * n // 2 + 3) for n in range(1, n_max + 1)]
+    for n, y in enumerate(heights, 1):
+        if y < _FLOOR:
             raise ConstructionFailedError(n)
-        discs.append(Disc(complex(x, y), y * y))
-    return CheeseSet(discs)
+    X = CheeseSet(Disc(complex(midpoint(n), y), y * y)
+                  for n, y in enumerate(heights, 1))
+    for n, (landing, margin) in enumerate(X._term_checks, 1):
+        if not (landing and margin > 0.0):
+            raise ConstructionFailedError(n)
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +311,8 @@ class CheeseVerification:
     margins: GeometryMargins
     max_sum: float
     max_certified: float
-    per_term_margin: float  # min over (n, x off I_n) of 2^-(n+1) - r_n/s_n^2
+    per_term_margin: float  # proven below 2^-(n+1) - r_n/s_n^2 off I_n
     bound_threshold: ClassVar[float] = 6.5
-    per_term_tol: ClassVar[float] = 1e-12
 
     @property
     def geometry_ok(self) -> bool:
@@ -303,7 +324,7 @@ class CheeseVerification:
 
     @property
     def per_term_ok(self) -> bool:
-        return self.per_term_margin > -self.per_term_tol
+        return self.per_term_margin > 0.0
 
     @property
     def passed(self) -> bool:
@@ -325,10 +346,10 @@ def interval_grid(points: int) -> np.ndarray:
     return np.linspace(INTERVAL[0], INTERVAL[1], points)
 
 
-# Relative rounding allowance of the three screens below, times the
-# cancellation factor y/(y - r) in the per-term and bound-sum screens.
-# Rounding Re a +- w needs none: rounding is monotone and the grid points
-# are doubles.
+# Relative rounding allowance of the two screens below, times the
+# cancellation factor y/(y - r) in the bound-sum screen.  Rounding
+# Re a +- w needs none: rounding is monotone and the grid points are
+# doubles.
 _SCREEN = 2.0 ** -40
 
 # Below this distance from a disc, the bound-sum screen sweeps the whole
@@ -336,40 +357,15 @@ _SCREEN = 2.0 ** -40
 _TINY = 2.0 ** -500
 
 
-def _within(radii, floor):
-    """sqrt(r / floor): r / d^2 >= floor exactly when d <= this (inf at
-    floor 0)."""
+def _derivative_window(xs, centers, radii, tau):
+    """[lo, hi) per probe: the points of the sorted xs where the computed
+    |f_k'| can reach tau (see ``noncompact_report``), every x with
+    |x - Re a| <= sqrt(r/tau' - (Im a)^2), tau' = tau (1 - _SCREEN)."""
     with np.errstate(divide="ignore"):
-        return np.sqrt(radii / floor)
-
-
-def _window(xs, centers, reach):
-    """Index ranges [lo, hi) of the sorted real points xs covering every x
-    with |x - a| <= reach, that is |x - Re a| <= sqrt(reach^2 - (Im a)^2),
-    one range per centre a."""
+        reach = np.sqrt(radii / (tau * (1.0 - _SCREEN)))
     half = np.sqrt(np.maximum(reach * reach - centers.imag ** 2, 0.0))
     return (np.searchsorted(xs, centers.real - half),
             np.searchsorted(xs, centers.real + half, "right"))
-
-
-def _derivative_window(xs, centers, radii, tau):
-    """[lo, hi) per probe: the grid points where the computed |f_k'| can
-    reach tau (see ``noncompact_report``)."""
-    return _window(xs, centers, _within(radii, tau * (1.0 - _SCREEN)))
-
-
-def _term_window(xs, centers, radii, floor):
-    """[lo, hi) per disc: the grid points where the computed term can reach
-    floor (see ``verify_cheese``)."""
-    kappa = centers.imag / (centers.imag - radii)
-    theta = np.maximum(floor * (1.0 - _SCREEN * kappa), 0.0)
-    return _window(xs, centers, radii + _within(radii, theta))
-
-
-def _terms(points, centers, radii):
-    """r / s^2 with s = |x - a| - r: the bound sum's term at each point."""
-    s = np.abs(points - centers) - radii
-    return radii / s ** 2
 
 
 def _block_bounds(X, xs, width):
@@ -415,31 +411,8 @@ def _largest_sum(X, xs) -> float:
 def verify_cheese(X: CheeseSet, grid: int = 2001) -> CheeseVerification:
     """Re-certify geometry, the per-term dyadic bounds, and the full sum.
 
-    The per-term check r_n / s_n(x)^2 < 2^-(n+1) runs over every grid
-    point outside disc n's landing interval; on the landing interval the
-    term is instead covered by the uniform bound below 2, which the
-    admissibility of the height guarantees.  The largest full sum is found
-    by screening blocks of the grid, as below.
-
-    The per-term margin is 2^-(n+1) minus the largest computed term t off
-    I_n (rounding is monotone, so this is the least computed difference),
-    and that largest term is found by evaluating only screened points.  F,
-    the larger computed term at the two outside grid points next to I_n,
-    bounds it from below.  With u = 2^-53 and, barring underflow: the
-    subtraction x - a rounds only its real part, by at most u|x - a|; the
-    modulus adds at most 4u; since |x - a| >= y > r, s = |x - a| - r
-    loses no more than the factor kappa = y/(y - r) of that, so s carries a
-    relative error below 6.1 kappa u, and squaring and dividing bring t
-    within 15 kappa u of the true term T.  So t >= F only where
-    T >= F(1 - delta/2), delta = 2^-40 kappa.  T is decreasing in
-    |x - a|, and T >= theta = F(1 - delta) exactly where
-    |x - a| <= r + sqrt(r/theta), an interval around Re a.  The other half
-    of delta covers the rounding of that radius and of the half-width
-    sqrt(radius^2 - y^2) (whose cancellation costs at most 8u radius^2,
-    against a margin above 2^-41 radius^2).  Rounding Re a +- w cannot drop
-    a grid point: rounding is monotone and the points are doubles.  Every
-    point where t can reach F is in the interval, so its largest t is the
-    largest over all outside points.
+    The per-term margin is the least of ``_term_check``'s proven margins.
+    The largest full sum is found by screening blocks of the grid.
 
     The computed bound sum at x is S(x) = t_0 + t_1 + ... + t_n, added in
     that order by ``bound_sum_grid``, with t_0 = 1/(1 - x)^2 and t_j the
@@ -449,8 +422,13 @@ def verify_cheese(X: CheeseSet, grid: int = 2001) -> CheeseVerification:
     term T_j is decreasing in |x - Re a|, so over B it is largest at the
     point of B nearest Re a, one of B's two points beside Re a (both are
     B's end nearer Re a when Re a lies outside B); let v_j be the larger
-    computed term at those two.  By the bound above, for x in B,
-    t_j(x) <= (1 + 15 kappa u) T_j(x) and v_j >= (1 - 15 kappa u) T_j(x),
+    computed term at those two.  With u = 2^-53 and barring underflow, the
+    subtraction x - a rounds only its real part, by at most u|x - a|, and
+    the modulus adds at most 4u; as |x - a| >= y > r, s = |x - a| - r
+    loses at most the factor kappa = y/(y - r) of that, a relative error
+    below 6.1 kappa u, and squaring and dividing bring t_j within
+    15 kappa u of T_j.  So for x in B, t_j(x) <= (1 + 15 kappa u) T_j(x)
+    and v_j >= (1 - 15 kappa u) T_j(x),
     so t_j(x) <= (1 + 31 kappa u) v_j when kappa <= 2^40.  Each addition
     of nonnegative terms rounds up by at most a factor 1 + u, and each
     addition in the computed t_0(e) + v_1 + ... + v_n rounds down by at
@@ -479,30 +457,11 @@ def verify_cheese(X: CheeseSet, grid: int = 2001) -> CheeseVerification:
         raise ValueError("grid must be at least 2")
     xs = interval_grid(grid)
     max_sum = _largest_sum(X, xs)
-    centers, radii = X._centers[:, 0], X._radii[:, 0]
-    bounds = np.array([landing_interval(n) for n in range(1, X.n_max + 1)])
-    # off I_n the grid is xs[:left] and xs[right:]; right < grid, since
-    # every I_n ends below 1/2 = xs[-1]
-    left, right = np.searchsorted(xs, bounds.reshape(-1, 2).T)
-    beside = np.stack([np.where(left > 0, left - 1, right), right])
-    floor = _terms(xs[beside], centers, radii).max(0)
-    lo, hi = _term_window(xs, centers, radii, floor)
-    # candidate ranges, left then right of each I_n, each holding the
-    # points beside it; every disc's right range is non-empty
-    starts = np.stack([np.minimum(lo, np.maximum(left - 1, 0)), right], 1)
-    stops = np.stack([left, np.maximum(hi, right + 1)], 1)
-    counts = (stops - starts).ravel()
-    first = np.cumsum(counts) - counts
-    index = np.arange(counts.sum()) + np.repeat(starts.ravel() - first,
-                                                counts)
-    disc = np.repeat(np.arange(X.n_max), counts[0::2] + counts[1::2])
-    terms = _terms(xs[index], centers[disc], radii[disc])
-    largest = np.maximum.reduceat(terms, first[0::2])
-    margins = np.ldexp(1.0, -np.arange(2, X.n_max + 2)) - largest
     return CheeseVerification(
         n_max=X.n_max, grid=grid, margins=X.margins,
         max_sum=max_sum, max_certified=max_sum + 2.0 ** -(X.n_max + 1),
-        per_term_margin=float(margins.min(initial=math.inf)))
+        per_term_margin=min((margin for _, margin in X._term_checks),
+                            default=math.inf))
 
 
 @dataclass

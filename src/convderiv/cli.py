@@ -104,10 +104,13 @@ def _finite(name: str, values) -> None:
 
 
 def _build_derivation(args) -> Tuple[Derivation, dict]:
-    # a --depth past the cap is refused before any read; witness has none
+    # a --depth past the cap or below 0 is refused before any read;
+    # witness has none
     if "depth" in args and args.depth > PROBE_CAP:
         raise ValueError(f"depth {args.depth} is beyond the probe cap "
                          f"{PROBE_CAP}")
+    if "depth" in args and args.depth < 0:
+        raise ValueError(f"depth {args.depth} is negative")
     if (args.phi is None) == (args.mu is None):
         raise ValueError("exactly one of --phi or --mu is required")
     text = args.phi if args.phi is not None else args.mu

@@ -72,9 +72,11 @@ def test_geometry_invariants_have_strict_margins():
 
 
 def _exact_checks(n, m):
-    """The three checks of ``cheese._admissible`` on the height 2^-m at
-    level n, decided in 60-digit decimal arithmetic; each margin must be
-    far above that precision for its sign to be the exact one."""
+    """The conservative height test on 2^-m at level n (containment, the
+    landing bound, and the per-term bound against the least of the printed
+    estimate denominators and the exact endpoint distance), decided in
+    60-digit decimal arithmetic; each margin must be far above that
+    precision for its sign to be the exact one."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         two = Decimal(2)
@@ -105,12 +107,23 @@ def test_formula_heights_are_the_largest_exactly(n):
     assert cd.build_cheese(n).disc(n).center.imag == 2.0 ** -m
 
 
+@pytest.mark.parametrize("n", range(1, 26))
+def test_the_level_check_agrees_with_the_decimal_checks(n):
+    m = 3 * n // 2 + 3
+    for height in (m, m - 1):
+        y = 2.0 ** -height
+        disc = cd.Disc(complex(cd.midpoint(n), y), y * y)
+        landing, margin = cheese._term_check(n, disc)
+        assert (landing and margin > 0.0) == _exact_checks(n, height)
+
+
 def test_build_makes_one_admissibility_check_per_level(monkeypatch):
+    # verification reads the checks the build made
     calls = []
-    check = cheese._admissible
-    monkeypatch.setattr(cheese, "_admissible",
+    check = cheese._term_check
+    monkeypatch.setattr(cheese, "_term_check",
                         lambda *args: calls.append(args) or check(*args))
-    cd.build_cheese(25)
+    cd.verify_cheese(cd.build_cheese(25), grid=2001)
     assert len(calls) == 25
 
 
@@ -496,7 +509,7 @@ def reference_sums(X, grid):
 def reference_verification(X, grid):
     """The two sweeps ``verify_cheese`` once ran, kept as the reference: the
     bound sum over every grid point, then every term at every grid point
-    off each landing interval.
+    off each landing interval, a sample of the per-term margin.
 
     Returns (sums, certified, per_term_margin).
     """
@@ -520,7 +533,8 @@ def assert_verification_matches_reference(X, grid):
     verification = cd.verify_cheese(X, grid=grid)
     sums, certified, per_term_margin = reference_verification(X, grid)
     assert_maximum_matches_reference(verification, sums, certified)
-    assert repr(verification.per_term_margin) == repr(per_term_margin)
+    # the proven margin covers the whole interval, the grid only a sample
+    assert verification.per_term_margin <= per_term_margin
     # the CSV table's arrays: one full-grid call
     table = X.bound_sum_grid(cd.interval_grid(grid))
     assert table[0].tobytes() == sums.tobytes()
@@ -539,6 +553,80 @@ def test_verification_matches_the_two_sweep_reference(n_max, grid):
 @pytest.mark.parametrize("grid", [2, 101, 2001, 20001])
 def test_verification_matches_the_reference_for_radii_not_y_squared(grid):
     assert_verification_matches_reference(_stretched_radii(), grid)
+
+
+def exact_term_checks(X):
+    """[n]: (landing, margin) of disc n in 80-digit decimals: whether its
+    term r/(y - r)^2 at Re a_n is below 2 (with y > r), and 2^-(n+1) less
+    the supremum of its term over [0, 1/2] off I_n, -inf where the term is
+    unbounded there.
+
+    The term falls with the distance from Re a_n, so its supremum is at
+    the distance from Re a_n to the nearest of the closed pieces
+    [0, lo] (when lo > 0) and [hi, 1/2].
+    """
+    checks = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        for n, disc in enumerate(X.discs, 1):
+            x, y, r = (Decimal(v) for v in (disc.center.real,
+                                            disc.center.imag, disc.radius))
+            lo, hi = (Decimal(v) for v in cd.landing_interval(n))
+            pieces = [(hi, Decimal("0.5"))] + [(Decimal(0), lo)] * (lo > 0)
+            d = min(max(a - x, 0, x - b) for a, b in pieces)
+            s = (d * d + y * y).sqrt()
+            checks.append((abs(y) > r and r / (abs(y) - r) ** 2 < 2,
+                           Decimal(2) ** -(n + 1) - r / (s - r) ** 2
+                           if s > r else Decimal("-Infinity")))
+    return checks
+
+
+def _disc_near_its_interval_start():
+    """``build_cheese(8)`` with disc 8 moved to 2^-15 right of the left end
+    of I_8: its term passes 2^-9 just left of that end, between the points
+    of a 201-point grid."""
+    payload = cd.build_cheese(8).to_dict()
+    payload["discs"][7]["x"] = cd.landing_interval(8)[0] + 2.0 ** -15
+    return cd.CheeseSet.from_dict(payload)
+
+
+def test_term_margins_are_proven_bounds_within_2_to_the_minus_60():
+    families = [*(cd.build_cheese(n) for n in range(1, 26)),
+                _stretched_radii(), _moved_disc_family(),
+                _disc_near_its_interval_start(), *_perturbed_families(3, 12)]
+    landings = set()
+    for X in families:
+        margins = [margin for _, margin in X._term_checks]
+        for n, ((landing, margin), (exact_landing, exact)) in enumerate(
+                zip(X._term_checks, exact_term_checks(X)), 1):
+            assert landing == exact_landing
+            landings.add(landing)
+            if exact.is_infinite():
+                assert margin == -math.inf
+                continue
+            # at most the exact margin, and below it by at most 2^-60 c_n
+            # and the rounding to a double, two ulps: half an ulp to the
+            # nearest double, then a step down
+            assert Decimal(margin) <= exact
+            assert exact - Decimal(margin) <= \
+                Decimal(2) ** -(n + 61) + 2 * Decimal(math.ulp(margin))
+        assert cd.verify_cheese(X, grid=2).per_term_margin == min(margins)
+    assert landings == {True, False}
+
+
+def test_a_disc_meeting_the_line_off_its_interval_has_no_margin():
+    # at t = Re a = 0.4, off I_1 = [0, 1/4), |t - a| = y <= r
+    for y, r in ((0.25, 0.25), (0.0, 0.05), (1e-3, 2e-3)):
+        disc = cd.Disc(complex(0.4, y), r)
+        assert cheese._term_check(1, disc) == (False, -math.inf)
+
+
+def test_a_term_past_its_bound_between_grid_points_fails_the_check():
+    X = _disc_near_its_interval_start()
+    assert reference_verification(X, 201)[2] > 0.0  # no grid point sees it
+    verification = cd.verify_cheese(X, grid=201)
+    assert verification.per_term_margin < 0.0
+    assert not verification.per_term_ok and not verification.passed
 
 
 # -- the bound-sum screen keeps the full sweep's maximum ----------------------
@@ -605,6 +693,8 @@ def test_a_disc_across_the_grid_raises_the_full_sweep_error(grid):
     with pytest.raises(cd.OnBoundaryError) as screened:
         cd.verify_cheese(X, grid=grid)
     assert str(screened.value) == str(full.value)
+    # both discs meet the real line off their landing intervals
+    assert [margin for _, margin in X._term_checks[5:7]] == [-math.inf] * 2
 
 
 def test_verification_sweeps_a_small_share_of_a_large_grid(monkeypatch):
@@ -647,13 +737,6 @@ def test_derivative_screen_holds_each_point_at_its_own_modulus():
     for xs, centers, radii, p in _screen_cases():
         tau = np.abs(-radii / (xs[p] - centers) ** 2)
         lo, hi = cheese._derivative_window(xs, centers, radii, tau)
-        assert ((lo <= p) & (p < hi)).all()
-
-
-def test_term_screen_holds_each_point_at_its_own_term():
-    for xs, centers, radii, p in _screen_cases():
-        floor = radii / (np.abs(xs[p] - centers) - radii) ** 2
-        lo, hi = cheese._term_window(xs, centers, radii, floor)
         assert ((lo <= p) & (p < hi)).all()
 
 

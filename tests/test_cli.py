@@ -679,6 +679,18 @@ def test_a_depth_at_the_probe_cap_is_read(command, monkeypatch, capsys):
         "error: depth 301 is beyond the probe cap 300\n"
 
 
+@pytest.mark.parametrize("command", _DEPTH_COMMANDS,
+                         ids=lambda argv: argv[0])
+def test_a_negative_depth_is_refused_before_any_read(command, monkeypatch,
+                                                     capsys):
+    # classify, truncate and apply exited 0 on it, apply with no values
+    monkeypatch.setattr(rules, "parse_rule",
+                        lambda text: pytest.fail("the rule was read"))
+    argv = ["deriv", *command, "--mu", "1/(n+1)^2", "--depth", "-7"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: depth -7 is negative\n"
+
+
 @pytest.mark.parametrize("rule, index", [
     # a decay cited up to 8 past its start, a floor 10^6 past it
     ("1/(n+10^20)", 10 ** 20 + 3 + 8),
