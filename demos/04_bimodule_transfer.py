@@ -16,7 +16,7 @@ import convderiv as cd
 print("== rank-one non-inner derivation on the zero-product plane ==")
 A = cd.algebra_catalog("zero2")
 print("dimension of the span of products:", cd.square_span(A).shape[0])
-anchor = np.array([1.0, 0.0], dtype=complex)
+anchor = np.array([1.0, 0.0])
 lambda0, D = cd.rank_one_derivation(A, anchor)
 print("functional:", lambda0.matrix[0].real, " rank of D:", D.rank)
 dual = A.self_bimodule().dual()

@@ -39,6 +39,12 @@ class NoSuchElementError(RuntimeError):
     """No probed element had a non-vanishing image of its square."""
 
 
+def _numeric(x) -> np.ndarray:
+    """A new array of ``x``: complex128 if it is complex, else float64."""
+    x = np.asarray(x)
+    return x.astype(complex if x.dtype.kind == "c" else float)
+
+
 @dataclass
 class FiniteMap:
     """Linear map between coordinate spaces; column s is the image of e_s."""
@@ -46,35 +52,36 @@ class FiniteMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        self.matrix = _numeric(self.matrix)
 
     @property
     def rank(self) -> int:
         return matrix_rank(self.matrix)
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=complex)
+        return self.matrix @ np.asarray(vec)
 
 
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 def _exact_reals(arrays):
-    """Contiguous float64 copies of the real parts of the complex
-    ``arrays``, when every entry is an integer of modulus below
+    """``arrays`` in float64, complex ones as contiguous copies of their
+    real parts, when every entry is an integer of modulus below
     sqrt(2^53 / n) with imaginary part ±0, n the largest dimension of any
     of them; None otherwise, NaN and inf included."""
     n = max(max(a.shape, default=0) for a in arrays)
     limit = math.isqrt((2 ** 53 - 1) // max(n, 1))  # x <= limit: n x^2 < 2^53
     reals = []
     for a in arrays:
-        if a.imag.any():
+        if a.dtype.kind == "c":
+            if a.imag.any():
+                return None
+            a = np.ascontiguousarray(a.real)
+        if not (np.abs(a).max(initial=0.0) <= limit
+                and np.array_equal(a, np.rint(a))):
             return None
-        real = np.ascontiguousarray(a.real)
-        if not (np.abs(real).max(initial=0.0) <= limit
-                and np.array_equal(real, np.rint(real))):
-            return None
-        reals.append(real)
+        reals.append(a)
     return reals
 
 
@@ -94,17 +101,19 @@ def _checked_defect(sides, arrays, atol: float, what: str) -> float:
     false, and an inf gap, which needs an inf S, gives an excess of inf -
     inf = NaN.
 
-    Integer data runs in float64 (``_exact_reals``), with the same bits.
-    Each entry of lhs and rhs sums at most n products (n the largest
+    Real data runs in float64, and so does complex integer data
+    (``_exact_reals``), with the bits complex arithmetic gives.  Each
+    entry of lhs and rhs sums at most n products (n the largest
     dimension: every matmul in ``sides`` contracts over d or m), each an
     integer below 2^53 / n in modulus, so every product and partial sum
     is an integer below 2^53, exact in any order and with or without FMA
     (Higham §2.1).  Complex arithmetic forms the same real parts, while
     the imaginary parts are sums of ±0; hypot(x, ±0) = |x|, so the gaps
     agree, and the moduli of the inputs, hence S and every later step,
-    are the same float64 arrays.  The defect and each error message keep
-    their bits.  Other data stays complex: dgemm and zgemm may sum inexact
-    products in different orders.
+    are the same float64 arrays.  Other complex data stays complex.  Real
+    data that are not integers may move the defect's last bits against
+    complex arithmetic (dgemm and zgemm may sum inexact products in other
+    orders), under the same tolerance, which bounds any order's rounding.
     """
     arrays = _exact_reals(arrays) or arrays
     defect, mags = 0.0, None
@@ -163,7 +172,7 @@ class FiniteAlgebra:
     """
 
     def __init__(self, structure, atol: float = 1e-12):
-        c = np.asarray(structure, dtype=complex)
+        c = _numeric(structure)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError("structure constants must form a (d, d, d) array")
         if not np.array_equal(c, c.transpose(1, 0, 2)):
@@ -202,8 +211,7 @@ class FiniteAlgebra:
         return self.structure.shape[0]
 
     def multiply(self, a, b) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(a, dtype=complex),
-                         np.asarray(b, dtype=complex), self.structure)
+        return np.einsum("i,j,ijk->k", a, b, self.structure)
 
     def self_bimodule(self) -> "FiniteBimodule":
         """The algebra acting on itself by multiplication (symmetric)."""
@@ -227,8 +235,7 @@ class FiniteBimodule:
 
     def __init__(self, algebra: FiniteAlgebra, left, right,
                  atol: float = 1e-12):
-        L = np.asarray(left, dtype=complex)
-        R = np.asarray(right, dtype=complex)
+        L, R = _numeric(left), _numeric(right)
         d, c = algebra.dim, algebra.structure
         if L.shape != R.shape or L.ndim != 3 or L.shape[0] != d \
                 or L.shape[1] != L.shape[2]:
@@ -276,12 +283,10 @@ class FiniteBimodule:
         return self.left.shape[1]
 
     def act_left(self, a, x) -> np.ndarray:
-        return np.einsum("i,x,ixy->y", np.asarray(a, dtype=complex),
-                         np.asarray(x, dtype=complex), self.left)
+        return np.einsum("i,x,ixy->y", a, x, self.left)
 
     def act_right(self, x, a) -> np.ndarray:
-        return np.einsum("i,x,ixy->y", np.asarray(a, dtype=complex),
-                         np.asarray(x, dtype=complex), self.right)
+        return np.einsum("i,x,ixy->y", a, x, self.right)
 
     def dual(self) -> "FiniteBimodule":
         """Dual module: (a.psi)(x) = psi(x.a) and (psi.a)(x) = psi(a.x).
@@ -310,27 +315,18 @@ _INNER_TOL, _IDENTITY_TOL = 1e-9, 1e-10
 
 def matrix_rank(M: np.ndarray) -> int:
     """Numerical rank: singular values over _RANK_THRESHOLD of the largest."""
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > _RANK_THRESHOLD * s[0]))
+    s = np.linalg.svd(_numeric(M), compute_uv=False)
+    return int(np.count_nonzero(s > _RANK_THRESHOLD * s.max(initial=0.0)))
 
 
 def opnorm_l1_to_l1(M: np.ndarray) -> float:
     """Operator norm for l1 -> l1 coordinates: max column sum of moduli."""
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return 0.0
-    return float(np.abs(M).sum(axis=0).max())
+    return float(np.abs(_numeric(M)).sum(axis=0).max(initial=0.0))
 
 
 def opnorm_l1_to_sup(M: np.ndarray) -> float:
     """Operator norm for l1 -> sup coordinates: largest entry modulus."""
-    M = np.asarray(M, dtype=complex)
-    return float(np.abs(M).max(initial=0.0))
+    return float(np.abs(_numeric(M)).max(initial=0.0))
 
 
 def square_span(A: FiniteAlgebra) -> np.ndarray:
@@ -341,27 +337,22 @@ def square_span(A: FiniteAlgebra) -> np.ndarray:
     """
     if A._span is None:
         d = A.dim
-        products = A.structure.reshape(d * d, d)
-        if products.any():
-            u, s, vh = np.linalg.svd(products, full_matrices=False)
-            basis = vh[s > _RANK_THRESHOLD * s[0]]
-        else:
-            basis = np.zeros((0, d), dtype=complex)
+        _, s, vh = np.linalg.svd(A.structure.reshape(d * d, d),
+                                 full_matrices=False)
+        basis = vh[s > _RANK_THRESHOLD * s.max(initial=0.0)]
         basis.setflags(write=False)
         A._span = basis
     return A._span
 
 
 def _project_onto_rows(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if basis.shape[0] == 0:
-        return np.zeros_like(v)
     return basis.T @ (basis.conj() @ v)
 
 
 def find_anchor(A: FiniteAlgebra) -> np.ndarray:
     """First basis vector off the product span: a rank-one anchor."""
     span = square_span(A)
-    for candidate in np.eye(A.dim, dtype=complex):
+    for candidate in np.eye(A.dim, dtype=A.structure.dtype):
         residual = candidate - _project_onto_rows(span, candidate)
         if np.linalg.norm(residual) > 1e-9:
             return candidate
@@ -410,7 +401,7 @@ def rank_one_derivation(A: FiniteAlgebra,
     D(a0)(a0) = 1 while every inner derivation into the dual of a
     commutative algebra is zero, so D is not inner.
     """
-    a0 = np.asarray(a0, dtype=complex)
+    a0 = _numeric(a0)
     span = square_span(A)
     residual = a0 - _project_onto_rows(span, a0)
     scale = float(np.linalg.norm(a0))
@@ -418,7 +409,7 @@ def rank_one_derivation(A: FiniteAlgebra,
         raise NotOutsideSquareError(
             "anchor element lies in the span of products")
     constraints = np.vstack([span, a0[None, :]])
-    rhs = np.zeros(constraints.shape[0], dtype=complex)
+    rhs = np.zeros(constraints.shape[0])
     rhs[-1] = 1.0
     lam = np.linalg.pinv(constraints) @ rhs
     return FiniteMap(lam[None, :]), FiniteMap(np.outer(lam, lam))
@@ -467,13 +458,12 @@ def dual_homomorphism(A: FiniteAlgebra, E: FiniteBimodule, lam) -> FiniteMap:
     if not E.symmetric:
         raise NotSymmetricError("the induced map into the dual needs a "
                                 "symmetric module")
-    return FiniteMap(np.einsum("axy,y->ax", E.left,
-                               np.asarray(lam, dtype=complex)))
+    return FiniteMap(np.einsum("axy,y->ax", E.left, lam))
 
 
 def _transfer_candidates(d: int, seed: int):
     """The elements ``find_transfer_functional`` scans, made as needed."""
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(d)
     yield from eye
     for i in range(d):
         for j in range(i + 1, d):
@@ -559,14 +549,14 @@ def truncated_polynomials(order: int) -> FiniteAlgebra:
     """The polynomials modulo t^order, basis 1, t, ..., t^{order-1}."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    c = np.zeros((order, order, order), dtype=complex)
+    c = np.zeros((order, order, order))
     i, j = np.nonzero(np.add.outer(np.arange(order), np.arange(order)) < order)
     c[i, j, i + j] = 1.0
     return FiniteAlgebra._exact(c)
 
 
 def zero_product_algebra(dim: int) -> FiniteAlgebra:
-    return FiniteAlgebra._exact(np.zeros((dim, dim, dim), dtype=complex))
+    return FiniteAlgebra._exact(np.zeros((dim, dim, dim)))
 
 
 def euler_derivation(A: FiniteAlgebra) -> FiniteMap:
@@ -596,7 +586,9 @@ def algebra_catalog(name: str) -> FiniteAlgebra:
 _NOT_NUMBERS = (bool, np.bool_, str)
 
 
-def _as_complex(entry) -> complex:
+def _as_number(entry):
+    """A structure constant: a float from a real number, a complex from an
+    [re, im] pair or a complex number."""
     try:
         if isinstance(entry, (list, tuple)):
             if len(entry) != 2:
@@ -608,17 +600,18 @@ def _as_complex(entry) -> complex:
             return complex(float(real), float(imag))
         if isinstance(entry, _NOT_NUMBERS):
             raise TypeError
-        return complex(entry)
+        return float(entry) if isinstance(entry, numbers.Real) \
+            else complex(entry)
     except TypeError:
         raise ValueError(f"bad structure constant {entry!r}") from None
 
 
 def _numeric_structure(raw, d: int, bools: bool) -> Optional[np.ndarray]:
-    """``raw`` as a (d, d, d) complex array in one numpy call, or None.
+    """``raw`` as a (d, d, d) int64 or float64 array in one call, or None.
 
-    Only an int64 or float64 array of that shape is taken: numpy builds one
-    from numbers, rounding each to the nearest double as ``complex`` does,
-    and from bools among them, read as 0 or 1, which are looked for unless
+    Only such an array is taken, which ``FiniteAlgebra`` rounds to doubles
+    as ``float`` does: numpy builds one from numbers, and from bools
+    among them, read as 0 or 1, which are looked for unless
     ``bools`` is False.  None sends the input entry by entry, with that
     path's errors: [re, im] pairs, strings, bools, None, ints that fit no
     int64 and meet no float, ragged nesting and wrong shapes.
@@ -632,7 +625,7 @@ def _numeric_structure(raw, d: int, bools: bool) -> Optional[np.ndarray]:
     types = map(type, chain.from_iterable(chain.from_iterable(raw)))
     if bools and not {bool, np.bool_}.isdisjoint(types):
         return None
-    return c.astype(complex)
+    return c
 
 
 def algebra_from_dict(payload: dict) -> FiniteAlgebra:
@@ -666,8 +659,9 @@ def _algebra(payload, bools: bool) -> FiniteAlgebra:
                              f'{(d, d, d)}')
         return items
 
-    c = np.array([[[_as_complex(entry) for entry in sized(row)]
-                   for row in sized(plane)] for plane in sized(payload["c"])],
-                 dtype=complex).reshape(d, d, d)
+    # float64, or complex128 if any entry is complex
+    c = np.array([[[_as_number(entry) for entry in sized(row)]
+                   for row in sized(plane)] for plane in sized(payload["c"])]
+                 ).reshape(d, d, d)
     return FiniteAlgebra(c)
 

@@ -312,6 +312,7 @@ class CheeseVerification:
     max_sum: float
     max_certified: float
     per_term_margin: float  # proven below 2^-(n+1) - r_n/s_n^2 off I_n
+    landing_ok: bool  # every disc's landing fact; reported in per_term_ok
     bound_threshold: ClassVar[float] = 6.5
 
     @property
@@ -324,7 +325,7 @@ class CheeseVerification:
 
     @property
     def per_term_ok(self) -> bool:
-        return self.per_term_margin > 0.0
+        return self.landing_ok and self.per_term_margin > 0.0
 
     @property
     def passed(self) -> bool:
@@ -411,7 +412,8 @@ def _largest_sum(X, xs) -> float:
 def verify_cheese(X: CheeseSet, grid: int = 2001) -> CheeseVerification:
     """Re-certify geometry, the per-term dyadic bounds, and the full sum.
 
-    The per-term margin is the least of ``_term_check``'s proven margins.
+    The per-term margin is the least of ``_term_check``'s proven margins,
+    and the per-term check also needs every disc's landing fact.
     The largest full sum is found by screening blocks of the grid.
 
     The computed bound sum at x is S(x) = t_0 + t_1 + ... + t_n, added in
@@ -461,7 +463,8 @@ def verify_cheese(X: CheeseSet, grid: int = 2001) -> CheeseVerification:
         n_max=X.n_max, grid=grid, margins=X.margins,
         max_sum=max_sum, max_certified=max_sum + 2.0 ** -(X.n_max + 1),
         per_term_margin=min((margin for _, margin in X._term_checks),
-                            default=math.inf))
+                            default=math.inf),
+        landing_ok=all(landing for landing, _ in X._term_checks))
 
 
 @dataclass

@@ -375,8 +375,10 @@ def _cmd_bimodule_rank1(args) -> _Outcome:
                             abs(anchor_value - 1) <= 1e-12,
                             value=reports.complex_to_json(anchor_value)),
     ]
-    result = {"anchor": anchor, "functional": lambda0.matrix[0],
-              "matrix": D.matrix}
+    # the report writes every entry as an [re, im] pair, real data too
+    result = {"anchor": anchor.astype(complex),
+              "functional": lambda0.matrix[0].astype(complex),
+              "matrix": D.matrix.astype(complex)}
     return _Outcome(inputs, result, certs)
 
 
@@ -407,9 +409,9 @@ def _cmd_bimodule_transfer(args) -> _Outcome:
                             product=norm_R * norm_D),
     ]
     result = {
-        "anchor": a0,
-        "functional": lam,
-        "matrix": composed.matrix,
+        "anchor": a0.astype(complex),  # [re, im] pairs, as in rank1
+        "functional": lam.astype(complex),
+        "matrix": composed.matrix.astype(complex),
         "rank": rank_after,
         "defect": composed.defect,
         "tolerance": composed.tolerance,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import convderiv as cd
-from convderiv import bimodules
+from convderiv import bimodules, cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -452,7 +452,7 @@ def eager_transfer_functional(A, E, D, seed=42):
     first.  Returns (a0, lam), or the number of candidates if none
     works."""
     d = A.dim
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(d)  # the basis probes are real: float64
     candidates = [eye[i] for i in range(d)]
     candidates += [eye[i] + eye[j] for i in range(d) for j in range(i + 1, d)]
     rng = np.random.default_rng(seed)
@@ -709,6 +709,9 @@ def test_validation_allocates_no_fourth_power_intermediate():
 
 
 # -- integer data is validated in float64, with the complex path's bits -------
+# Real data is float64 from the start; complex integer data with imaginary
+# parts ±0 is brought to float64 by ``_exact_reals``.  The complex path
+# makes every array complex128 and takes no float64 shortcut.
 
 def validation(build):
     """Bytes of the defect ``build`` returns, or the type and message of
@@ -723,9 +726,9 @@ def validation(build):
 def assert_paths_agree(monkeypatch, build, exact):
     """``build`` gives the same defect bytes, or the same error, as with
     the float64 path switched off, and takes that path exactly when
-    ``exact``."""
+    ``exact``; when ``exact``, also as on the complex path."""
     taken = []
-    real_path = bimodules._exact_reals
+    real_path, numeric = bimodules._exact_reals, bimodules._numeric
 
     def spy(arrays):
         reals = real_path(arrays)
@@ -736,6 +739,11 @@ def assert_paths_agree(monkeypatch, build, exact):
     default = validation(build)
     monkeypatch.setattr(bimodules, "_exact_reals", lambda arrays: None)
     assert validation(build) == default
+    if exact:
+        monkeypatch.setattr(bimodules, "_numeric",
+                            lambda x: np.asarray(x, dtype=complex))
+        assert validation(build) == default
+        monkeypatch.setattr(bimodules, "_numeric", numeric)
     monkeypatch.setattr(bimodules, "_exact_reals", real_path)
     assert taken and set(taken) == {exact}
     return default
@@ -752,7 +760,7 @@ def module_defect(A, L, R, atol=1e-12):
         cd.FiniteBimodule(A, L, R, atol=atol)
         return bimodules._checked_defect(
             bimodules._module_axioms,
-            (A.structure, np.asarray(L, complex), np.asarray(R, complex)),
+            (A.structure, bimodules._numeric(L), bimodules._numeric(R)),
             atol, "bimodule axiom")
     return build
 
@@ -878,7 +886,9 @@ def test_signed_zero_imaginary_parts_and_pair_files_keep_their_bits(
     assert_paths_agree(monkeypatch, algebra_defect(tiny, np.inf), False)
 
 
-def test_float_data_takes_the_complex_path(monkeypatch):
+def test_float_data_is_not_taken_as_exact(monkeypatch):
+    # real data that are not integers run in float64 as they come, and
+    # ``_exact_reals`` does not count their defect as exact
     rounded = np.array(json.loads((GOLDEN / "rounded.json").read_text())["c"])
     half = _guarded(3.0)
     half[0, 1, 1] = half[1, 0, 1] = 2.5
@@ -890,12 +900,13 @@ def test_float_data_takes_the_complex_path(monkeypatch):
     assert_paths_agree(monkeypatch, module_defect(A, act, act, np.inf), False)
 
 
-def test_huge_nan_and_inf_entries_take_the_complex_path(monkeypatch):
+def test_huge_nan_and_inf_entries_are_not_taken_as_exact(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the guard squares no entry
         for bad in (1e308, np.inf, -np.inf):
             c = _guarded(1.0)
             c[2, 2, 2] = bad
+            assert bimodules._exact_reals([c]) is None
             assert bimodules._exact_reals([c.astype(complex)]) is None
             outcome = assert_paths_agree(monkeypatch, algebra_defect(c),
                                          False)
@@ -939,6 +950,165 @@ def test_integer_bimodules_keep_their_bits(monkeypatch):
             for pair in ((bad, L), (L, bad), (bad, bad)):
                 assert_paths_agree(monkeypatch,
                                    module_defect(A, *pair, atol=atol), True)
+
+
+# -- the dtype follows the input: float64 if real, complex128 if complex -----
+
+def write_algebra(path, c, pairs=False):
+    """c written as JSON plain numbers, or as [re, im] pairs with im 0."""
+    entries = [[[[x, 0] if pairs else x for x in row] for row in plane]
+               for plane in np.asarray(c).real.tolist()]
+    path.write_text(json.dumps({"dim": len(c), "c": entries}))
+    return cd.algebra_from_file(str(path))
+
+
+def changed_euler(K, power, seed):
+    """t d/dt on trunc K in the basis of ``change_basis``: P^-1 diag(k) P,
+    integer as P is unimodular."""
+    P = basis_change_matrix(K, power, seed)
+    return np.rint(np.linalg.inv(P) @ np.diag(np.arange(K)) @ P)
+
+
+def derivation_outcome(A, euler=None):
+    """(lambda0, D) of the rank-one construction when ``euler`` is None,
+    else (a0, lam, composed, D) of the transfer of D = ``euler``; or the
+    error's type and message."""
+    try:
+        if euler is None:
+            return cd.rank_one_derivation(A, cd.find_anchor(A))
+        E, D = A.self_bimodule(), cd.FiniteMap(euler)
+        a0, lam = cd.find_transfer_functional(A, E, D)
+        return a0, lam, cd.transfer(D, lam, A, E), D
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_real_input_stays_float64_and_complex_input_stays_complex(
+        tmp_path):
+    K = 8
+    trunc = cd.algebra_catalog(f"trunc{K}").structure
+    on_file = change_basis(trunc, 4, K).astype(np.int64)
+    cases = [
+        (cd.algebra_catalog(f"trunc{K}"), np.diag(np.arange(K)), float),
+        (write_algebra(tmp_path / "int.json", on_file),
+         changed_euler(K, 4, K), float),
+        (write_algebra(tmp_path / "ideal.json", change_basis(ideal(K), 1, K)),
+         None, float),
+        (cd.algebra_from_file(str(GOLDEN / "rounded.json")), False, float),
+        (cd.algebra_from_file(str(GOLDEN / "nilsquare.json")), None, complex),
+        (write_algebra(tmp_path / "pairs.json", trunc, pairs=True),
+         np.diag(np.arange(K)), complex),
+    ]
+    plain = json.loads((tmp_path / "int.json").read_text())["c"]
+    assert {type(x) for plane in plain for row in plane for x in row} == {int}
+    for A, euler, want in cases:
+        assert A.structure.dtype == want
+        assert cd.square_span(A).dtype == want
+        E = A.self_bimodule()
+        for module in (E, E.dual()):
+            assert module.left.dtype == module.right.dtype == want
+            x = np.eye(A.dim)[0]
+            assert module.act_left(x, x).dtype == want
+            assert module.act_right(x, x).dtype == want
+        assert A.multiply(np.eye(A.dim)[0], np.eye(A.dim)[-1]).dtype == want
+        if euler is False:  # rounded.json is unital: no anchor, no t d/dt
+            continue
+        outcome = derivation_outcome(A, euler)
+        if euler is None:
+            lambda0, D = outcome
+            assert lambda0.matrix.dtype == D.matrix.dtype == want
+        else:
+            a0, lam, composed, D = outcome  # a0: a real basis probe
+            assert lam.dtype == composed.matrix.dtype == want
+            assert composed.homomorphism.matrix.dtype == want
+    # a complex map into a real algebra's module is complex
+    A = cd.algebra_catalog("trunc3")
+    assert cd.FiniteMap(1j * np.eye(3)).matrix.dtype == complex
+    assert cd.dual_homomorphism(A, A.self_bimodule(),
+                                [1j, 0, 0]).matrix.dtype == complex
+
+
+def test_algebras_and_modules_keep_their_own_copies():
+    # the caller's arrays stay writable, and what the checks passed stays
+    c = cd.algebra_catalog("trunc3").structure
+    for data in (c.copy(), c.astype(complex)):
+        A = cd.FiniteAlgebra(data)
+        E = cd.FiniteBimodule(A, data, data)
+        data[0, 0, 0] = 7.0
+        assert A.structure[0, 0, 0] == E.left[0, 0, 0] == 1.0
+        assert E.right[0, 0, 0] == 1.0
+
+
+def test_every_report_writes_anchor_functional_and_matrix_as_pairs(
+        tmp_path):
+    ideal_file = tmp_path / "ideal.json"
+    write_algebra(ideal_file, change_basis(ideal(8), 1, 8))
+    for argv in (["rank1", "--algebra", f"@{ideal_file}"],
+                 ["rank1", "--algebra", f"@{GOLDEN / 'nilsquare.json'}"],
+                 ["rank1", "--algebra", "zero2"],
+                 ["transfer", "--algebra", "trunc8"],
+                 ["transfer", "--algebra", "trunc6", "--seed", "7"]):
+        out = tmp_path / "report.json"
+        assert cli.main(["bimodule", *argv, "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        for key, ndim in (("anchor", 1), ("functional", 1), ("matrix", 2)):
+            pairs = np.array(result[key])
+            assert pairs.dtype == float and pairs.ndim == ndim + 1, key
+            assert pairs.shape[-1] == 2, key
+
+
+def assert_close(real, cplx, rel=1e-12):
+    real, cplx = np.asarray(real), np.asarray(cplx)
+    assert real.shape == cplx.shape
+    assert np.abs(real - cplx).max(initial=0.0) <= \
+        rel * np.abs(real).max(initial=0.0)
+
+
+def agreement_cases():
+    """(name, c, t d/dt or None): seeded integer basis changes of trunc K
+    and of the ideal t.k[t]/t^K for K <= 12, then the catalog to K = 30."""
+    for K in range(2, 13):
+        for power in (1, 4):
+            trunc = cd.algebra_catalog(f"trunc{K}").structure
+            yield (f"trunc{K}-p{power}", change_basis(trunc, power, K),
+                   changed_euler(K, power, K))
+            if K > 2:
+                yield (f"ideal{K}-p{power}", change_basis(ideal(K), power, K),
+                       None)
+    for name in ["zero2", "nil1"] + [f"trunc{K}" for K in range(1, 31)]:
+        A = cd.algebra_catalog(name)
+        yield (name, A.structure,
+               None if name[0] != "t" else np.diag(np.arange(A.dim)))
+
+
+def test_real_and_complex_input_agree(tmp_path):
+    for name, c, euler in agreement_cases():
+        real = write_algebra(tmp_path / "real.json", c)
+        cplx = write_algebra(tmp_path / "pairs.json", c, pairs=True)
+        assert real.structure.dtype == float, name
+        assert cplx.structure.dtype == complex, name
+        assert real.dim == cplx.dim
+        assert np.float64(real.associativity_defect).tobytes() == \
+            np.float64(cplx.associativity_defect).tobytes(), name
+        assert cd.square_span(real).shape == cd.square_span(cplx).shape
+        assert cd.matrix_rank(real.structure.reshape(real.dim, -1)) == \
+            cd.matrix_rank(cplx.structure.reshape(real.dim, -1))
+        for use in ([None] if euler is None else [None, euler]):
+            got, want = (derivation_outcome(A, use) for A in (real, cplx))
+            if isinstance(want[0], type):  # the same error on both
+                assert got == want, name
+                continue
+            assert [M.rank for M in got if isinstance(M, cd.FiniteMap)] == \
+                [M.rank for M in want if isinstance(M, cd.FiniteMap)], name
+            for g, w in zip(got, want):
+                if isinstance(g, cd.FiniteMap):
+                    g, w = g.matrix, w.matrix
+                assert_close(g, w)
+            if use is not None:  # defects are rounding, below tolerance
+                for key in ("scale", "tolerance"):
+                    assert math.isclose(getattr(got[2], key),
+                                        getattr(want[2], key),
+                                        rel_tol=1e-12, abs_tol=1e-300), key
 
 
 # -- derivation identity tolerance --------------------------------------------
@@ -1013,7 +1183,9 @@ def test_derivation_terms_match_the_einsum_forms():
 # -- algebra files: every parse agrees with the entry-by-entry reference ------
 
 def per_entry_algebra(payload):
-    """Reference: parse each entry of "c" on its own, then validate."""
+    """Reference: parse each entry of "c" on its own, then validate.  The
+    structure is float64 when every entry is a plain number and complex128
+    when any is an [re, im] pair."""
     d = int(payload["dim"])
 
     def sized(items):
@@ -1034,13 +1206,15 @@ def per_entry_algebra(payload):
                 return complex(float(value[0]), float(value[1]))
             if isinstance(value, words):
                 raise TypeError
-            return complex(value)
+            return complex(value).real
         except TypeError:
             raise ValueError(f"bad structure constant {value!r}") from None
 
-    c = np.array([[[entry(v) for v in sized(row)] for row in sized(plane)]
-                  for plane in sized(payload["c"])],
-                 dtype=complex).reshape(d, d, d)
+    entries = [[[entry(v) for v in sized(row)] for row in sized(plane)]
+               for plane in sized(payload["c"])]
+    pairs = any(isinstance(v, complex) for plane in entries for row in plane
+                for v in row)
+    c = np.array(entries, dtype=complex if pairs else float).reshape(d, d, d)
     return cd.FiniteAlgebra(c)
 
 

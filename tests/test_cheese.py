@@ -621,6 +621,19 @@ def test_a_disc_meeting_the_line_off_its_interval_has_no_margin():
         assert cheese._term_check(1, disc) == (False, -math.inf)
 
 
+def test_a_disc_that_fails_its_landing_fact_fails_the_per_term_check():
+    # r/(y - r)^2 = 0.99e-4/1e-12 far above 2 at the ground point, which
+    # neither grid point sees, while the margin off I_1 is positive
+    X = cd.CheeseSet.from_dict(
+        {"n_max": 1, "discs": [{"x": 0.125, "y": 1e-4, "r": 0.99e-4}]})
+    ((landing, margin),) = X._term_checks
+    assert not landing and margin > 0.0
+    verification = cd.verify_cheese(X, grid=2)
+    assert verification.bound_ok and verification.per_term_margin == margin
+    assert not verification.per_term_ok and not verification.passed
+    assert verification.to_dict()["per_term_ok"] is False
+
+
 def test_a_term_past_its_bound_between_grid_points_fails_the_check():
     X = _disc_near_its_interval_start()
     assert reference_verification(X, 201)[2] > 0.0  # no grid point sees it
