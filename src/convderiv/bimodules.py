@@ -16,7 +16,6 @@ only the bounded-transfer inequality carries content here.)
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import re
 from dataclasses import dataclass
@@ -65,26 +64,6 @@ class FiniteMap:
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
-def _exact_reals(arrays):
-    """``arrays`` in float64, complex ones as contiguous copies of their
-    real parts, when every entry is an integer of modulus below
-    sqrt(2^53 / n) with imaginary part ±0, n the largest dimension of any
-    of them; None otherwise, NaN and inf included."""
-    n = max(max(a.shape, default=0) for a in arrays)
-    limit = math.isqrt((2 ** 53 - 1) // max(n, 1))  # x <= limit: n x^2 < 2^53
-    reals = []
-    for a in arrays:
-        if a.dtype.kind == "c":
-            if a.imag.any():
-                return None
-            a = np.ascontiguousarray(a.real)
-        if not (np.abs(a).max(initial=0.0) <= limit
-                and np.array_equal(a, np.rint(a))):
-            return None
-        reals.append(a)
-    return reals
-
-
 def _checked_defect(sides, arrays, atol: float, what: str) -> float:
     """The largest |lhs - rhs| over the blocks ``sides(*arrays, i)``, i <
     len(arrays[0]): each yields (lhs, rhs) pairs of the same shape.
@@ -101,21 +80,21 @@ def _checked_defect(sides, arrays, atol: float, what: str) -> float:
     false, and an inf gap, which needs an inf S, gives an excess of inf -
     inf = NaN.
 
-    Real data runs in float64, and so does complex integer data
-    (``_exact_reals``), with the bits complex arithmetic gives.  Each
-    entry of lhs and rhs sums at most n products (n the largest
-    dimension: every matmul in ``sides`` contracts over d or m), each an
-    integer below 2^53 / n in modulus, so every product and partial sum
-    is an integer below 2^53, exact in any order and with or without FMA
-    (Higham §2.1).  Complex arithmetic forms the same real parts, while
-    the imaginary parts are sums of ±0; hypot(x, ±0) = |x|, so the gaps
-    agree, and the moduli of the inputs, hence S and every later step,
-    are the same float64 arrays.  Other complex data stays complex.  Real
-    data that are not integers may move the defect's last bits against
-    complex arithmetic (dgemm and zgemm may sum inexact products in other
-    orders), under the same tolerance, which bounds any order's rounding.
+    The check runs in the dtype ``_numeric`` gave the data: float64 for
+    real data, complex128 for complex data.  A plain file and a pair file
+    of the same integers, each of modulus below sqrt(2^53 / n), agree bit
+    for bit: each entry of lhs and rhs sums at most n products (n the
+    largest dimension: every matmul in ``sides`` contracts over d or m),
+    each an integer below 2^53 / n in modulus, so every product and
+    partial sum is an integer below 2^53, exact in any order and with or
+    without FMA (Higham §2.1).  Complex arithmetic forms the same real
+    parts, while the imaginary parts are sums of ±0; hypot(x, ±0) = |x|,
+    so the gaps agree, and the moduli of the inputs, hence S and every
+    later step, are the same float64 arrays.  Real data that are not
+    integers may move the defect's last bits against complex arithmetic
+    (dgemm and zgemm may sum inexact products in other orders), under the
+    same tolerance, which bounds any order's rounding.
     """
-    arrays = _exact_reals(arrays) or arrays
     defect, mags = 0.0, None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(arrays[0])):

@@ -27,14 +27,13 @@ from typing import ClassVar, Optional, Sequence, Tuple
 import numpy as np
 
 INTERVAL = (0.0, 0.5)
-_FLOOR = 2.0 ** -40  # no disc is lower
 
 
 class ConstructionFailedError(RuntimeError):
-    """A level's height lies below the 2^-40 floor or fails its checks."""
+    """A level's disc fails its landing or per-term check."""
 
     def __init__(self, n: int):
-        super().__init__(f"no admissible height for disc {n} above 2^-40")
+        super().__init__(f"no admissible height for disc {n}")
         self.n = n
 
 
@@ -241,19 +240,20 @@ def build_cheese(n_max: int) -> CheeseSet:
     is the largest admissible power of two when 2^-(m(n)-1) fails, which
     ``test_formula_heights_are_the_largest_exactly`` (60-digit decimals)
     and ``test_all_heights_match_descent_oracle`` (the float search) check
-    for n <= 25.  From n = 26 on, y_n < 2^-40, the floor.
+    for n <= 25.  Levels 1-52 pass; from 53 on, midpoint(n) is not a
+    double, and the build stops at the first level that fails.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    heights = [2.0 ** -(3 * n // 2 + 3) for n in range(1, n_max + 1)]
-    for n, y in enumerate(heights, 1):
-        if y < _FLOOR:
+    discs, checks = [], []
+    for n in range(1, n_max + 1):
+        y = 2.0 ** -(3 * n // 2 + 3)
+        discs.append(Disc(complex(midpoint(n), y), y * y))
+        checks.append(_term_check(n, discs[-1]))
+        if not (checks[-1][0] and checks[-1][1] > 0.0):
             raise ConstructionFailedError(n)
-    X = CheeseSet(Disc(complex(midpoint(n), y), y * y)
-                  for n, y in enumerate(heights, 1))
-    for n, (landing, margin) in enumerate(X._term_checks, 1):
-        if not (landing and margin > 0.0):
-            raise ConstructionFailedError(n)
+    X = CheeseSet(discs)
+    X._term_checks = tuple(checks)  # verification reads the checks made
     return X
 
 

@@ -284,7 +284,17 @@ def format_rule(expr: RuleExpr) -> str:
     return _fold(expr, _PRINT)[0]
 
 
-def _compile(expr: RuleExpr) -> Callable:
+def rule_callable(expr: RuleExpr) -> Callable:
+    """The rule as a function of one non-negative index, evaluated in
+    double precision; the program is built once.  The index stays an exact
+    integer, so (-1)^n is exact up to INDEX_CAP; a power that overflows a
+    double raises RuleEvaluationError.  Operands are evaluated left to
+    right, so an error cites the first failing node.
+
+    It calls no public name, because perfbench's traced runs count each
+    callable it returns as one rule evaluation.  ``block_callable`` is the
+    same rule on arrays of indices, and evaluates through this callable
+    wherever it goes index by index."""
     # a walk of the program with a value stack, step for step the
     # reference interpreter's: operands left to right, then the checks
     program = [(type(node), getattr(node, "value", None))
@@ -332,20 +342,6 @@ def _raised(base, exponent, n):
         return float(base) ** k
     except OverflowError:
         raise RuleEvaluationError("power overflows a double", n) from None
-
-
-def rule_callable(expr: RuleExpr) -> Callable:
-    """The rule as a function of one non-negative index, evaluated in
-    double precision; the program is built once.  The index stays an exact
-    integer, so (-1)^n is exact up to INDEX_CAP; a power that overflows a
-    double raises RuleEvaluationError.  Operands are evaluated left to
-    right, so an error cites the first failing node.
-
-    It calls no public name, because perfbench's traced runs count each
-    callable it returns as one rule evaluation.  ``block_callable`` is the
-    same rule on arrays of indices, and evaluates through this callable
-    wherever it goes index by index."""
-    return _compile(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -708,10 +708,10 @@ def test_validation_allocates_no_fourth_power_intermediate():
     assert peak < 8e6
 
 
-# -- integer data is validated in float64, with the complex path's bits -------
-# Real data is float64 from the start; complex integer data with imaginary
-# parts ±0 is brought to float64 by ``_exact_reals``.  The complex path
-# makes every array complex128 and takes no float64 shortcut.
+# -- every check runs in the input's dtype; integer data keeps its bits ------
+# Real data is float64 and complex data complex128, as ``_numeric`` gives
+# them.  Integers below sqrt(2^53 / n) give the same defect bits, or the
+# same error, as a run with every array complex128.
 
 def validation(build):
     """Bytes of the defect ``build`` returns, or the type and message of
@@ -724,28 +724,20 @@ def validation(build):
 
 
 def assert_paths_agree(monkeypatch, build, exact):
-    """``build`` gives the same defect bytes, or the same error, as with
-    the float64 path switched off, and takes that path exactly when
-    ``exact``; when ``exact``, also as on the complex path."""
-    taken = []
-    real_path, numeric = bimodules._exact_reals, bimodules._numeric
-
-    def spy(arrays):
-        reals = real_path(arrays)
-        taken.append(reals is not None)
-        return reals
-
-    monkeypatch.setattr(bimodules, "_exact_reals", spy)
+    """The outcome of ``build`` in the input's dtype, against a run with
+    every array complex128: the same defect bytes or the same error when
+    ``exact``, else a defect on both runs or an error of the same type."""
     default = validation(build)
-    monkeypatch.setattr(bimodules, "_exact_reals", lambda arrays: None)
-    assert validation(build) == default
+    with monkeypatch.context() as patch:
+        patch.setattr(bimodules, "_numeric",
+                      lambda x: np.asarray(x, dtype=complex))
+        complex_run = validation(build)
     if exact:
-        monkeypatch.setattr(bimodules, "_numeric",
-                            lambda x: np.asarray(x, dtype=complex))
-        assert validation(build) == default
-        monkeypatch.setattr(bimodules, "_numeric", numeric)
-    monkeypatch.setattr(bimodules, "_exact_reals", real_path)
-    assert taken and set(taken) == {exact}
+        assert complex_run == default
+    elif isinstance(default, tuple):
+        assert complex_run[0] is default[0]
+    else:
+        assert isinstance(complex_run, bytes)
     return default
 
 
@@ -835,60 +827,57 @@ def _guarded(x, d=3):
     return c
 
 
-def test_the_float64_guard_sits_at_the_square_root_of_2_53_over_n(
-        monkeypatch):
-    # x < sqrt(2^53 / n) in exact arithmetic: x = limit takes the float64
-    # path, x = limit + 1 the complex one, for the algebra (n = d) and for
-    # a module whose dimension m > d sets n
+def test_integers_at_the_exactness_bound_keep_their_bits(monkeypatch):
+    # x = limit, the largest integer with n x^2 < 2^53: real and complex
+    # data agree bit for bit, for the algebra (n = d) and for a module
+    # whose dimension m > d sets n
     for d in (3, 4, 7):
         limit = math.isqrt((2 ** 53 - 1) // d)
         assert limit ** 2 * d < 2 ** 53 <= (limit + 1) ** 2 * d
-        for x, exact in ((limit, True), (limit + 1, False)):
-            c = _guarded(float(x), d)
-            for atol in (1e-12, np.inf):
-                assert_paths_agree(monkeypatch, algebra_defect(c, atol),
-                                   exact)
+        c = _guarded(float(limit), d)
+        for atol in (1e-12, np.inf):
+            assert_paths_agree(monkeypatch, algebra_defect(c, atol), True)
     A = cd.FiniteAlgebra(np.ones((1, 1, 1)))
     for m in (2, 5):
         limit = math.isqrt((2 ** 53 - 1) // m)
-        for x, exact in ((limit, True), (limit + 1, False),
-                         (math.isqrt(2 ** 53 - 1), False)):
-            # e0 acts by I + x E_{0, m-1}: off by 2x - x = x from (e0 e0)
-            act = np.eye(m)[None]
-            act[0, 0, m - 1] = x
-            for atol in (1e-12, np.inf):
-                assert_paths_agree(monkeypatch,
-                                   module_defect(A, act, act, atol), exact)
+        # e0 acts by I + x E_{0, m-1}: off by 2x - x = x from (e0 e0)
+        act = np.eye(m)[None]
+        act[0, 0, m - 1] = limit
+        for atol in (1e-12, np.inf):
+            assert_paths_agree(monkeypatch, module_defect(A, act, act, atol),
+                               True)
 
 
 def test_signed_zero_imaginary_parts_and_pair_files_keep_their_bits(
         monkeypatch, tmp_path):
+    # complex data give the bits of the same integers held as reals
     c = change_basis(cd.algebra_catalog("trunc7").structure.real, 4, 7)
     for structure in (c, perturbed(c, 1)):
         negative = structure.astype(complex)
         negative.imag = -0.0
         assert np.signbit(negative.imag).all()
         for atol in (1e-12, np.inf):
-            assert_paths_agree(monkeypatch, algebra_defect(negative, atol),
-                               True)
+            assert assert_paths_agree(
+                monkeypatch, algebra_defect(negative, atol), True) == \
+                validation(algebra_defect(structure, atol))
         for im in (0, 0.0, -0.0):
             pairs = [[[[float(x), im] for x in row] for row in plane]
                      for plane in structure]
             path = tmp_path / "pairs.json"
             path.write_text(json.dumps({"dim": len(c), "c": pairs}))
-            assert_paths_agree(
+            assert assert_paths_agree(
                 monkeypatch,
                 lambda: cd.algebra_from_file(str(path)).associativity_defect,
-                True)
-    # a non-zero imaginary part, however small, keeps the complex path
+                True) == validation(algebra_defect(structure))
+    # a non-zero imaginary part, however small, is complex on both runs
     tiny = c.astype(complex)
     tiny[0, 0, 0] += 5e-324j
-    assert_paths_agree(monkeypatch, algebra_defect(tiny, np.inf), False)
+    assert_paths_agree(monkeypatch, algebra_defect(tiny, np.inf), True)
 
 
 def test_float_data_is_not_taken_as_exact(monkeypatch):
     # real data that are not integers run in float64 as they come, and
-    # ``_exact_reals`` does not count their defect as exact
+    # their defect may differ from the complex run's in its last bits
     rounded = np.array(json.loads((GOLDEN / "rounded.json").read_text())["c"])
     half = _guarded(3.0)
     half[0, 1, 1] = half[1, 0, 1] = 2.5
@@ -902,22 +891,15 @@ def test_float_data_is_not_taken_as_exact(monkeypatch):
 
 def test_huge_nan_and_inf_entries_are_not_taken_as_exact(monkeypatch):
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the guard squares no entry
+        warnings.simplefilter("error")  # the checks raise, never warn
         for bad in (1e308, np.inf, -np.inf):
             c = _guarded(1.0)
             c[2, 2, 2] = bad
-            assert bimodules._exact_reals([c]) is None
-            assert bimodules._exact_reals([c.astype(complex)]) is None
             outcome = assert_paths_agree(monkeypatch, algebra_defect(c),
                                          False)
             assert outcome[0] is ValueError
             assert outcome[1].startswith("associativity defect nan")
         # NaN fails the commutativity check first, so no algebra has one
-        nan = _guarded(1.0).astype(complex)
-        nan[2, 2, 2] = np.nan
-        assert bimodules._exact_reals([nan]) is None
-        nan[2, 2, 2] = complex(1.0, np.nan)
-        assert bimodules._exact_reals([nan]) is None
         A = cd.FiniteAlgebra(_guarded(1.0))
         for bad in (1e308, np.nan, np.inf):
             act = A.structure.copy()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import convderiv as cd
-from convderiv import cheese
+from convderiv import cheese, cli
 
 
 def descent_oracle(n):
@@ -128,10 +128,21 @@ def test_build_makes_one_admissibility_check_per_level(monkeypatch):
 
 
 def test_construction_failure_is_reported():
-    with pytest.raises(cd.ConstructionFailedError) as err:
-        cd.build_cheese(26)
-    assert err.value.n == 26
-    assert str(err.value) == "no admissible height for disc 26 above 2^-40"
+    # midpoint(53) is not a double, so level 53 fails its check, and so
+    # does every build past it, before any later disc is made
+    for n_max in (53, 60, 10 ** 6):
+        with pytest.raises(cd.ConstructionFailedError) as err:
+            cd.build_cheese(n_max)
+        assert err.value.n == 53
+        assert str(err.value) == "no admissible height for disc 53"
+
+
+def test_every_level_up_to_52_is_certified(capsys):
+    X = cd.build_cheese(52)
+    assert cd.verify_cheese(X, grid=2001).passed
+    assert cd.noncompact_report(X, grid=2001).passed
+    assert cli.main(["cheese", "build", "--nmax", "26"]) == 0
+    assert '"n_max": 26' in capsys.readouterr().out
 
 
 def test_build_takes_only_the_level_count():

@@ -519,10 +519,11 @@ def test_a_grid_past_the_cap_is_refused_before_any_allocation(
     assert not path.exists()
 
 
-def test_cheese_build_below_the_height_floor_is_an_input_error(capsys):
-    assert run(["cheese", "build", "--nmax", "26"]) == 2
+def test_cheese_build_past_the_last_certified_level_is_an_input_error(
+        capsys):
+    assert run(["cheese", "build", "--nmax", "53"]) == 2
     assert capsys.readouterr().err == \
-        "error: no admissible height for disc 26 above 2^-40\n"
+        "error: no admissible height for disc 53\n"
 
 
 def test_cheese_demo_on_two_discs_and_two_grid_points(tmp_path):
